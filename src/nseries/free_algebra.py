@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatchError, NotAUnitError
 
@@ -192,13 +192,22 @@ class FreeSeries:
                 "series with zero constant term lies in the augmentation ideal"
             )
         one = FreeSeries.one(self.alphabet_size, self.grade)
-        r = (self - FreeSeries.constant(c, self.alphabet_size, self.grade)).scale(
-            Fraction(-1) / c
-        )
-        acc = one
-        for _ in range(self.grade):
-            acc = one + r * acc
-        return acc.scale(Fraction(1) / c)
+        geom = FreeSeries(1, self.grade, {(0,) * n: 1 / c for n in range(self.grade + 1)})
+        return nilpotent_sum(geom, (self - one.scale(c)).scale(-1 / c), one, FreeSeries.__mul__)
+
+
+def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
+    """The one-variable series P at a nilpotent x: sum of P(X0^n) x^n, n <= P.grade.
+
+    Powers run forward, x^n = mul(x, x^(n-1)) from x^0 = one, and the sum stops
+    at the first zero power.  `x` and `one` need `scale`, `is_zero` and `+`."""
+    acc, pw = one.scale(P.constant_term), one
+    for n in range(1, P.grade + 1):
+        pw = mul(x, pw)
+        if pw.is_zero():
+            break
+        acc = acc + pw.scale(P.coefficient((0,) * n))
+    return acc
 
 
 # Named operation surface mirroring the contract above.

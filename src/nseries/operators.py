@@ -20,9 +20,9 @@ from .errors import (
     NotAUnitError,
     NotContractingError,
 )
-from .free_algebra import FreeSeries, Word
+from .free_algebra import FreeSeries, Word, nilpotent_sum
 from .hahn_series import HahnPoly
-from .support_order import Cmp, ExpVec, MonoidCtx, weight_universe
+from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
 
 @dataclass(frozen=True)
@@ -182,47 +182,52 @@ def op_is_contracting(table: OpTable) -> CheckResult:
     return CheckResult(True)
 
 
-def op_is_derivation(table: OpTable, weight_budget: int | None = None) -> CheckResult:
-    """Leibniz rule on all basis pairs within the weight budget.
-
-    Checking monomial pairs suffices: both sides are bilinear, and every
-    series is a finite sum of monomials.
-    """
+def _generator_check(table: OpTable, weight_budget, unit: HahnPoly, unit_witness, expected):
+    """The pass behind both predicates: t^0 must map to `unit`, and each nonzero
+    t^m within the budget to expected(m - e, e), e the generator of m's first index."""
     budget = table.bound if weight_budget is None else weight_budget
-    ctx = table.ctx
-    basis = [m for m in table.basis() if ctx.weight(m) <= budget]
-    for i, m1 in enumerate(basis):
-        w1 = ctx.weight(m1)
-        t1 = HahnPoly.monomial(ctx, table.bound, m1)
-        for m2 in basis[i:]:
-            if w1 + ctx.weight(m2) > budget:
-                continue
-            t2 = HahnPoly.monomial(ctx, table.bound, m2)
-            lhs = op_apply(table, t1 * t2)
-            rhs = op_apply(table, t1) * t2 + t1 * op_apply(table, t2)
-            if lhs != rhs:
-                return CheckResult(False, (m1, m2))
+    if not 0 <= budget <= table.bound:
+        raise ValueError(f"weight budget {budget} lies outside [0, {table.bound}]")
+    if table.images[(0,) * table.ctx.dim] != unit:
+        return CheckResult(False, unit_witness)
+    for m in table.basis()[1:]:  # sorted by weight, from t^0
+        if table.ctx.weight(m) > budget:
+            break
+        i = next(j for j, x in enumerate(m) if x)
+        e = tuple(int(j == i) for j in range(len(m)))
+        rest = vec_sub(m, e)
+        if table.images[m] != expected(rest, e):
+            return CheckResult(False, (rest, e))
     return CheckResult(True)
+
+
+def op_is_derivation(table: OpTable, weight_budget: int | None = None) -> CheckResult:
+    """Leibniz rule on all basis pairs within the weight budget, 0 <= budget <= N.
+
+    Decided in one pass: D(1) = 0 and D(t^m) = D(t^e) t^(m-e) + t^e D(t^(m-e))
+    for each nonzero t^m within the budget.  By induction on weight, D is then
+    the Leibniz extension of its generator images, which obeys the rule on
+    every pair.  Witness: the failing pair (m - e, e), or (0, 0).
+    """
+    ctx, bound, images = table.ctx, table.bound, table.images
+    zero = (0,) * ctx.dim
+
+    def leibniz(rest, e):
+        t_rest, t_e = HahnPoly.monomial(ctx, bound, rest), HahnPoly.monomial(ctx, bound, e)
+        return images[e] * t_rest + t_e * images[rest]
+
+    return _generator_check(table, weight_budget, HahnPoly.zero(ctx, bound), (zero, zero), leibniz)
 
 
 def op_is_unital_endomorphism(table: OpTable, weight_budget: int | None = None) -> CheckResult:
-    """sigma(1) = 1 and multiplicativity on basis pairs within the budget."""
-    budget = table.bound if weight_budget is None else weight_budget
-    ctx = table.ctx
-    unit = HahnPoly.one(ctx, table.bound)
-    if op_apply(table, unit) != unit:
-        return CheckResult(False, "unit")
-    basis = [m for m in table.basis() if ctx.weight(m) <= budget]
-    for i, m1 in enumerate(basis):
-        w1 = ctx.weight(m1)
-        t1 = HahnPoly.monomial(ctx, table.bound, m1)
-        for m2 in basis[i:]:
-            if w1 + ctx.weight(m2) > budget:
-                continue
-            t2 = HahnPoly.monomial(ctx, table.bound, m2)
-            if op_apply(table, t1 * t2) != op_apply(table, t1) * op_apply(table, t2):
-                return CheckResult(False, (m1, m2))
-    return CheckResult(True)
+    """sigma(1) = 1 and multiplicativity on basis pairs within the budget, 0 <= budget <= N.
+
+    Decided in one pass: sigma(t^m) = sigma(t^e) sigma(t^(m-e)) for each nonzero
+    t^m within the budget.  By induction on weight, sigma is then multiplicative
+    on every pair.  Witness: the failing pair (m - e, e), or "unit".
+    """
+    one, images = HahnPoly.one(table.ctx, table.bound), table.images
+    return _generator_check(table, weight_budget, one, "unit", lambda r, e: images[e] * images[r])
 
 
 def op_evaluate(
@@ -298,8 +303,5 @@ def op_geometric_inverse(table: OpTable) -> OpTable:
         raise NotAUnitError(
             f"table is not of the form c*Id + contracting; offending pair {chk.witness}"
         )
-    r = eps.scale(Fraction(-1) / c)
-    acc = ident
-    for _ in range(bound):
-        acc = ident + op_compose(r, acc)
-    return acc.scale(Fraction(1) / c)
+    geom = FreeSeries(1, bound, {(0,) * n: 1 / c for n in range(bound + 1)})
+    return nilpotent_sum(geom, eps.scale(-1 / c), ident, op_compose)

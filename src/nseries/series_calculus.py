@@ -16,7 +16,7 @@ from math import factorial
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NotInIdealError
-from .free_algebra import EMPTY_WORD, FreeSeries, Word
+from .free_algebra import EMPTY_WORD, FreeSeries, Word, nilpotent_sum
 
 
 def series_E0(order: int) -> FreeSeries:
@@ -95,14 +95,9 @@ def bch_term(n: int, order: int) -> FreeSeries:
 
 
 def bch_product(order: int) -> FreeSeries:
-    """The group-law series X0 * X1 = sum_{n>=1} (-1)^(n+1)/n K_n, truncated."""
-    block = _block_sum(order)
-    acc = FreeSeries.zero(2, order)
-    pw = FreeSeries.one(2, order)
-    for n in range(1, order + 1):
-        pw = pw * block
-        acc = acc + pw.scale(Fraction((-1) ** (n + 1), n))
-    return acc
+    """The group-law series X0 * X1 = sum_{n>=1} (-1)^(n+1)/n K_n = L0(K_1), truncated."""
+    one = FreeSeries.one(2, order)
+    return nilpotent_sum(series_L0(order), _block_sum(order), one, FreeSeries.__mul__)
 
 
 def _right_nested_bracket(word: Word) -> dict[Word, int]:

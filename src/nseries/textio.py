@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, NSeriesError, ParseError
 from .free_algebra import FreeSeries
 from .hahn_series import HahnPoly
 from .operators import OpTable
@@ -218,25 +218,32 @@ def format_op_table(table: OpTable) -> str:
 
 
 def parse_op_table(text: str) -> OpTable:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    """Parse a table file; a ParseError names the line it comes from."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError("empty table text")
-    header = lines[0]
-    fields = dict(
-        part.split("=", 1) for part in header.split() if "=" in part
-    )
-    if "ctx" not in fields or "N" not in fields:
-        raise ParseError(f"table header must carry ctx= and N=: {header!r}")
-    ctx = parse_ctx(fields["ctx"])
-    bound = int(fields["N"])
-    images = {}
-    for ln in lines[1:]:
-        left, sep, right = ln.partition("->")
-        if not sep:
-            raise ParseError(f"table line needs '->': {ln!r}")
-        left = left.strip()
-        if not (left.startswith("t^(") and left.endswith(")")):
-            raise ParseError(f"bad basis monomial {left!r}")
-        exp = tuple(int(x) for x in left[3:-1].split(","))
-        images[ctx.check_vec(exp)] = parse_hahn(right.strip(), ctx, bound)
+    n, header = lines[0]
+    try:
+        fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+        if "ctx" not in fields or "N" not in fields:
+            raise ParseError(f"table header must carry ctx= and N=: {header!r}")
+        ctx = parse_ctx(fields["ctx"])
+        bound = int(fields["N"])
+        universe = set(weight_universe(ctx, bound))
+        images = {}
+        for n, ln in lines[1:]:
+            left, sep, right = ln.partition("->")
+            if not sep:
+                raise ParseError(f"table line needs '->': {ln!r}")
+            left = left.strip()
+            if not (left.startswith("t^(") and left.endswith(")")):
+                raise ParseError(f"bad basis monomial {left!r}")
+            exp = ctx.check_vec(int(x) for x in left[3:-1].split(","))
+            if exp not in universe:
+                raise ParseError(f"basis monomial {left} lies outside the universe of N={bound}")
+            if exp in images:
+                raise ParseError(f"duplicate basis line for {left}")
+            images[exp] = parse_hahn(right.strip(), ctx, bound)
+    except (NSeriesError, ValueError) as exc:
+        raise ParseError(f"line {n}: {exc}") from None
     return OpTable(ctx, bound, images)

@@ -9,12 +9,14 @@ from nseries import (
     MonoidCtx,
     NotContractingError,
     OpTable,
+    bch_product,
     conjugation_morphism,
     fractional_iterate,
     lie_morphism_defect,
     op_apply,
     op_bracket,
     op_compose,
+    op_evaluate,
     op_exp,
     op_exp_via_series,
     op_is_contracting,
@@ -181,6 +183,21 @@ def test_star_group_law():
         d1 = random_contracting_derivation(rng, LEX1, 6)
         d2 = random_contracting_derivation(rng, LEX1, 6)
         assert op_exp(star(d1, d2)) == op_compose(op_exp(d1), op_exp(d2))
+
+
+@pytest.mark.parametrize(
+    "ctx, bound",
+    [(LEX1, 6), (MonoidCtx.weighted(1, 2), 5), (MonoidCtx.product(2), 4)],
+)
+def test_star_matches_bch_evaluation(ctx, bound):
+    # the oracle route: the BCH series evaluated at the pair, for derivations
+    # and for plain contracting tables alike
+    rng = random.Random(47)
+    law = bch_product(bound)
+    for make in (random_contracting_derivation, random_contracting_table):
+        for _ in range(3):
+            d1, d2 = make(rng, ctx, bound), make(rng, ctx, bound)
+            assert star(d1, d2) == op_evaluate(law, (d1, d2))
 
 
 def test_fractional_iterate():

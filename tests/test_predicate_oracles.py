@@ -1,0 +1,142 @@
+"""The one-pass derivation and endomorphism predicates against the pairwise scans."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nseries import (
+    HahnPoly,
+    MonoidCtx,
+    OpTable,
+    gder_table,
+    gexp_table,
+    op_compose,
+    op_exp,
+    op_is_derivation,
+    op_is_unital_endomorphism,
+)
+from nseries.samples import (
+    nonzero_fraction,
+    random_additive_char,
+    random_character,
+    random_contracting_derivation,
+    random_contracting_table,
+    random_substitution_automorphism,
+)
+from pairwise_oracles import (
+    leibniz_holds,
+    multiplicative_on,
+    pairwise_derivation,
+    pairwise_unital_endomorphism,
+)
+
+# (context, largest bound); the smallest bound is the largest generator weight.
+CONTEXTS = ((MonoidCtx.lex(1), 6), (MonoidCtx.product(2), 4), (MonoidCtx.weighted(1, 2), 5))
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _table(kind, rng, ctx, bound):
+    """A random contracting table; with kind "table0" it kills t^0."""
+    table = random_contracting_table(rng, ctx, bound)
+    if kind == "table0":
+        images = dict(table.images)
+        images[(0,) * ctx.dim] = HahnPoly.zero(ctx, bound)
+        table = OpTable(ctx, bound, images)
+    return table
+
+
+def _derivation(kind, rng, ctx, bound):
+    if kind == "contracting":
+        return random_contracting_derivation(rng, ctx, bound)
+    if kind == "diagonal":
+        return gder_table(random_additive_char(rng, ctx), bound)
+    if kind == "mixed":
+        return random_contracting_derivation(rng, ctx, bound) + gder_table(
+            random_additive_char(rng, ctx), bound
+        )
+    return _table(kind, rng, ctx, bound)
+
+
+def _endomorphism(kind, rng, ctx, bound):
+    if kind == "substitution":
+        return random_substitution_automorphism(rng, ctx, bound)
+    if kind == "exp":
+        return op_exp(random_contracting_derivation(rng, ctx, bound))
+    if kind == "rescaled":
+        rescale = gexp_table(random_character(rng, ctx), bound)
+        return op_compose(random_substitution_automorphism(rng, ctx, bound), rescale)
+    return OpTable.identity(ctx, bound) + _table(kind, rng, ctx, bound)
+
+
+def _perturb(rng, table):
+    """Add a nonzero multiple of a random basis monomial to one random image."""
+    basis = table.basis()
+    m, q = rng.choice(basis), rng.choice(basis)
+    images = dict(table.images)
+    images[m] = images[m] + HahnPoly.monomial(table.ctx, table.bound, q, nonzero_fraction(rng))
+    return OpTable(table.ctx, table.bound, images)
+
+
+@st.composite
+def cases(draw, build, kinds):
+    ctx, top = draw(st.sampled_from(CONTEXTS))
+    bound = draw(st.integers(max(ctx.weights), top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = build(draw(st.sampled_from(kinds)), rng, ctx, bound)
+    if draw(st.booleans()):
+        table = _perturb(rng, table)
+    budget = draw(st.one_of(st.none(), st.integers(0, bound)))
+    return table, budget
+
+
+def _within_budget(table, budget, m1, m2):
+    limit = table.bound if budget is None else budget
+    return table.ctx.weight(m1) + table.ctx.weight(m2) <= limit
+
+
+@PROPERTY
+@given(cases(_derivation, ("contracting", "diagonal", "mixed", "table", "table0")))
+def test_derivation_check_matches_pairwise_scan(case):
+    table, budget = case
+    fast = op_is_derivation(table, budget)
+    assert fast.ok == pairwise_derivation(table, budget).ok
+    if not fast:
+        m1, m2 = fast.witness
+        assert _within_budget(table, budget, m1, m2)
+        assert not leibniz_holds(table, m1, m2)
+
+
+@PROPERTY
+@given(cases(_endomorphism, ("substitution", "exp", "rescaled", "table", "table0")))
+def test_endomorphism_check_matches_pairwise_scan(case):
+    table, budget = case
+    fast = op_is_unital_endomorphism(table, budget)
+    slow = pairwise_unital_endomorphism(table, budget)
+    assert fast.ok == slow.ok
+    if fast.witness == "unit":
+        assert slow.witness == "unit"
+    elif not fast:
+        m1, m2 = fast.witness
+        assert _within_budget(table, budget, m1, m2)
+        assert not multiplicative_on(table, m1, m2)
+
+
+def test_unperturbed_families_pass():
+    rng = random.Random(3)
+    for ctx, bound in CONTEXTS:
+        for kind in ("contracting", "diagonal", "mixed"):
+            assert op_is_derivation(_derivation(kind, rng, ctx, bound))
+        for kind in ("substitution", "exp", "rescaled"):
+            assert op_is_unital_endomorphism(_endomorphism(kind, rng, ctx, bound))
+
+
+@pytest.mark.parametrize("budget", [-1, 4])
+def test_budget_outside_zero_to_bound_is_rejected(budget):
+    table = OpTable.identity(MonoidCtx.lex(1), 3)
+    with pytest.raises(ValueError):
+        op_is_derivation(table, budget)
+    with pytest.raises(ValueError):
+        op_is_unital_endomorphism(table, budget)

@@ -108,3 +108,25 @@ def test_op_table_parse_errors():
         parse_op_table("ctx=lex:1\nt^(0) -> 1")  # missing N
     with pytest.raises(ParseError):
         parse_op_table("ctx=lex:1 N=1\nt^(0) 1")  # missing arrow
+
+
+def test_op_table_rejects_duplicate_basis_line():
+    text = "ctx=lex:1 N=2\nt^(0) -> 0\nt^(1) -> t^(2)\nt^(1) -> 0\nt^(2) -> 0\n"
+    with pytest.raises(ParseError, match="line 4: duplicate basis line"):
+        parse_op_table(text)
+
+
+def test_op_table_rejects_basis_outside_universe():
+    with pytest.raises(ParseError, match="line 4: .*outside the universe"):
+        parse_op_table("ctx=lex:1 N=1\nt^(0) -> 0\nt^(1) -> 0\nt^(5) -> 0\n")
+    with pytest.raises(ParseError, match="line 2: "):
+        parse_op_table("ctx=prod:2 N=1\nt^(-1,0) -> 0\n")
+
+
+def test_op_table_rejects_bad_integers():
+    with pytest.raises(ParseError, match="line 3: .*'x'"):
+        parse_op_table("ctx=lex:1 N=1\nt^(0) -> 0\nt^(x) -> 0\n")
+    with pytest.raises(ParseError, match="line 1: .*'two'"):
+        parse_op_table("ctx=lex:1 N=two\n")
+    with pytest.raises(ParseError, match="line 2: .*'one'"):
+        parse_op_table("\nctx=lex:one N=1\n")
