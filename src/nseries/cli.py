@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import NSeriesError
+from .errors import NSeriesError, ParseError
 from .correspondence import fractional_iterate, op_exp, op_log, star
 from .free_algebra import free_to_json
 from .operators import (
@@ -31,6 +31,7 @@ from .textio import (
     parse_ctx,
     parse_free,
     parse_op_table,
+    parse_vec,
 )
 from .vaut_factors import (
     CharacterX,
@@ -63,8 +64,37 @@ def _mark(passed: bool) -> str:
     return word
 
 
-def _parse_vec(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _read_factors(text: str) -> FactorAut:
+    """The factor JSON that `vaut decompose` writes; a ParseError names the bad field."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParseError("factor JSON must be an object with fields mu, chi and residual")
+    for name in ("mu", "chi", "residual"):
+        if name not in data:
+            raise ParseError(f"factor JSON has no field {name!r}")
+    mu, chi = data["mu"], data["chi"]
+    if not isinstance(mu, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in mu
+    ):
+        raise ParseError("factor field 'mu' must be an array of integer rows")
+    if not isinstance(chi, list) or not all(type(v) in (str, int) for v in chi):
+        raise ParseError("factor field 'chi' must be an array of exact rationals")
+    if not isinstance(data["residual"], str):
+        raise ParseError("factor field 'residual' must be a table text string")
+    try:
+        chi = tuple(Fraction(v) for v in chi)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"factor field 'chi': {exc}") from None
+    try:
+        residual = parse_op_table(data["residual"])
+    except ParseError as exc:
+        raise ParseError(f"factor field 'residual': {exc}") from None
+    ctx = residual.ctx
+    return FactorAut(
+        ExponentAut(ctx, tuple(tuple(row) for row in mu)),
+        CharacterX(ctx, chi),
+        residual,
+    )
 
 
 def _read(path: str) -> str:
@@ -108,12 +138,12 @@ def _cmd_order(args) -> int:
     if args.action == "cmp":
         if len(args.vectors) != 2:
             raise NSeriesError("cmp needs exactly two exponents")
-        a, b = (_parse_vec(v) for v in args.vectors)
+        a, b = (parse_vec(v) for v in args.vectors)
         result = ctx.cmp(a, b).value
         _emit_json({"schema": SCHEMA, "cmp": result}) if args.json else print(result)
         return 0
     if args.action in ("minimal", "antichain"):
-        frag = FinitePosetFragment.of(ctx, [_parse_vec(v) for v in args.vectors])
+        frag = FinitePosetFragment.of(ctx, [parse_vec(v) for v in args.vectors])
         found = minimal_elements(frag) if args.action == "minimal" else max_antichain(frag)
         vecs = sorted(found)
         if args.json:
@@ -122,8 +152,8 @@ def _cmd_order(args) -> int:
             print(" ".join(",".join(str(x) for x in v) for v in vecs))
         return 0
     if args.action == "closure":
-        offsets = [_parse_vec(v) for v in args.offsets]
-        start = [_parse_vec(v) for v in args.vectors]
+        offsets = [parse_vec(v) for v in args.offsets]
+        start = [parse_vec(v) for v in args.vectors]
         words = choice_closure(
             ctx, start, lambda p: [vec_add(p, d) for d in offsets], args.depth
         )
@@ -215,15 +245,7 @@ def _cmd_vaut(args) -> int:
             }
         )
         return 0
-    data = json.loads(_read(args.path))
-    residual = parse_op_table(data["residual"])
-    ctx = residual.ctx
-    split = FactorAut(
-        ExponentAut(ctx, tuple(tuple(int(x) for x in row) for row in data["mu"])),
-        CharacterX(ctx, tuple(Fraction(v) for v in data["chi"])),
-        residual,
-    )
-    print(format_op_table(compose_factors(split)), end="")
+    print(format_op_table(compose_factors(_read_factors(_read(args.path)))), end="")
     return 0
 
 

@@ -3,16 +3,20 @@
 A series is a sparse map from words (tuples of letter indices) to exact
 rational coefficients, cut off at a fixed grade bound N.  All arithmetic is
 exact modulo the two-sided ideal of words longer than N: multiplying or
-substituting never perturbs coefficients at or below the bound.
+substituting never perturbs coefficients at or below the bound.  The
+arithmetic is the shared kernel of `nseries.sparse`, with words as keys,
+length as grade and concatenation as key product.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionMismatchError, NotAUnitError
+from .sparse import SparseSeries
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -32,7 +36,7 @@ def factorizations(theta: Word) -> list[tuple[Word, Word]]:
 
 
 @dataclass(frozen=True)
-class FreeSeries:
+class FreeSeries(SparseSeries):
     """Element of the truncated free algebra on alphabet {0, .., m-1}.
 
     Stored coefficients are never zero and every stored word has length at
@@ -44,32 +48,33 @@ class FreeSeries:
     grade: int
     terms: dict = field(default_factory=dict)
 
+    _MISMATCH = (
+        "incompatible series: alphabet {0.alphabet_size}/{1.alphabet_size}, "
+        "grade {0.grade}/{1.grade}"
+    )
+    _grade = staticmethod(len)
+
     def __post_init__(self):
         if self.alphabet_size < 0:
             raise ValueError("alphabet size must be >= 0")
         if self.grade < 0:
             raise ValueError("grade bound must be >= 0")
-        canon = {}
-        for word, coeff in self.terms.items():
-            word = tuple(int(i) for i in word)
-            if len(word) > self.grade:
-                raise ValueError(
-                    f"word {word} exceeds the grade bound {self.grade}"
-                )
-            if any(i < 0 or i >= self.alphabet_size for i in word):
-                raise DimensionMismatchError(
-                    f"word {word} uses letters outside alphabet of size {self.alphabet_size}"
-                )
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                canon[word] = coeff
-        object.__setattr__(self, "terms", canon)
+        self._canonicalise()
+
+    def _space(self) -> tuple[int, int]:
+        return self.alphabet_size, self.grade
+
+    def _check_key(self, word) -> Word:
+        word = tuple(int(i) for i in word)
+        if len(word) > self.grade:
+            raise ValueError(f"word {word} exceeds the grade bound {self.grade}")
+        if any(i < 0 or i >= self.alphabet_size for i in word):
+            raise DimensionMismatchError(
+                f"word {word} uses letters outside alphabet of size {self.alphabet_size}"
+            )
+        return word
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, alphabet_size: int, grade: int) -> "FreeSeries":
-        return cls(alphabet_size, grade, {})
 
     @classmethod
     def constant(cls, value, alphabet_size: int, grade: int) -> "FreeSeries":
@@ -93,17 +98,8 @@ class FreeSeries:
     def constant_term(self) -> Fraction:
         return self.terms.get(EMPTY_WORD, _ZERO)
 
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def in_augmentation_ideal(self) -> bool:
         return self.constant_term == 0
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def support_slice(self, n: int) -> set[Word]:
         """Words of length exactly n carrying a nonzero coefficient."""
@@ -121,63 +117,11 @@ class FreeSeries:
             {w: c for w, c in self.terms.items() if len(w) == n},
         )
 
-    def _require_same(self, other: "FreeSeries"):
-        if not isinstance(other, FreeSeries):
-            raise TypeError(f"expected FreeSeries, got {type(other).__name__}")
-        if self.alphabet_size != other.alphabet_size or self.grade != other.grade:
-            raise DimensionMismatchError(
-                f"incompatible series: alphabet {self.alphabet_size}/{other.alphabet_size}, "
-                f"grade {self.grade}/{other.grade}"
-            )
-
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "FreeSeries") -> "FreeSeries":
-        self._require_same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, _ZERO) + c
-        return FreeSeries(self.alphabet_size, self.grade, out)
-
-    def __neg__(self) -> "FreeSeries":
-        return self.scale(-1)
-
-    def __sub__(self, other: "FreeSeries") -> "FreeSeries":
-        return self + (-other)
-
-    def scale(self, c) -> "FreeSeries":
-        c = Fraction(c)
-        if c == 0:
-            return FreeSeries.zero(self.alphabet_size, self.grade)
-        return FreeSeries(
-            self.alphabet_size, self.grade, {w: c * v for w, v in self.terms.items()}
-        )
-
     def __mul__(self, other: "FreeSeries") -> "FreeSeries":
-        """Cauchy product: (P.Q)(theta) sums P(beta) Q(gamma) over theta = beta gamma.
-
-        Words longer than the grade bound are discarded; by grading this is
-        exact modulo the truncation ideal.
-        """
-        self._require_same(other)
-        out: dict[Word, Fraction] = {}
-        bound = self.grade
-        for wa, ca in self.terms.items():
-            la = len(wa)
-            for wb, cb in other.terms.items():
-                if la + len(wb) > bound:
-                    continue
-                w = wa + wb
-                out[w] = out.get(w, _ZERO) + ca * cb
-        return FreeSeries(self.alphabet_size, self.grade, out)
-
-    def power(self, n: int) -> "FreeSeries":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = FreeSeries.one(self.alphabet_size, self.grade)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        """Cauchy product: (P.Q)(theta) sums P(beta) Q(gamma) over theta = beta gamma."""
+        return self._product(other, operator.add)
 
     def geometric_inverse(self) -> "FreeSeries":
         """Two-sided inverse modulo the grade bound.

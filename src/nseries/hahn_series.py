@@ -3,6 +3,8 @@
 A series is a sparse map from exponent vectors to exact rationals; every
 stored exponent has weight in [0, N].  Because the weight is additive and
 nonnegative, multiplication is exact modulo the ideal of weights above N.
+The arithmetic is the shared kernel of `nseries.sparse`, with exponents as
+keys, the context weight as grade and vector addition as key product.
 """
 
 from __future__ import annotations
@@ -11,39 +13,41 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, WeightBoundError
+from .errors import WeightBoundError
+from .sparse import SparseSeries
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_add
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
-class HahnPoly:
+class HahnPoly(SparseSeries):
     ctx: MonoidCtx
     bound: int
     terms: dict = field(default_factory=dict)
 
+    _MISMATCH = "series live over different contexts or bounds"
+
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("weight bound must be >= 0")
-        canon = {}
-        for exp, coeff in self.terms.items():
-            exp = self.ctx.check_vec(exp)
-            w = self.ctx.weight(exp)
-            if w < 0 or w > self.bound:
-                raise WeightBoundError(
-                    f"exponent {exp} has weight {w}, outside [0, {self.bound}]"
-                )
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                canon[exp] = coeff
-        object.__setattr__(self, "terms", canon)
+        self._canonicalise()
+
+    def _space(self) -> tuple[MonoidCtx, int]:
+        return self.ctx, self.bound
+
+    def _check_key(self, exp) -> ExpVec:
+        exp = self.ctx.check_vec(exp)
+        w = self.ctx.weight(exp)
+        if w < 0 or w > self.bound:
+            raise WeightBoundError(
+                f"exponent {exp} has weight {w}, outside [0, {self.bound}]"
+            )
+        return exp
+
+    @property
+    def _grade(self):
+        return self.ctx.weight
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: MonoidCtx, bound: int) -> "HahnPoly":
-        return cls(ctx, bound, {})
 
     @classmethod
     def one(cls, ctx: MonoidCtx, bound: int) -> "HahnPoly":
@@ -59,65 +63,11 @@ class HahnPoly:
     def support(self) -> set[ExpVec]:
         return set(self.terms)
 
-    def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exp), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
-        return sorted(
-            self.terms.items(), key=lambda kv: (self.ctx.weight(kv[0]), kv[0])
-        )
-
-    def _require_same(self, other: "HahnPoly"):
-        if not isinstance(other, HahnPoly):
-            raise TypeError(f"expected HahnPoly, got {type(other).__name__}")
-        if self.ctx != other.ctx or self.bound != other.bound:
-            raise DimensionMismatchError("series live over different contexts or bounds")
-
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "HahnPoly") -> "HahnPoly":
-        self._require_same(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return HahnPoly(self.ctx, self.bound, out)
-
-    def __neg__(self) -> "HahnPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "HahnPoly") -> "HahnPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "HahnPoly":
-        c = Fraction(c)
-        if c == 0:
-            return HahnPoly.zero(self.ctx, self.bound)
-        return HahnPoly(self.ctx, self.bound, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "HahnPoly") -> "HahnPoly":
         """Convolution product; terms of weight above the bound are discarded."""
-        self._require_same(other)
-        ctx = self.ctx
-        out: dict[ExpVec, Fraction] = {}
-        for ea, ca in self.terms.items():
-            wa = ctx.weight(ea)
-            for eb, cb in other.terms.items():
-                if wa + ctx.weight(eb) > self.bound:
-                    continue
-                e = vec_add(ea, eb)
-                out[e] = out.get(e, _ZERO) + ca * cb
-        return HahnPoly(self.ctx, self.bound, out)
-
-    def power(self, n: int) -> "HahnPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = HahnPoly.one(self.ctx, self.bound)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return self._product(other, vec_add)
 
 
 def hp_add(a: HahnPoly, b: HahnPoly) -> HahnPoly:

@@ -3,6 +3,7 @@
 Free series:  `1 - X0 + 1/2*X0 X1`   (constant written bare, letters spaced)
 Hahn series:  `2*t^(1,0) - 1/3*t^(0,2)`, `1` for t^0
 Context:      `lex:d`, `prod:d`, `weighted:w1,w2,...`
+Exponent:     `1,0`, comma-separated integers (command-line vectors)
 Table file:   header `ctx=<descr> N=<bound>`, then `t^(..) -> <series>` lines.
 """
 
@@ -35,18 +36,34 @@ def format_ctx(ctx: MonoidCtx) -> str:
     return f"{kind}:{ctx.dim}"
 
 
+def _parse_ints(text: str, what: str, position: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers; a ParseError names `what` and the bad entry."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{what}: not an integer: {tok.strip()!r}", position) from None
+    return tuple(out)
+
+
+def parse_vec(text: str) -> tuple[int, ...]:
+    """An exponent vector written as comma-separated integers, e.g. `1,0`."""
+    return _parse_ints(text, f"exponent vector {text!r}")
+
+
 def parse_ctx(text: str) -> MonoidCtx:
     head, sep, rest = text.strip().partition(":")
     if not sep:
         raise ParseError(f"context descriptor needs a colon: {text!r}")
-    if head == "lex":
-        return MonoidCtx.lex(int(rest))
-    if head == "prod":
-        return MonoidCtx.product(int(rest))
+    if head not in ("lex", "prod", "weighted"):
+        raise ParseError(f"unknown context kind {head!r}")
+    numbers = _parse_ints(rest, f"context descriptor {text.strip()!r}")
     if head == "weighted":
-        weights = tuple(int(w) for w in rest.split(","))
-        return MonoidCtx.weighted(*weights)
-    raise ParseError(f"unknown context kind {head!r}")
+        return MonoidCtx.weighted(*numbers)
+    if len(numbers) != 1:
+        raise ParseError(f"context descriptor {text.strip()!r} takes one dimension")
+    return MonoidCtx.lex(*numbers) if head == "lex" else MonoidCtx.product(*numbers)
 
 
 # -- signed-term tokenizer ---------------------------------------------------
@@ -88,55 +105,69 @@ def _split_terms(text: str) -> list[tuple[int, str, int]]:
     return terms
 
 
-# -- free series -------------------------------------------------------------
-
-def format_free(P: FreeSeries) -> str:
-    if P.is_zero():
-        return "0"
+def _format_terms(series, write_key) -> str:
+    """Signed terms `c*key` of a series, or `0`; `write_key` gives "" for the
+    unit key, whose term is written as the bare rational `c`."""
     parts = []
-    for word, coeff in P.sorted_terms():
+    for key, coeff in series.sorted_terms():
         mag = abs(coeff)
-        if word:
-            body = " ".join(f"X{i}" for i in word)
-            if mag != 1:
-                body = f"{format_rational(mag)}*{body}"
-        else:
+        body = write_key(key)
+        if not body:
             body = format_rational(mag)
+        elif mag != 1:
+            body = f"{format_rational(mag)}*{body}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
-def _parse_free_term(body: str, position: int) -> tuple[tuple[int, ...], Fraction]:
-    coeff = Fraction(1)
-    if "*" in body:
-        coeff_text, _, body = body.partition("*")
-        coeff = parse_rational(coeff_text, position)
-        body = body.strip()
-    if not body:
-        raise ParseError("missing word after '*'", position)
-    if body[0] == "X" or body[0] == "x":
-        letters = []
-        for tok in body.split():
-            if not tok[:1] in ("X", "x") or not tok[1:].isdigit():
-                raise ParseError(f"bad variable token {tok!r}", position)
-            letters.append(int(tok[1:]))
-        return tuple(letters), coeff
-    return (), coeff * parse_rational(body, position)
+def _parse_terms(text: str, read_key, unit_key: tuple[int, ...]) -> dict:
+    """Signed `coeff*key` terms summed per key.  `read_key(body, position)` gives
+    the key written by `body`, or None when `body` is a bare rational."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for sign, body, pos in _split_terms(text):
+        coeff = Fraction(1)
+        if "*" in body:
+            coeff_text, _, body = body.partition("*")
+            coeff = parse_rational(coeff_text, pos)
+            body = body.strip()
+        if not body:
+            raise ParseError("missing monomial after '*'", pos)
+        key = read_key(body, pos)
+        if key is None:
+            key, coeff = unit_key, coeff * parse_rational(body, pos)
+        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+    return terms
+
+
+# -- free series -------------------------------------------------------------
+
+def _write_word(word: tuple[int, ...]) -> str:
+    return " ".join(f"X{i}" for i in word)
+
+
+def _read_word(body: str, position: int) -> tuple[int, ...] | None:
+    if body[0] not in ("X", "x"):
+        return None
+    letters = []
+    for tok in body.split():
+        if tok[:1] not in ("X", "x") or not tok[1:].isdigit():
+            raise ParseError(f"bad variable token {tok!r}", position)
+        letters.append(int(tok[1:]))
+    return tuple(letters)
+
+
+def format_free(P: FreeSeries) -> str:
+    return _format_terms(P, _write_word)
 
 
 def parse_free(
     text: str, alphabet_size: int | None = None, grade: int | None = None
 ) -> FreeSeries:
     """Parse the free-series grammar; dimensions are inferred when omitted."""
-    if text.strip() == "0":
-        return FreeSeries.zero(alphabet_size or 1, grade or 0)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for sign, body, pos in _split_terms(text):
-        word, coeff = _parse_free_term(body, pos)
-        terms[word] = terms.get(word, Fraction(0)) + sign * coeff
+    terms = _parse_terms(text, _read_word, ())
     max_letter = max((max(w) for w in terms if w), default=-1)
     max_len = max((len(w) for w in terms), default=0)
     if alphabet_size is None:
@@ -152,58 +183,32 @@ def parse_free(
 
 # -- Hahn series -------------------------------------------------------------
 
-def format_hahn(a: HahnPoly) -> str:
-    if a.is_zero():
-        return "0"
-    parts = []
-    for exp, coeff in a.sorted_terms():
-        mag = abs(coeff)
-        if any(exp):
-            body = "t^(" + ",".join(str(e) for e in exp) + ")"
-            if mag != 1:
-                body = f"{format_rational(mag)}*{body}"
-        else:
-            body = format_rational(mag)
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
+def _write_exponent(exp: tuple[int, ...]) -> str:
+    return "t^(" + ",".join(str(e) for e in exp) + ")"
 
 
-def _parse_hahn_term(
-    body: str, position: int, ctx: MonoidCtx
-) -> tuple[tuple[int, ...], Fraction]:
-    coeff = Fraction(1)
-    if "*" in body:
-        coeff_text, _, body = body.partition("*")
-        coeff = parse_rational(coeff_text, position)
-        body = body.strip()
-    if not body:
-        raise ParseError("missing monomial after '*'", position)
+def _read_exponent(body: str, position: int | None, dim: int) -> tuple[int, ...] | None:
+    """The exponent of `t^(e1,...,ed)`, or None when `body` does not start with `t^`."""
     if body.startswith("t^(") and body.endswith(")"):
-        inner = body[3:-1]
-        try:
-            exps = tuple(int(x) for x in inner.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad exponent tuple {inner!r}", position) from exc
-        if len(exps) != ctx.dim:
+        exps = _parse_ints(body[3:-1], f"bad exponent tuple {body!r}", position)
+        if len(exps) != dim:
             raise DimensionMismatchError(
-                f"exponent tuple {exps} has dimension {len(exps)}, context expects {ctx.dim}"
+                f"exponent tuple {exps} has dimension {len(exps)}, context expects {dim}"
             )
-        return exps, coeff
+        return exps
     if body.startswith("t^"):
         raise ParseError(f"exponent must be parenthesized: {body!r}", position)
-    return (0,) * ctx.dim, coeff * parse_rational(body, position)
+    return None
+
+
+def format_hahn(a: HahnPoly) -> str:
+    return _format_terms(a, lambda e: _write_exponent(e) if any(e) else "")
 
 
 def parse_hahn(text: str, ctx: MonoidCtx, bound: int) -> HahnPoly:
-    if text.strip() == "0":
-        return HahnPoly.zero(ctx, bound)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for sign, body, pos in _split_terms(text):
-        exp, coeff = _parse_hahn_term(body, pos, ctx)
-        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
+    terms = _parse_terms(
+        text, lambda body, pos: _read_exponent(body, pos, ctx.dim), (0,) * ctx.dim
+    )
     return HahnPoly(ctx, bound, terms)
 
 
@@ -212,8 +217,7 @@ def parse_hahn(text: str, ctx: MonoidCtx, bound: int) -> HahnPoly:
 def format_op_table(table: OpTable) -> str:
     lines = [f"ctx={format_ctx(table.ctx)} N={table.bound}"]
     for m in weight_universe(table.ctx, table.bound):
-        exp = "t^(" + ",".join(str(e) for e in m) + ")"
-        lines.append(f"{exp} -> {format_hahn(table.images[m])}")
+        lines.append(f"{_write_exponent(m)} -> {format_hahn(table.images[m])}")
     return "\n".join(lines) + "\n"
 
 
@@ -236,9 +240,9 @@ def parse_op_table(text: str) -> OpTable:
             if not sep:
                 raise ParseError(f"table line needs '->': {ln!r}")
             left = left.strip()
-            if not (left.startswith("t^(") and left.endswith(")")):
+            exp = _read_exponent(left, None, ctx.dim)
+            if exp is None:
                 raise ParseError(f"bad basis monomial {left!r}")
-            exp = ctx.check_vec(int(x) for x in left[3:-1].split(","))
             if exp not in universe:
                 raise ParseError(f"basis monomial {left} lies outside the universe of N={bound}")
             if exp in images:

@@ -62,39 +62,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_det(mat: Matrix) -> int:
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
-def mat_inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
+def _gauss_jordan(mat: Matrix) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Determinant and exact inverse by elimination on [mat | I]; no inverse when singular."""
     n = len(mat)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(mat)]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise NotDecomposableError("matrix is singular", witness=mat)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
@@ -102,10 +83,23 @@ def mat_inverse(mat: Matrix) -> Matrix:
                 continue
             factor = aug[r][col]
             aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    out = tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-    if any(x.denominator != 1 for row in out for x in row):
+    return det, [row[n:] for row in aug]
+
+
+def mat_det(mat: Matrix) -> int:
+    det, _ = _gauss_jordan(mat)
+    assert det.denominator == 1
+    return int(det)
+
+
+def mat_inverse(mat: Matrix) -> Matrix:
+    """Exact inverse of a unimodular integer matrix."""
+    _, inverse = _gauss_jordan(mat)
+    if inverse is None:
+        raise NotDecomposableError("matrix is singular", witness=mat)
+    if any(x.denominator != 1 for row in inverse for x in row):
         raise NotDecomposableError("matrix inverse is not integral", witness=mat)
-    return tuple(tuple(int(x) for x in row) for row in out)
+    return tuple(tuple(int(x) for x in row) for row in inverse)
 
 
 def _probe_vectors(dim: int) -> list[ExpVec]:
@@ -240,11 +234,23 @@ class FactorAut:
 
 # -- actions ----------------------------------------------------------------
 
+def _apply_diagonal(char, a: HahnPoly) -> HahnPoly:
+    """Scale each term a(g) t^g by char.at(g)."""
+    if char.ctx != a.ctx:
+        raise DimensionMismatchError("character and series contexts differ")
+    return HahnPoly(a.ctx, a.bound, {g: char.at(g) * c for g, c in a.terms.items()})
+
+
+def _diagonal_table(char, bound: int) -> OpTable:
+    """The table of t^m -> char.at(m) t^m."""
+    return OpTable.from_function(
+        char.ctx, bound, lambda m: HahnPoly.monomial(char.ctx, bound, m, char.at(m))
+    )
+
+
 def apply_gexp(x: CharacterX, a: HahnPoly) -> HahnPoly:
     """Rescale each coefficient a(g) by the character value x(g)."""
-    if x.ctx != a.ctx:
-        raise DimensionMismatchError("character and series contexts differ")
-    return HahnPoly(a.ctx, a.bound, {g: x.at(g) * c for g, c in a.terms.items()})
+    return _apply_diagonal(x, a)
 
 
 def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
@@ -281,15 +287,11 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
 
 def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
     """Diagonal derivation: scale each term a(g) t^g by alpha(g)."""
-    if alpha.ctx != a.ctx:
-        raise DimensionMismatchError("character and series contexts differ")
-    return HahnPoly(a.ctx, a.bound, {g: alpha.at(g) * c for g, c in a.terms.items()})
+    return _apply_diagonal(alpha, a)
 
 
 def gexp_table(x: CharacterX, bound: int) -> OpTable:
-    return OpTable.from_function(
-        x.ctx, bound, lambda m: HahnPoly.monomial(x.ctx, bound, m, x.at(m))
-    )
+    return _diagonal_table(x, bound)
 
 
 def oaut_table(mu: ExponentAut, bound: int) -> OpTable:
@@ -306,9 +308,7 @@ def oaut_table(mu: ExponentAut, bound: int) -> OpTable:
 
 
 def gder_table(alpha: AdditiveChar, bound: int) -> OpTable:
-    return OpTable.from_function(
-        alpha.ctx, bound, lambda m: HahnPoly.monomial(alpha.ctx, bound, m, alpha.at(m))
-    )
+    return _diagonal_table(alpha, bound)
 
 
 def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTable]:

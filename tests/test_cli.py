@@ -54,6 +54,15 @@ def test_order_cmp(capsys):
     assert code == 0 and out.strip() == "incomparable"
 
 
+def test_order_bad_integers_name_their_input(capsys):
+    code, _, err = run(capsys, "order", "cmp", "1", "2", "--ctx", "lex:z")
+    assert code == 2
+    assert "context descriptor 'lex:z': not an integer: 'z'" in err
+    code, _, err = run(capsys, "order", "cmp", "1,x", "2,0", "--ctx", "prod:2")
+    assert code == 2
+    assert "exponent vector '1,x': not an integer: 'x'" in err
+
+
 def test_order_minimal_and_antichain(capsys):
     code, out, _ = run(
         capsys, "order", "minimal", "1,0", "0,1", "1,1", "--ctx", "prod:2"
@@ -198,3 +207,19 @@ def test_parse_error_is_reported(tmp_path, capsys):
     code, _, err = run(capsys, "op", "check", str(bad), "--contracting")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ({"mu": [[1]], "residual": "ctx=lex:1 N=0\nt^(0) -> 1\n"}, "no field 'chi'"),
+        ({"mu": 5, "chi": ["1"], "residual": "ctx=lex:1 N=0\nt^(0) -> 1\n"}, "'mu' must be"),
+        ([[[1]], ["1"]], "must be an object"),
+    ],
+)
+def test_vaut_compose_rejects_malformed_factor_json(tmp_path, capsys, factors, message):
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps(factors))
+    code, out, err = run(capsys, "vaut", "compose", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

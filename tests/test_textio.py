@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nseries import FreeSeries, HahnPoly, MonoidCtx, ParseError
+from nseries import FreeSeries, HahnPoly, MonoidCtx, OpTable, ParseError
 from nseries.errors import DimensionMismatchError
 from nseries.samples import random_contracting_table, random_free_series, random_hahn
 from nseries.textio import (
@@ -33,6 +35,7 @@ def test_parse_free_examples():
     assert p == FreeSeries(2, 2, {(): 1, (0,): -1, (0, 1): F(1, 2)})
     assert parse_free("-3/4") == FreeSeries(1, 0, {(): F(-3, 4)})
     assert parse_free("X1 X1 X0", grade=5) == FreeSeries(2, 5, {(1, 1, 0): 1})
+    assert parse_free("2*3/4 - X0") == FreeSeries(1, 1, {(): F(3, 2), (0,): -1})
 
 
 def test_parse_free_errors():
@@ -44,6 +47,11 @@ def test_parse_free_errors():
         parse_free("X3", alphabet_size=2)
     with pytest.raises(ParseError):
         parse_free("1/0")
+
+
+def test_parse_free_zero_keeps_explicit_dimensions():
+    assert parse_free("0", alphabet_size=0, grade=3) == FreeSeries.zero(0, 3)
+    assert parse_free("0") == FreeSeries.zero(1, 0)
 
 
 def test_free_roundtrip_random():
@@ -90,6 +98,13 @@ def test_ctx_descriptors():
         parse_ctx("lex")
 
 
+def test_ctx_descriptor_bad_integer_names_the_descriptor():
+    with pytest.raises(ParseError, match="context descriptor 'weighted:1,x': not an integer: 'x'"):
+        parse_ctx("weighted:1,x")
+    with pytest.raises(ParseError, match="'lex:1,2' takes one dimension"):
+        parse_ctx("lex:1,2")
+
+
 def test_op_table_roundtrip():
     rng = random.Random(13)
     for ctx in (LEX1, PROD2):
@@ -130,3 +145,63 @@ def test_op_table_rejects_bad_integers():
         parse_op_table("ctx=lex:1 N=two\n")
     with pytest.raises(ParseError, match="line 2: .*'one'"):
         parse_op_table("\nctx=lex:one N=1\n")
+
+
+# -- round-trip properties: parse(format(x)) == x ------------------------------
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+HAHN_CONTEXTS = (LEX1, MonoidCtx.product(2), MonoidCtx.weighted(1, 2))
+
+
+@st.composite
+def free_series(draw):
+    alphabet = draw(st.integers(0, 3))
+    grade = draw(st.integers(0, 4))
+    letters = st.integers(0, max(alphabet - 1, 0))
+    words = st.lists(letters, max_size=grade if alphabet else 0).map(tuple)
+    return FreeSeries(alphabet, grade, draw(st.dictionaries(words, COEFFS, max_size=6)))
+
+
+@st.composite
+def hahn_terms(draw, ctx, bound):
+    """Terms over exponents of weight in [0, bound], negative entries included."""
+    exps = st.tuples(*[st.integers(-2, bound)] * ctx.dim).filter(
+        lambda e: 0 <= ctx.weight(e) <= bound
+    )
+    return draw(st.dictionaries(exps, COEFFS, max_size=5))
+
+
+@st.composite
+def hahn_series(draw, ctx):
+    bound = draw(st.integers(0, 5))
+    return HahnPoly(ctx, bound, draw(hahn_terms(ctx, bound)))
+
+
+@st.composite
+def op_tables(draw):
+    ctx = draw(st.sampled_from(HAHN_CONTEXTS))
+    bound = draw(st.integers(0, 3))
+    return OpTable.from_function(
+        ctx, bound, lambda m: HahnPoly(ctx, bound, draw(hahn_terms(ctx, bound)))
+    )
+
+
+@PROPERTY
+@given(free_series())
+def test_free_roundtrip_property(p):
+    assert parse_free(format_free(p), alphabet_size=p.alphabet_size, grade=p.grade) == p
+
+
+@pytest.mark.parametrize("ctx", HAHN_CONTEXTS, ids=format_ctx)
+@PROPERTY
+@given(data=st.data())
+def test_hahn_roundtrip_property(ctx, data):
+    a = data.draw(hahn_series(ctx))
+    assert parse_hahn(format_hahn(a), ctx, a.bound) == a
+
+
+@PROPERTY
+@given(op_tables())
+def test_op_table_roundtrip_property(t):
+    assert parse_op_table(format_op_table(t)) == t

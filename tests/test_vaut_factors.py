@@ -250,3 +250,19 @@ def test_semidirect_conjugation_preserves_near_identity():
             op_compose(gexp_table(x, bound), res), gexp_table(x.inverse(), bound)
         )
         assert one_aut_check(conj2)
+
+
+def test_determinant_and_inverse_share_one_elimination():
+    from nseries.vaut_factors import mat_det, mat_inverse, mat_mul
+
+    swap = ((0, 1), (1, 0))
+    shear = ((1, 0, 0), (2, 1, 0), (0, -3, 1))
+    assert mat_det(swap) == -1 and mat_inverse(swap) == swap
+    assert mat_det(shear) == 1
+    assert mat_mul(shear, mat_inverse(shear)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert mat_det(((2, 1), (4, 2))) == 0
+    with pytest.raises(NotDecomposableError, match="singular"):
+        mat_inverse(((2, 1), (4, 2)))
+    assert mat_det(((2, 0), (0, 1))) == 2
+    with pytest.raises(NotDecomposableError, match="not integral"):
+        mat_inverse(((2, 0), (0, 1)))
