@@ -31,6 +31,7 @@ from .textio import (
     parse_ctx,
     parse_free,
     parse_op_table,
+    parse_rational,
     parse_vec,
 )
 from .vaut_factors import (
@@ -98,8 +99,13 @@ def _read_factors(text: str) -> FactorAut:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -228,7 +234,7 @@ def _cmd_star(args) -> int:
 
 def _cmd_iterate(args) -> int:
     table = parse_op_table(_read(args.table))
-    print(format_op_table(fractional_iterate(table, Fraction(args.c))), end="")
+    print(format_op_table(fractional_iterate(table, parse_rational(args.c))), end="")
     return 0
 
 
@@ -261,7 +267,7 @@ def _cmd_verify(args) -> int:
                 "trials": args.trials,
                 "seed": args.seed,
                 "results": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
+                    {"name": r.name, "passed": r.passed, "detail": r.detail, "bound": r.bound}
                     for r in results
                 ],
                 "passed": passed,

@@ -295,16 +295,9 @@ def gexp_table(x: CharacterX, bound: int) -> OpTable:
 
 
 def oaut_table(mu: ExponentAut, bound: int) -> OpTable:
-    def image(m):
-        img = mu.apply(m)
-        w = mu.ctx.weight(img)
-        if w < 0 or w > bound:
-            raise TruncationOverflowError(
-                f"relabeled exponent {img} of {m} has weight {w}, outside [0, {bound}]"
-            )
-        return HahnPoly.monomial(mu.ctx, bound, img)
-
-    return OpTable.from_function(mu.ctx, bound, image)
+    return OpTable.from_function(
+        mu.ctx, bound, lambda m: apply_oaut(mu, HahnPoly.monomial(mu.ctx, bound, m))
+    )
 
 
 def gder_table(alpha: AdditiveChar, bound: int) -> OpTable:

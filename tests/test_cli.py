@@ -1,9 +1,24 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nseries import HahnPoly, MonoidCtx, OpTable, op_exp
+from nseries import (
+    CharacterX,
+    ExponentAut,
+    FactorAut,
+    HahnPoly,
+    MonoidCtx,
+    OpTable,
+    compose_factors,
+    op_exp,
+)
 from nseries.cli import main
 from nseries.samples import random_contracting_derivation
 from nseries.textio import format_op_table, parse_op_table
@@ -223,3 +238,86 @@ def test_vaut_compose_rejects_malformed_factor_json(tmp_path, capsys, factors, m
     code, out, err = run(capsys, "vaut", "compose", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "{missing}", "--c", "1"],
+        ["vaut", "compose", "{missing}"],
+        ["op", "eval", "-P", "{missing}", "-f", "{table}"],
+    ],
+)
+def test_missing_input_file_is_a_parse_error(tmp_path, capsys, argv):
+    table = tmp_path / "d.table"
+    table.write_text(format_op_table(flow_table(2)))
+    missing = tmp_path / "missing.tbl"
+    argv = [a.format(missing=missing, table=table) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("reason", ["Is a directory", "not UTF-8 text"])
+def test_unreadable_input_file_is_a_parse_error(tmp_path, capsys, reason):
+    path = tmp_path / "d.table"
+    if reason == "Is a directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"ctx=lex:1 N=1\n\xff\n")
+    code, out, err = run(capsys, "exp-der", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: {reason}\n"
+
+
+def test_iterate_rejects_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "s.table"
+    path.write_text(format_op_table(op_exp(flow_table(3))))
+    code, out, err = run(capsys, "iterate", str(path), "--c", "1/0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: not an exact rational: '1/0'")
+
+
+# -- factor JSON round trip: vaut decompose -> JSON -> vaut compose -------------
+
+PROD2 = MonoidCtx.product(2)
+SWAP = ExponentAut(PROD2, ((0, 1), (1, 0)))
+# (context, exponent factors, bounds); the smallest bound is the largest
+# generator weight, so every character value shows in the table.
+FACTOR_CASES = (
+    (LEX1, (ExponentAut.identity(LEX1),), (1, 4)),
+    (PROD2, (ExponentAut.identity(PROD2), SWAP), (1, 3)),
+    (MonoidCtx.weighted(1, 2), (ExponentAut.identity(MonoidCtx.weighted(1, 2)),), (2, 4)),
+)
+CHAR_VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def _cli(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("ctx, mus, bounds", FACTOR_CASES, ids=("lex:1", "prod:2", "weighted:1,2"))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factor_json_roundtrip_property(ctx, mus, bounds, data):
+    bound = data.draw(st.integers(*bounds))
+    mu = data.draw(st.sampled_from(mus))
+    chi = CharacterX(ctx, tuple(data.draw(CHAR_VALUES) for _ in range(ctx.dim)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    residual = op_exp(random_contracting_derivation(rng, ctx, bound))
+    sigma = compose_factors(FactorAut(mu, chi, residual))
+    with tempfile.TemporaryDirectory() as tmp:
+        table, factors = Path(tmp) / "sigma.table", Path(tmp) / "factors.json"
+        table.write_text(format_op_table(sigma))
+        code, text = _cli("vaut", "decompose", str(table))
+        assert code == 0
+        data_out = json.loads(text)
+        assert data_out["mu"] == [list(row) for row in mu.matrix]
+        assert data_out["chi"] == [str(v) for v in chi.values]
+        factors.write_text(text)
+        code, text = _cli("vaut", "compose", str(factors))
+    assert code == 0
+    assert parse_op_table(text) == sigma

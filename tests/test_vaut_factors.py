@@ -82,6 +82,13 @@ def test_apply_oaut_overflow_is_loud():
         apply_oaut(((2,),), a)
 
 
+def test_oaut_table_overflow_names_the_relabeled_exponent():
+    shear = ExponentAut(MonoidCtx.lex(2), ((1, 0), (1, 1)))
+    message = r"exponent \(1, 1\) of \(1, 0\) has weight 2, outside \[0, 1\]"
+    with pytest.raises(TruncationOverflowError, match=message):
+        oaut_table(shear, 1)
+
+
 def test_apply_oaut_multiplicative():
     rng = random.Random(3)
     swap = ExponentAut(PROD2, ((0, 1), (1, 0)))
