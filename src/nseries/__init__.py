@@ -69,7 +69,6 @@ from .operators import (
     op_is_derivation,
     op_is_unital_endomorphism,
     op_lin_sum,
-    op_scale,
 )
 from .correspondence import (
     DerAutPair,

@@ -6,6 +6,12 @@ exact modulo the two-sided ideal of words longer than N: multiplying or
 substituting never perturbs coefficients at or below the bound.  The
 arithmetic is the shared kernel of `nseries.sparse`, with words as keys,
 length as grade and concatenation as key product.
+
+Two routes evaluate a series at elements of another algebra.  `nilpotent_sum`
+is the production route: a one-variable series at a nilpotent element, as in
+exp, log and geometric inverses.  `evaluate_words` evaluates any series word
+by word; `fs_substitute` and `op_evaluate` run it, and through them it is the
+oracle of the production route.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotAUnitError
 from .sparse import SparseSeries
@@ -151,6 +157,28 @@ def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
         if pw.is_zero():
             break
         acc = acc + pw.scale(P.coefficient((0,) * n))
+    return acc
+
+
+def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int):
+    """The sum of P(w) args[w1]...args[wn] over the words w of P of length <= bound.
+
+    Each word's product is its prefix's product times args[wn], computed once
+    per prefix, and a zero prefix ends the word.  It shares no code with
+    `nilpotent_sum`, which it checks.  `one` and the arguments need `scale`,
+    `is_zero` and `+`."""
+    products = {(i,): a for i, a in enumerate(args)}
+    acc = one.scale(P.constant_term)
+    for word, coeff in P.sorted_terms():
+        if not 0 < len(word) <= bound:
+            continue
+        known = len(word)
+        while word[:known] not in products:
+            known -= 1
+        for n in range(known, len(word)):
+            prefix = products[word[:n]]
+            products[word[:n + 1]] = prefix if prefix.is_zero() else mul(prefix, args[word[n]])
+        acc = acc + products[word].scale(coeff)
     return acc
 
 

@@ -5,7 +5,14 @@ with m in the nonnegative cone of weight at most N, and acts on a series by
 linear extension over its finite support.  Contracting tables (every image
 supported strictly above its basis exponent, with weight raised by at least
 one) are the operators for which evaluation of formal power series
-terminates at the truncation bound.
+terminates at the truncation bound.  `op_geometric_inverse` evaluates through
+`free_algebra.nilpotent_sum`, and `op_evaluate` through
+`free_algebra.evaluate_words`, which takes any word.
+
+One generator walk over the weight-sorted basis splits each exponent m into
+(m - e, e), e a generator.  It builds the Leibniz and multiplicative
+extensions of generator images, and decides the derivation and endomorphism
+predicates by comparing each image with the same step.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import (
     NotAUnitError,
     NotContractingError,
 )
-from .free_algebra import FreeSeries, Word, nilpotent_sum
+from .free_algebra import FreeSeries, evaluate_words, nilpotent_sum
 from .hahn_series import HahnPoly
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
@@ -151,10 +158,6 @@ def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:
     return acc
 
 
-def op_scale(c, table: OpTable) -> OpTable:
-    return table.scale(c)
-
-
 def op_bracket(f: OpTable, g: OpTable) -> OpTable:
     return op_compose(f, g) - op_compose(g, f)
 
@@ -182,23 +185,74 @@ def op_is_contracting(table: OpTable) -> CheckResult:
     return CheckResult(True)
 
 
-def _generator_check(table: OpTable, weight_budget, unit: HahnPoly, unit_witness, expected):
+def _generator_walk(ctx: MonoidCtx, bound: int):
+    """Each nonzero basis exponent m in weight order, with (m - e, e), e the
+    generator of m's first nonzero index.  m - e comes before m, so its image
+    is known or checked when m is reached."""
+    for m in weight_universe(ctx, bound)[1:]:
+        i = next(j for j, x in enumerate(m) if x)
+        e = tuple(int(j == i) for j in range(len(m)))
+        yield m, vec_sub(m, e), e
+
+
+def _leibniz(images, rest, e) -> HahnPoly:
+    """D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest)."""
+    ctx, bound = images[e].ctx, images[e].bound
+    t_rest, t_e = HahnPoly.monomial(ctx, bound, rest), HahnPoly.monomial(ctx, bound, e)
+    return images[e] * t_rest + t_e * images[rest]
+
+
+def _multiplicative(images, rest, e) -> HahnPoly:
+    """sigma(t^rest t^e) = sigma(t^e) sigma(t^rest)."""
+    return images[e] * images[rest]
+
+
+def _extend(ctx: MonoidCtx, bound: int, unit: HahnPoly, gen_images, step) -> OpTable:
+    """The table with t^0 -> unit, t^e_i -> gen_images[i] and t^m -> step(m - e, e)."""
+    images = {(0,) * ctx.dim: unit}
+    for m, rest, e in _generator_walk(ctx, bound):
+        images[m] = step(images, rest, e) if any(rest) else gen_images[e.index(1)]
+    return OpTable(ctx, bound, images)
+
+
+def _generator_check(table: OpTable, weight_budget, unit: HahnPoly, unit_witness, step):
     """The pass behind both predicates: t^0 must map to `unit`, and each nonzero
-    t^m within the budget to expected(m - e, e), e the generator of m's first index."""
+    t^m within the budget to step(m - e, e) over the table's own images."""
     budget = table.bound if weight_budget is None else weight_budget
     if not 0 <= budget <= table.bound:
         raise ValueError(f"weight budget {budget} lies outside [0, {table.bound}]")
     if table.images[(0,) * table.ctx.dim] != unit:
         return CheckResult(False, unit_witness)
-    for m in table.basis()[1:]:  # sorted by weight, from t^0
+    for m, rest, e in _generator_walk(table.ctx, table.bound):
         if table.ctx.weight(m) > budget:
             break
-        i = next(j for j, x in enumerate(m) if x)
-        e = tuple(int(j == i) for j in range(len(m)))
-        rest = vec_sub(m, e)
-        if table.images[m] != expected(rest, e):
+        if table.images[m] != step(table.images, rest, e):
             return CheckResult(False, (rest, e))
     return CheckResult(True)
+
+
+def derivation_from_generator_images(
+    ctx: MonoidCtx, bound: int, gen_images: dict[int, HahnPoly]
+) -> OpTable:
+    """The Leibniz extension of generator images to a derivation table.
+
+    D(1) = 0, D(t^e_i) = gen_images[i], and D(t^m) = D(t^e) t^(m-e) +
+    t^e D(t^(m-e)) along the generator walk; only generators inside the
+    weight universe are read.
+    """
+    return _extend(ctx, bound, HahnPoly.zero(ctx, bound), gen_images, _leibniz)
+
+
+def substitution_endomorphism(
+    ctx: MonoidCtx, bound: int, gen_images: dict[int, HahnPoly]
+) -> OpTable:
+    """The multiplicative extension of generator images to a unital endomorphism.
+
+    sigma(1) = 1, sigma(t^e_i) = gen_images[i], and sigma(t^m) = sigma(t^e)
+    sigma(t^(m-e)) along the generator walk; only generators inside the
+    weight universe are read.
+    """
+    return _extend(ctx, bound, HahnPoly.one(ctx, bound), gen_images, _multiplicative)
 
 
 def op_is_derivation(table: OpTable, weight_budget: int | None = None) -> CheckResult:
@@ -209,14 +263,9 @@ def op_is_derivation(table: OpTable, weight_budget: int | None = None) -> CheckR
     the Leibniz extension of its generator images, which obeys the rule on
     every pair.  Witness: the failing pair (m - e, e), or (0, 0).
     """
-    ctx, bound, images = table.ctx, table.bound, table.images
-    zero = (0,) * ctx.dim
-
-    def leibniz(rest, e):
-        t_rest, t_e = HahnPoly.monomial(ctx, bound, rest), HahnPoly.monomial(ctx, bound, e)
-        return images[e] * t_rest + t_e * images[rest]
-
-    return _generator_check(table, weight_budget, HahnPoly.zero(ctx, bound), (zero, zero), leibniz)
+    zero = (0,) * table.ctx.dim
+    unit = HahnPoly.zero(table.ctx, table.bound)
+    return _generator_check(table, weight_budget, unit, (zero, zero), _leibniz)
 
 
 def op_is_unital_endomorphism(table: OpTable, weight_budget: int | None = None) -> CheckResult:
@@ -226,8 +275,8 @@ def op_is_unital_endomorphism(table: OpTable, weight_budget: int | None = None) 
     t^m within the budget.  By induction on weight, sigma is then multiplicative
     on every pair.  Witness: the failing pair (m - e, e), or "unit".
     """
-    one, images = HahnPoly.one(table.ctx, table.bound), table.images
-    return _generator_check(table, weight_budget, one, "unit", lambda r, e: images[e] * images[r])
+    unit = HahnPoly.one(table.ctx, table.bound)
+    return _generator_check(table, weight_budget, unit, "unit", _multiplicative)
 
 
 def op_evaluate(
@@ -261,28 +310,8 @@ def op_evaluate(
                     f"argument {i} is not contracting at basis pair {chk.witness}",
                     witness=(i, chk.witness),
                 )
-    bound = first.bound
-    words = [w for w in P.terms if 0 < len(w) <= bound]
-    needed: set[Word] = set()
-    for w in words:
-        for i in range(len(w)):
-            needed.add(w[i:])
-    tables: dict[Word, OpTable] = {}
-    for w in sorted(needed, key=len):
-        if len(w) == 1:
-            tables[w] = args[w[0]]
-        else:
-            tail = tables[w[1:]]
-            tables[w] = (
-                tail if tail.is_zero() else op_compose(args[w[0]], tail)
-            )
-    result = OpTable.zero(first.ctx, bound)
-    const = P.constant_term
-    if const != 0:
-        result = result + OpTable.identity(first.ctx, bound).scale(const)
-    for w in sorted(words, key=lambda u: (len(u), u)):
-        result = result + tables[w].scale(P.terms[w])
-    return result
+    one = OpTable.identity(first.ctx, first.bound)
+    return evaluate_words(P, args, one, op_compose, first.bound)
 
 
 def op_geometric_inverse(table: OpTable) -> OpTable:

@@ -1,4 +1,8 @@
-"""Seeded generators for test corpora: series, derivations, automorphisms."""
+"""Seeded generators for test corpora: series, derivations, automorphisms.
+
+`derivation_from_generator_images` and `substitution_endomorphism` are the
+generator-walk extensions of `nseries.operators`, imported here by name.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +11,8 @@ from fractions import Fraction
 
 from .hahn_series import HahnPoly
 from .free_algebra import FreeSeries
-from .operators import OpTable
-from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
+from .operators import OpTable, derivation_from_generator_images, substitution_endomorphism
+from .support_order import Cmp, ExpVec, MonoidCtx, weight_universe
 from .vaut_factors import AdditiveChar, CharacterX
 
 
@@ -70,28 +74,6 @@ def random_contracting_table(
     return OpTable.from_function(ctx, bound, image)
 
 
-def derivation_from_generator_images(
-    ctx: MonoidCtx, bound: int, gen_images: dict[int, HahnPoly]
-) -> OpTable:
-    """Extend images of the generator monomials to a derivation table.
-
-    Uses the commutative Leibniz extension: the image of t^g is the sum over
-    coordinates of g_i t^(g - e_i) times the image of the i-th generator.
-    """
-    gens = [tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)]
-
-    def image(m):
-        out = HahnPoly.zero(ctx, bound)
-        for i, g in enumerate(gens):
-            if m[i] == 0:
-                continue
-            rest = HahnPoly.monomial(ctx, bound, vec_sub(m, g))
-            out = out + (rest * gen_images[i]).scale(m[i])
-        return out
-
-    return OpTable.from_function(ctx, bound, image)
-
-
 def random_contracting_derivation(
     rng: random.Random, ctx: MonoidCtx, bound: int, density: int = 2
 ) -> OpTable:
@@ -102,21 +84,6 @@ def random_contracting_derivation(
         picks = rng.sample(cands, min(density, len(cands))) if cands else []
         gen_images[i] = HahnPoly(ctx, bound, {q: random_fraction(rng) for q in picks})
     return derivation_from_generator_images(ctx, bound, gen_images)
-
-
-def substitution_endomorphism(
-    ctx: MonoidCtx, bound: int, gen_images: dict[int, HahnPoly]
-) -> OpTable:
-    """Multiplicative extension of generator images: t^g maps to the product
-    of the i-th image to the power g_i."""
-
-    def image(m):
-        out = HahnPoly.one(ctx, bound)
-        for i, e in enumerate(m):
-            out = out * gen_images[i].power(e)
-        return out
-
-    return OpTable.from_function(ctx, bound, image)
 
 
 def random_substitution_automorphism(

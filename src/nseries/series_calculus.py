@@ -16,7 +16,7 @@ from math import factorial
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NotInIdealError
-from .free_algebra import EMPTY_WORD, FreeSeries, Word, nilpotent_sum
+from .free_algebra import FreeSeries, Word, evaluate_words, nilpotent_sum
 
 
 def series_E0(order: int) -> FreeSeries:
@@ -53,22 +53,8 @@ def fs_substitute(P: FreeSeries, args: Mapping[int, FreeSeries]) -> FreeSeries:
             raise NotInIdealError(
                 f"substitution for variable {i} has nonzero constant term {g.constant_term}"
             )
-    bound = first.grade
-    out = FreeSeries.zero(first.alphabet_size, bound)
-    cache: dict[Word, FreeSeries] = {EMPTY_WORD: FreeSeries.one(first.alphabet_size, bound)}
-
-    def product_for(word: Word) -> FreeSeries:
-        hit = cache.get(word)
-        if hit is None:
-            hit = product_for(word[:-1]) * picked[word[-1]]
-            cache[word] = hit
-        return hit
-
-    for word, coeff in P.sorted_terms():
-        if len(word) > bound:
-            continue
-        out = out + product_for(word).scale(coeff)
-    return out
+    one = FreeSeries.one(first.alphabet_size, first.grade)
+    return evaluate_words(P, picked, one, FreeSeries.__mul__, first.grade)
 
 
 def _block_sum(order: int) -> FreeSeries:

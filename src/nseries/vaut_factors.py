@@ -33,7 +33,7 @@ from .operators import (
     op_is_contracting,
     op_is_unital_endomorphism,
 )
-from .support_order import Cmp, ExpVec, FinitePosetFragment, MonoidCtx, minimal_elements
+from .support_order import WEIGHTED, Cmp, ExpVec, FinitePosetFragment, MonoidCtx, minimal_elements
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -162,6 +162,14 @@ class ExponentAut:
         det = mat_det(mat)
         if det not in (1, -1):
             raise ValueError(f"exponent automorphism must be unimodular, det = {det}")
+        if self.ctx.kind == WEIGHTED:  # the weight leads the order, so it must be kept
+            for j, w in enumerate(self.ctx.weights):
+                gen = tuple(int(i == j) for i in range(len(mat)))
+                moved = self.ctx.weight(mat_vec(mat, gen))
+                if moved != w:
+                    raise ValueError(
+                        f"matrix changes the weight of generator {gen} from {w} to {moved}"
+                    )
         inv = mat_inverse(mat)
         for m in (mat, inv):
             probes = _probe_vectors(self.ctx.dim)

@@ -1,12 +1,15 @@
-"""Pairwise reference scans for the derivation and endomorphism predicates.
+"""Slow reference routes for the generator walk and the word evaluator.
 
-Each scan checks the Leibniz rule or multiplicativity on every basis pair
-within the weight budget, O(B^2) table applications.  The predicates in
-`nseries.operators` decide the same in one pass over the basis; the tests
-compare the two.
+The pairwise scans check the Leibniz rule or multiplicativity on every basis
+pair within the weight budget, O(B^2) table applications.  The closed-form
+builders extend generator images by sum_i m_i t^(m - e_i) D(t^e_i) and by
+products of powers.  The naive word sum builds each word's product from
+scratch.  `nseries.operators` and `nseries.free_algebra` compute the same in
+one pass; the tests compare the two.
 """
 
-from nseries import CheckResult, HahnPoly, op_apply
+from nseries import CheckResult, HahnPoly, OpTable, op_apply
+from nseries.support_order import vec_sub
 
 
 def _monomials(table, m1, m2):
@@ -54,3 +57,44 @@ def pairwise_unital_endomorphism(table, weight_budget=None) -> CheckResult:
         if not multiplicative_on(table, m1, m2):
             return CheckResult(False, (m1, m2))
     return CheckResult(True)
+
+
+def leibniz_closed_form(ctx, bound, gen_images) -> OpTable:
+    """t^m -> sum over i with m_i != 0 of m_i t^(m - e_i) gen_images[i]."""
+    gens = [tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)]
+
+    def image(m):
+        out = HahnPoly.zero(ctx, bound)
+        for i, g in enumerate(gens):
+            if m[i] == 0:
+                continue
+            rest = HahnPoly.monomial(ctx, bound, vec_sub(m, g))
+            out = out + (rest * gen_images[i]).scale(m[i])
+        return out
+
+    return OpTable.from_function(ctx, bound, image)
+
+
+def product_of_powers(ctx, bound, gen_images) -> OpTable:
+    """t^m -> the product over i of gen_images[i] ** m_i."""
+
+    def image(m):
+        out = HahnPoly.one(ctx, bound)
+        for i, e in enumerate(m):
+            out = out * gen_images[i].power(e)
+        return out
+
+    return OpTable.from_function(ctx, bound, image)
+
+
+def naive_word_sum(P, args, one, mul, bound):
+    """P(empty) one plus P(w) args[w1]...args[wn] over the nonempty words of
+    length <= bound, each product built from `one` with no cache or pruning."""
+    acc = one.scale(P.constant_term)
+    for word, coeff in P.terms.items():
+        if 0 < len(word) <= bound:
+            product = one
+            for letter in word:
+                product = mul(product, args[letter])
+            acc = acc + product.scale(coeff)
+    return acc

@@ -1,9 +1,11 @@
-"""The one-pass derivation and endomorphism predicates against the pairwise scans."""
+"""The generator walk against its oracles: the one-pass derivation and
+endomorphism predicates against the pairwise scans, and the Leibniz and
+multiplicative extensions against the closed-form builders."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nseries import (
@@ -18,18 +20,23 @@ from nseries import (
     op_is_unital_endomorphism,
 )
 from nseries.samples import (
+    derivation_from_generator_images,
     nonzero_fraction,
     random_additive_char,
     random_character,
     random_contracting_derivation,
     random_contracting_table,
+    random_hahn,
     random_substitution_automorphism,
+    substitution_endomorphism,
 )
 from pairwise_oracles import (
+    leibniz_closed_form,
     leibniz_holds,
     multiplicative_on,
     pairwise_derivation,
     pairwise_unital_endomorphism,
+    product_of_powers,
 )
 
 # (context, largest bound); the smallest bound is the largest generator weight.
@@ -140,3 +147,35 @@ def test_budget_outside_zero_to_bound_is_rejected(budget):
         op_is_derivation(table, budget)
     with pytest.raises(ValueError):
         op_is_unital_endomorphism(table, budget)
+
+
+W13 = MonoidCtx.weighted(1, 3)
+
+
+@st.composite
+def generator_images(draw):
+    """Arbitrary generator images; below N = 3 the generator (0, 1) of
+    weighted:1,3 lies outside the weight universe."""
+    ctx, top = draw(st.sampled_from(CONTEXTS + ((W13, 5),)))
+    bound = draw(st.integers(1, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ctx, bound, {i: random_hahn(rng, ctx, bound, terms=3) for i in range(ctx.dim)}
+
+
+W13_SMALL = (
+    W13, 2, {0: HahnPoly(W13, 2, {(1, 0): 1, (2, 0): 3}), 1: HahnPoly(W13, 2, {(0, 0): 2})}
+)
+
+
+@PROPERTY
+@given(generator_images())
+@example(W13_SMALL)
+def test_leibniz_extension_matches_closed_form(case):
+    assert derivation_from_generator_images(*case) == leibniz_closed_form(*case)
+
+
+@PROPERTY
+@given(generator_images())
+@example(W13_SMALL)
+def test_multiplicative_extension_matches_product_of_powers(case):
+    assert substitution_endomorphism(*case) == product_of_powers(*case)

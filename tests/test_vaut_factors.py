@@ -111,6 +111,16 @@ def test_exponent_aut_validation():
         ExponentAut(MonoidCtx.lex(2), ((0, 1), (1, 0)))  # swap breaks lex order
 
 
+def test_exponent_aut_keeps_the_weight_on_weighted_contexts():
+    w13 = MonoidCtx.weighted(1, 3)
+    # Sends (-8, 3), of weight 1, to (5, -2), of weight -1; no probe pair shows it.
+    with pytest.raises(ValueError, match=r"generator \(1, 0\) from 1 to 2"):
+        ExponentAut(w13, ((-1, -1), (1, 2)))
+    # A shear along the kernel (3, -1) of the weight keeps weight and tie-break.
+    shear = ExponentAut(w13, ((4, 9), (-1, -2)))
+    assert shear.apply((-8, 3)) == (-5, 2)
+
+
 def test_apply_gder_examples():
     alpha = AdditiveChar(LEX1, (F(1),))
     a = HahnPoly(LEX1, 4, {(n,): 1 for n in range(5)})
