@@ -27,32 +27,28 @@ class IncompleteTableError(NSeriesError):
     """An operator table is missing the image of a basis monomial."""
 
 
-class NotContractingError(NSeriesError):
+class WitnessError(NSeriesError):
+    """A failed check that carries its counterexample as `witness`."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotContractingError(WitnessError):
     """A contracting operator was required; carries the offending pair."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class ExtensivityError(NSeriesError):
+class ExtensivityError(WitnessError):
     """A choice operator produced a successor that is not strictly above."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class TruncationOverflowError(NSeriesError):
     """An exponent relabeling left the truncated universe."""
 
 
-class NotDecomposableError(NSeriesError):
+class NotDecomposableError(WitnessError):
     """An operator table does not split into the three factor groups."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InconsistentExponentialError(NSeriesError):

@@ -9,9 +9,9 @@ length as grade and concatenation as key product.
 
 Two routes evaluate a series at elements of another algebra.  `nilpotent_sum`
 is the production route: a one-variable series at a nilpotent element, as in
-exp, log and geometric inverses.  `evaluate_words` evaluates any series word
-by word; `fs_substitute` and `op_evaluate` run it, and through them it is the
-oracle of the production route.
+exp, log and `unit_inverse`, the geometric inverse of series and tables alike.
+`evaluate_words` evaluates any series word by word; `fs_substitute` and
+`op_evaluate` run it, and through them it is the oracle of the production route.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class FreeSeries(SparseSeries):
         return self.alphabet_size, self.grade
 
     def _check_key(self, word) -> Word:
-        word = tuple(int(i) for i in word)
+        word = tuple(map(operator.index, word))
         if len(word) > self.grade:
             raise ValueError(f"word {word} exceeds the grade bound {self.grade}")
         if any(i < 0 or i >= self.alphabet_size for i in word):
@@ -130,20 +130,13 @@ class FreeSeries(SparseSeries):
         return self._product(other, operator.add)
 
     def geometric_inverse(self) -> "FreeSeries":
-        """Two-sided inverse modulo the grade bound.
-
-        Defined when the constant term c is nonzero; computed as
-        (1/c) * sum_{n <= N} (-(P - c)/c)^n.  Series with zero constant term
-        lie in the augmentation ideal and have no inverse.
-        """
+        """Two-sided inverse modulo the grade bound, `unit_inverse` of c + (P - c)
+        for a nonzero constant term c; the augmentation ideal has no inverse."""
         c = self.constant_term
         if c == 0:
-            raise NotAUnitError(
-                "series with zero constant term lies in the augmentation ideal"
-            )
+            raise NotAUnitError("series with zero constant term lies in the augmentation ideal")
         one = FreeSeries.one(self.alphabet_size, self.grade)
-        geom = FreeSeries(1, self.grade, {(0,) * n: 1 / c for n in range(self.grade + 1)})
-        return nilpotent_sum(geom, (self - one.scale(c)).scale(-1 / c), one, FreeSeries.__mul__)
+        return unit_inverse(c, self - one.scale(c), one, FreeSeries.__mul__, self.grade)
 
 
 def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
@@ -158,6 +151,12 @@ def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
             break
         acc = acc + pw.scale(P.coefficient((0,) * n))
     return acc
+
+
+def unit_inverse(c, eps, one, mul: Callable, order: int):
+    """(c + eps)^(-1) = (1/c) sum_{n <= order} (-eps/c)^n for c != 0 and nilpotent eps."""
+    geom = FreeSeries(1, order, {(0,) * n: 1 / c for n in range(order + 1)})
+    return nilpotent_sum(geom, eps.scale(-1 / c), one, mul)
 
 
 def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int):

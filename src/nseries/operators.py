@@ -5,8 +5,9 @@ with m in the nonnegative cone of weight at most N, and acts on a series by
 linear extension over its finite support.  Contracting tables (every image
 supported strictly above its basis exponent, with weight raised by at least
 one) are the operators for which evaluation of formal power series
-terminates at the truncation bound.  `op_geometric_inverse` evaluates through
-`free_algebra.nilpotent_sum`, and `op_evaluate` through
+terminates at the truncation bound; `in_contracting_cone` decides it for one
+exponent pair.  `op_geometric_inverse` evaluates through
+`free_algebra.unit_inverse`, and `op_evaluate` through
 `free_algebra.evaluate_words`, which takes any word.
 
 One generator walk over the weight-sorted basis splits each exponent m into
@@ -27,7 +28,7 @@ from .errors import (
     NotAUnitError,
     NotContractingError,
 )
-from .free_algebra import FreeSeries, evaluate_words, nilpotent_sum
+from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
@@ -169,6 +170,11 @@ def multiplication_table(a: HahnPoly) -> OpTable:
     )
 
 
+def in_contracting_cone(ctx: MonoidCtx, m: ExpVec, q: ExpVec) -> bool:
+    """q lies strictly above m and weight(q) >= weight(m) + 1."""
+    return ctx.weight(q) > ctx.weight(m) and ctx.cmp(m, q) is Cmp.LESS
+
+
 def op_is_contracting(table: OpTable) -> CheckResult:
     """Every image exponent strictly above its basis exponent, weight raised.
 
@@ -176,11 +182,9 @@ def op_is_contracting(table: OpTable) -> CheckResult:
     exceed weight(m) by at least one, so that composition chains longer than
     the bound vanish on the truncated universe.
     """
-    ctx = table.ctx
     for m in table.basis():
-        wm = ctx.weight(m)
         for q in table.images[m].terms:
-            if ctx.cmp(m, q) is not Cmp.LESS or ctx.weight(q) < wm + 1:
+            if not in_contracting_cone(table.ctx, m, q):
                 return CheckResult(False, (m, q))
     return CheckResult(True)
 
@@ -189,9 +193,9 @@ def _generator_walk(ctx: MonoidCtx, bound: int):
     """Each nonzero basis exponent m in weight order, with (m - e, e), e the
     generator of m's first nonzero index.  m - e comes before m, so its image
     is known or checked when m is reached."""
+    gens = ctx.generators()
     for m in weight_universe(ctx, bound)[1:]:
-        i = next(j for j, x in enumerate(m) if x)
-        e = tuple(int(j == i) for j in range(len(m)))
+        e = gens[next(j for j, x in enumerate(m) if x)]
         yield m, vec_sub(m, e), e
 
 
@@ -332,5 +336,4 @@ def op_geometric_inverse(table: OpTable) -> OpTable:
         raise NotAUnitError(
             f"table is not of the form c*Id + contracting; offending pair {chk.witness}"
         )
-    geom = FreeSeries(1, bound, {(0,) * n: 1 / c for n in range(bound + 1)})
-    return nilpotent_sum(geom, eps.scale(-1 / c), ident, op_compose)
+    return unit_inverse(c, eps, ident, op_compose, bound)

@@ -11,9 +11,17 @@ from fractions import Fraction
 
 from .hahn_series import HahnPoly
 from .free_algebra import FreeSeries
-from .operators import OpTable, derivation_from_generator_images, substitution_endomorphism
-from .support_order import Cmp, ExpVec, MonoidCtx, weight_universe
+from .operators import (
+    OpTable,
+    derivation_from_generator_images,
+    in_contracting_cone,
+    substitution_endomorphism,
+)
+from .support_order import ExpVec, MonoidCtx, weight_universe
 from .vaut_factors import AdditiveChar, CharacterX
+
+# Terms drawn per image or generator image by the random tables below.
+DENSITY = 2
 
 
 def random_fraction(rng: random.Random, span: int = 4, den: int = 4) -> Fraction:
@@ -53,52 +61,36 @@ def random_hahn(rng: random.Random, ctx: MonoidCtx, bound: int, terms: int = 5) 
 
 
 def _strictly_above(ctx: MonoidCtx, bound: int, m: ExpVec) -> list[ExpVec]:
-    wm = ctx.weight(m)
-    return [
-        q
-        for q in weight_universe(ctx, bound)
-        if ctx.weight(q) >= wm + 1 and ctx.cmp(m, q) is Cmp.LESS
-    ]
+    return [q for q in weight_universe(ctx, bound) if in_contracting_cone(ctx, m, q)]
 
 
-def random_contracting_table(
-    rng: random.Random, ctx: MonoidCtx, bound: int, density: int = 2
-) -> OpTable:
+def _raising_terms(rng: random.Random, ctx: MonoidCtx, bound: int, m: ExpVec) -> dict:
+    """DENSITY random coefficients on exponents drawn from the contracting cone above m."""
+    cands = _strictly_above(ctx, bound, m)
+    return {q: random_fraction(rng) for q in rng.sample(cands, min(DENSITY, len(cands)))}
+
+
+def random_contracting_table(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
     """Random strongly linear table with strictly raising images."""
-
-    def image(m):
-        cands = _strictly_above(ctx, bound, m)
-        picks = rng.sample(cands, min(density, len(cands))) if cands else []
-        return HahnPoly(ctx, bound, {q: random_fraction(rng) for q in picks})
-
-    return OpTable.from_function(ctx, bound, image)
+    return OpTable.from_function(
+        ctx, bound, lambda m: HahnPoly(ctx, bound, _raising_terms(rng, ctx, bound, m))
+    )
 
 
-def random_contracting_derivation(
-    rng: random.Random, ctx: MonoidCtx, bound: int, density: int = 2
-) -> OpTable:
-    gen_images = {}
-    gens = [tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)]
-    for i, g in enumerate(gens):
-        cands = _strictly_above(ctx, bound, g)
-        picks = rng.sample(cands, min(density, len(cands))) if cands else []
-        gen_images[i] = HahnPoly(ctx, bound, {q: random_fraction(rng) for q in picks})
+def random_contracting_derivation(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
+    gen_images = {
+        i: HahnPoly(ctx, bound, _raising_terms(rng, ctx, bound, g))
+        for i, g in enumerate(ctx.generators())
+    }
     return derivation_from_generator_images(ctx, bound, gen_images)
 
 
-def random_substitution_automorphism(
-    rng: random.Random, ctx: MonoidCtx, bound: int, density: int = 2
-) -> OpTable:
+def random_substitution_automorphism(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
     """Near-identity substitution: each generator maps to itself plus higher terms."""
-    gens = [tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)]
-    gen_images = {}
-    for i, g in enumerate(gens):
-        higher = _strictly_above(ctx, bound, g)
-        picks = rng.sample(higher, min(density, len(higher))) if higher else []
-        terms = {g: Fraction(1)}
-        for q in picks:
-            terms[q] = random_fraction(rng)
-        gen_images[i] = HahnPoly(ctx, bound, terms)
+    gen_images = {
+        i: HahnPoly(ctx, bound, {g: Fraction(1), **_raising_terms(rng, ctx, bound, g)})
+        for i, g in enumerate(ctx.generators())
+    }
     return substitution_endomorphism(ctx, bound, gen_images)
 
 

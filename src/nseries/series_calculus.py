@@ -101,17 +101,13 @@ def _right_nested_bracket(word: Word) -> dict[Word, int]:
 
 
 def _left_normed_bracket(word: Word) -> dict[Word, int]:
-    """Expand [[..[[w1, w2], w3].., w_T] into the free algebra."""
-    acc: dict[Word, int] = {(word[0],): 1}
-    for letter in word[1:]:
-        nxt: dict[Word, int] = {}
-        for w, c in acc.items():
-            left = w + (letter,)
-            right = (letter,) + w
-            nxt[left] = nxt.get(left, 0) + c
-            nxt[right] = nxt.get(right, 0) - c
-        acc = {w: c for w, c in nxt.items() if c != 0}
-    return acc
+    """Expand [[..[[w1, w2], w3].., w_T] into the free algebra.
+
+    It equals (-1)^(T-1) [w_T, [.., [w2, w1]..]], the right-nested bracket of
+    the reversed word, since [u, v] = -[v, u] at each of the T - 1 levels.
+    """
+    sign = (-1) ** (len(word) - 1)
+    return {w: sign * c for w, c in _right_nested_bracket(word[::-1]).items()}
 
 
 def dynkin_bch(order: int) -> FreeSeries:

@@ -3,12 +3,15 @@
 Exponents are integer tuples.  A context fixes the dimension, one of three
 translation-invariant partial orders (lexicographic, componentwise product,
 weight-then-lex) and an additive weight used for truncation bookkeeping.
+`MonoidCtx.generators` gives the unit vectors e_i to every module, and
+`operator.index` rejects a non-integral exponent or weight with TypeError.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -50,7 +53,7 @@ class MonoidCtx:
             raise ValueError("context dimension must be >= 1")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown order kind {self.kind!r}")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
         if len(self.weights) != self.dim:
             raise DimensionMismatchError("weight vector length must match dimension")
         if any(w < 1 for w in self.weights):
@@ -68,8 +71,12 @@ class MonoidCtx:
     def weighted(cls, *weights: int) -> "MonoidCtx":
         return cls(len(weights), WEIGHTED, tuple(weights))
 
+    def generators(self) -> tuple[ExpVec, ...]:
+        """The unit vectors e_0, .., e_(dim-1) of the lattice."""
+        return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+
     def check_vec(self, v: Sequence[int]) -> ExpVec:
-        v = tuple(int(x) for x in v)
+        v = tuple(map(operator.index, v))
         if len(v) != self.dim:
             raise DimensionMismatchError(
                 f"exponent {v} has dimension {len(v)}, context expects {self.dim}"

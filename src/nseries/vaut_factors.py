@@ -9,13 +9,18 @@ automorphism table factors as
     residual  o  character rescale  o  exponent relabeling
 
 with a near-identity residual, and the factorization round-trips exactly.
+Both character kinds share one base, which holds the values, the dimension
+check and the context check of the group law.  `_order_violation` is the one
+order-preservation scan, over `ExponentAut` probes and raw relabeling supports.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -41,7 +46,7 @@ Matrix = tuple[tuple[int, ...], ...]
 # -- small exact matrix helpers --------------------------------------------
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple(tuple(map(operator.index, row)) for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise DimensionMismatchError("matrix must be square and nonempty")
@@ -107,11 +112,22 @@ def _probe_vectors(dim: int) -> list[ExpVec]:
     return list(itertools.product(span, repeat=dim))
 
 
+def _order_violation(ctx: MonoidCtx, mat: Matrix, vecs: Sequence[ExpVec]):
+    """The first pair a < b of `vecs`, a in the outer loop, with mat a < mat b
+    false; None if there is none.  Each image is computed once."""
+    images = [mat_vec(mat, v) for v in vecs]
+    for a, ma in zip(vecs, images):
+        for b, mb in zip(vecs, images):
+            if ctx.cmp(a, b) is Cmp.LESS and ctx.cmp(ma, mb) is not Cmp.LESS:
+                return a, b
+    return None
+
+
 # -- factor data types ------------------------------------------------------
 
 @dataclass(frozen=True)
-class CharacterX:
-    """Multiplicative character on the exponent lattice, by generator values."""
+class _LatticeChar:
+    """A character on the exponent lattice, given by its generator values."""
 
     ctx: MonoidCtx
     values: tuple[Fraction, ...]
@@ -120,9 +136,22 @@ class CharacterX:
         vals = tuple(Fraction(v) for v in self.values)
         if len(vals) != self.ctx.dim:
             raise DimensionMismatchError("one generator value per dimension required")
-        if any(v == 0 for v in vals):
-            raise ValueError("character values must be nonzero")
         object.__setattr__(self, "values", vals)
+
+    def _pointwise(self, other, op: Callable):
+        if self.ctx != other.ctx:
+            raise DimensionMismatchError("characters live over different contexts")
+        return type(self)(self.ctx, tuple(map(op, self.values, other.values)))
+
+
+@dataclass(frozen=True)
+class CharacterX(_LatticeChar):
+    """Multiplicative character on the exponent lattice, by generator values."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(v == 0 for v in self.values):
+            raise ValueError("character values must be nonzero")
 
     @classmethod
     def trivial(cls, ctx: MonoidCtx) -> "CharacterX":
@@ -130,15 +159,10 @@ class CharacterX:
 
     def at(self, g: Sequence[int]) -> Fraction:
         g = self.ctx.check_vec(g)
-        out = Fraction(1)
-        for v, e in zip(self.values, g):
-            out *= v ** e
-        return out
+        return prod((v ** e for v, e in zip(self.values, g)), start=Fraction(1))
 
     def __mul__(self, other: "CharacterX") -> "CharacterX":
-        if self.ctx != other.ctx:
-            raise DimensionMismatchError("characters live over different contexts")
-        return CharacterX(self.ctx, tuple(a * b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, operator.mul)
 
     def inverse(self) -> "CharacterX":
         return CharacterX(self.ctx, tuple(1 / v for v in self.values))
@@ -163,28 +187,20 @@ class ExponentAut:
         if det not in (1, -1):
             raise ValueError(f"exponent automorphism must be unimodular, det = {det}")
         if self.ctx.kind == WEIGHTED:  # the weight leads the order, so it must be kept
-            for j, w in enumerate(self.ctx.weights):
-                gen = tuple(int(i == j) for i in range(len(mat)))
-                moved = self.ctx.weight(mat_vec(mat, gen))
-                if moved != w:
+            for gen, w in zip(self.ctx.generators(), self.ctx.weights):
+                if (moved := self.ctx.weight(mat_vec(mat, gen))) != w:
                     raise ValueError(
                         f"matrix changes the weight of generator {gen} from {w} to {moved}"
                     )
-        inv = mat_inverse(mat)
-        for m in (mat, inv):
-            probes = _probe_vectors(self.ctx.dim)
-            for a in probes:
-                for b in probes:
-                    if self.ctx.cmp(a, b) is Cmp.LESS and self.ctx.cmp(
-                        mat_vec(m, a), mat_vec(m, b)
-                    ) is not Cmp.LESS:
-                        raise ValueError(
-                            f"matrix does not preserve the order on probe pair {a} < {b}"
-                        )
+        for m in (mat, mat_inverse(mat)):
+            if bad := _order_violation(self.ctx, m, _probe_vectors(self.ctx.dim)):
+                raise ValueError(
+                    f"matrix does not preserve the order on probe pair {bad[0]} < {bad[1]}"
+                )
 
     @classmethod
     def identity(cls, ctx: MonoidCtx) -> "ExponentAut":
-        return cls(ctx, tuple(tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)))
+        return cls(ctx, ctx.generators())
 
     def apply(self, g: Sequence[int]) -> ExpVec:
         return mat_vec(self.matrix, self.ctx.check_vec(g))
@@ -198,21 +214,12 @@ class ExponentAut:
         return ExponentAut(self.ctx, mat_mul(self.matrix, other.matrix))
 
     def is_identity(self) -> bool:
-        return self.matrix == ExponentAut.identity(self.ctx).matrix
+        return self.matrix == self.ctx.generators()
 
 
 @dataclass(frozen=True)
-class AdditiveChar:
+class AdditiveChar(_LatticeChar):
     """Additive character on the exponent lattice, by generator values."""
-
-    ctx: MonoidCtx
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
-        if len(vals) != self.ctx.dim:
-            raise DimensionMismatchError("one generator value per dimension required")
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def zero(cls, ctx: MonoidCtx) -> "AdditiveChar":
@@ -223,9 +230,7 @@ class AdditiveChar:
         return sum((v * e for v, e in zip(self.values, g)), Fraction(0))
 
     def __add__(self, other: "AdditiveChar") -> "AdditiveChar":
-        if self.ctx != other.ctx:
-            raise DimensionMismatchError("characters live over different contexts")
-        return AdditiveChar(self.ctx, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, operator.add)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -272,15 +277,10 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
     if not isinstance(mu, ExponentAut):
         if mat_det(matrix) == 0:
             raise ValueError("relabeling matrix must be injective")
-        supp = sorted(a.terms)
-        for p in supp:
-            for q in supp:
-                if a.ctx.cmp(p, q) is Cmp.LESS and a.ctx.cmp(
-                    mat_vec(matrix, p), mat_vec(matrix, q)
-                ) is not Cmp.LESS:
-                    raise ValueError(
-                        f"relabeling does not preserve the order on support pair {p} < {q}"
-                    )
+        if bad := _order_violation(a.ctx, matrix, sorted(a.terms)):
+            raise ValueError(
+                f"relabeling does not preserve the order on support pair {bad[0]} < {bad[1]}"
+            )
     out = {}
     for g, c in a.terms.items():
         img = mat_vec(matrix, g)
@@ -431,7 +431,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
         (lm,) = mins
         lead[m] = lm
         lead_coeff[m] = img.coefficient(lm)
-    gens = [tuple(int(i == j) for j in range(ctx.dim)) for i in range(ctx.dim)]
+    gens = ctx.generators()
     matrix = tuple(tuple(lead[g][i] for g in gens) for i in range(ctx.dim))
     try:
         mu = ExponentAut(ctx, matrix)

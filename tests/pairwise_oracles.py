@@ -1,11 +1,14 @@
-"""Slow reference routes for the generator walk and the word evaluator.
+"""Slow reference routes for the generator walk, the word evaluator and the
+bracket expansion.
 
 The pairwise scans check the Leibniz rule or multiplicativity on every basis
 pair within the weight budget, O(B^2) table applications.  The closed-form
 builders extend generator images by sum_i m_i t^(m - e_i) D(t^e_i) and by
 products of powers.  The naive word sum builds each word's product from
 scratch.  `nseries.operators` and `nseries.free_algebra` compute the same in
-one pass; the tests compare the two.
+one pass; the tests compare the two.  The left-normed bracket loop expands
+[[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
+mirrors the right-nested expansion.
 """
 
 from nseries import CheckResult, HahnPoly, OpTable, op_apply
@@ -97,4 +100,18 @@ def naive_word_sum(P, args, one, mul, bound):
             for letter in word:
                 product = mul(product, args[letter])
             acc = acc + product.scale(coeff)
+    return acc
+
+
+def left_normed_bracket_loop(word):
+    """Expand [[..[[w1, w2], w3].., w_T] into the free algebra, one letter at a time."""
+    acc = {(word[0],): 1}
+    for letter in word[1:]:
+        nxt = {}
+        for w, c in acc.items():
+            left = w + (letter,)
+            right = (letter,) + w
+            nxt[left] = nxt.get(left, 0) + c
+            nxt[right] = nxt.get(right, 0) - c
+        acc = {w: c for w, c in nxt.items() if c != 0}
     return acc

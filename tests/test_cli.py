@@ -300,7 +300,7 @@ def _cli(*argv):
 
 
 @pytest.mark.parametrize("ctx, mus, bounds", FACTOR_CASES, ids=("lex:1", "prod:2", "weighted:1,2"))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_factor_json_roundtrip_property(ctx, mus, bounds, data):
     bound = data.draw(st.integers(*bounds))

@@ -12,7 +12,7 @@ from pairwise_oracles import naive_word_sum
 
 CONTEXTS = ((MonoidCtx.lex(1), 5), (MonoidCtx.product(2), 3), (MonoidCtx.weighted(1, 2), 4))
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def _any_table(rng, ctx, bound):

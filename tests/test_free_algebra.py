@@ -96,6 +96,11 @@ def test_dimension_errors():
         fs_mul(FreeSeries.one(2, 3), FreeSeries.one(2, 4))
 
 
+def test_non_integral_letters_are_rejected():
+    with pytest.raises(TypeError):
+        FreeSeries(2, 3, {(0.7, 1): 1})
+
+
 def test_mul_associative_and_bilinear():
     rng = random.Random(11)
     for _ in range(15):

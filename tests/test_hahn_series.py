@@ -133,6 +133,11 @@ def test_weight_bound_rejection():
     assert a.support == {(4, -1)}
 
 
+def test_non_integral_exponents_are_rejected():
+    with pytest.raises(TypeError):
+        HahnPoly(LEX1, 3, {(F(3, 2),): 1})
+
+
 def test_ctx_mismatch():
     with pytest.raises(DimensionMismatchError):
         hp_add(HahnPoly.one(LEX1, 3), HahnPoly.one(LEX1, 4))

@@ -42,7 +42,7 @@ from pairwise_oracles import (
 # (context, largest bound); the smallest bound is the largest generator weight.
 CONTEXTS = ((MonoidCtx.lex(1), 6), (MonoidCtx.product(2), 4), (MonoidCtx.weighted(1, 2), 5))
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=100)
 
 
 def _table(kind, rng, ctx, bound):

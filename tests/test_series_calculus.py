@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nseries import (
     FreeSeries,
@@ -17,6 +19,8 @@ from nseries import (
     series_L0,
 )
 from nseries.samples import random_free_series
+from nseries.series_calculus import _left_normed_bracket
+from pairwise_oracles import left_normed_bracket_loop
 
 
 def x(i, grade):
@@ -163,3 +167,16 @@ def test_bch_exponential_identity_small():
         lhs = fs_substitute(E, {0: bch_product(order)})
         rhs = fs_substitute(E, {0: x(0, order)}) * fs_substitute(E, {0: x(1, order)})
         assert lhs == rhs
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+def test_left_normed_bracket_matches_the_letter_loop(word):
+    assert _left_normed_bracket(tuple(word)) == left_normed_bracket_loop(tuple(word))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bch_product_is_the_truncation_of_order_eight(n):
+    full = bch_product(8)
+    low = FreeSeries(2, n, {w: c for w, c in full.terms.items() if len(w) <= n})
+    assert bch_product(n) == low

@@ -149,7 +149,7 @@ def test_op_table_rejects_bad_integers():
 
 # -- round-trip properties: parse(format(x)) == x ------------------------------
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=100)
 COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 HAHN_CONTEXTS = (LEX1, MonoidCtx.product(2), MonoidCtx.weighted(1, 2))
 

@@ -111,6 +111,24 @@ def test_exponent_aut_validation():
         ExponentAut(MonoidCtx.lex(2), ((0, 1), (1, 0)))  # swap breaks lex order
 
 
+def test_order_violations_name_their_pair():
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValueError) as exc:
+        ExponentAut(MonoidCtx.lex(2), swap)
+    assert str(exc.value) == "matrix does not preserve the order on probe pair (-2, -1) < (-1, -2)"
+    a = HahnPoly(MonoidCtx.lex(2), 1, {(0, 1): 1, (1, 0): 1})
+    with pytest.raises(ValueError) as exc:
+        apply_oaut(swap, a)
+    assert str(exc.value) == "relabeling does not preserve the order on support pair (0, 1) < (1, 0)"
+
+
+def test_non_integral_matrix_entries_are_rejected():
+    with pytest.raises(TypeError):
+        ExponentAut(LEX1, ((F(3, 2),),))
+    with pytest.raises(TypeError):
+        ExponentAut(LEX1, ((1.5,),))
+
+
 def test_exponent_aut_keeps_the_weight_on_weighted_contexts():
     w13 = MonoidCtx.weighted(1, 3)
     # Sends (-8, 3), of weight 1, to (5, -2), of weight -1; no probe pair shows it.
