@@ -24,7 +24,7 @@ class WeightBoundError(NSeriesError):
 
 
 class IncompleteTableError(NSeriesError):
-    """An operator table is missing the image of a basis monomial."""
+    """An operator table's images do not match the basis: one is missing or extra."""
 
 
 class WitnessError(NSeriesError):

@@ -61,6 +61,8 @@ class FreeSeries(SparseSeries):
     _grade = staticmethod(len)
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet_size", operator.index(self.alphabet_size))
+        object.__setattr__(self, "grade", operator.index(self.grade))
         if self.alphabet_size < 0:
             raise ValueError("alphabet size must be >= 0")
         if self.grade < 0:
@@ -215,4 +217,4 @@ def free_to_json(P: FreeSeries) -> dict:
 
 def free_from_json(data: Mapping) -> FreeSeries:
     terms = {tuple(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
-    return FreeSeries(int(data["alphabet"]), int(data["grade"]), terms)
+    return FreeSeries(data["alphabet"], data["grade"], terms)

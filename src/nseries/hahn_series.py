@@ -9,6 +9,7 @@ keys, the context weight as grade and vector addition as key product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -27,6 +28,7 @@ class HahnPoly(SparseSeries):
     _MISMATCH = "series live over different contexts or bounds"
 
     def __post_init__(self):
+        object.__setattr__(self, "bound", operator.index(self.bound))
         if self.bound < 0:
             raise ValueError("weight bound must be >= 0")
         self._canonicalise()
@@ -114,6 +116,6 @@ def hahn_to_json(a: HahnPoly) -> dict:
 
 def hahn_from_json(data: Mapping) -> HahnPoly:
     c = data["ctx"]
-    ctx = MonoidCtx(int(c["dim"]), c["kind"], tuple(c["weights"]))
+    ctx = MonoidCtx(c["dim"], c["kind"], tuple(c["weights"]))
     terms = {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]}
-    return HahnPoly(ctx, int(data["bound"]), terms)
+    return HahnPoly(ctx, data["bound"], terms)

@@ -32,6 +32,8 @@ from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -49,7 +51,7 @@ class OpTable:
     """Image table of a strongly linear operator at truncation.
 
     `images` must assign a series to every exponent of weight <= bound in
-    the nonnegative cone; missing entries fail fast.
+    the nonnegative cone and to nothing else; a missing or extra key fails fast.
     """
 
     ctx: MonoidCtx
@@ -74,6 +76,9 @@ class OpTable:
                 f"table is missing images for basis exponents {missing[:4]}"
                 + ("..." if len(missing) > 4 else "")
             )
+        if len(canon) != len(universe):  # no key is missing, so some key is extra
+            extra = next(m for m in canon if m not in universe)
+            raise IncompleteTableError(f"table has an image for {extra}, outside the basis")
         object.__setattr__(self, "images", canon)
 
     # -- constructors -------------------------------------------------
@@ -131,16 +136,22 @@ class OpTable:
 
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
-    """Apply by linear extension over the support of `a`."""
+    """Apply by linear extension over the support of `a`: every coeff * c
+    lands in one dict, and one series is built from it."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    out = HahnPoly.zero(table.ctx, table.bound)
+    out: dict = {}
     for exp, coeff in a.terms.items():
         img = table.images.get(exp)
         if img is None:
             raise IncompleteTableError(f"no tabulated image for basis exponent {exp}")
-        out = out + img.scale(coeff)
-    return out
+        for q, c in img.terms.items():
+            total = out.get(q, _ZERO) + coeff * c
+            if total:
+                out[q] = total
+            else:  # leave now, so a later term re-enters q last, as a sum of series would
+                del out[q]
+    return HahnPoly(table.ctx, table.bound, out)
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
@@ -219,17 +230,12 @@ def _extend(ctx: MonoidCtx, bound: int, unit: HahnPoly, gen_images, step) -> OpT
     return OpTable(ctx, bound, images)
 
 
-def _generator_check(table: OpTable, weight_budget, unit: HahnPoly, unit_witness, step):
+def _generator_check(table: OpTable, unit: HahnPoly, unit_witness, step):
     """The pass behind both predicates: t^0 must map to `unit`, and each nonzero
-    t^m within the budget to step(m - e, e) over the table's own images."""
-    budget = table.bound if weight_budget is None else weight_budget
-    if not 0 <= budget <= table.bound:
-        raise ValueError(f"weight budget {budget} lies outside [0, {table.bound}]")
+    t^m to step(m - e, e) over the table's own images."""
     if table.images[(0,) * table.ctx.dim] != unit:
         return CheckResult(False, unit_witness)
     for m, rest, e in _generator_walk(table.ctx, table.bound):
-        if table.ctx.weight(m) > budget:
-            break
         if table.images[m] != step(table.images, rest, e):
             return CheckResult(False, (rest, e))
     return CheckResult(True)
@@ -259,39 +265,39 @@ def substitution_endomorphism(
     return _extend(ctx, bound, HahnPoly.one(ctx, bound), gen_images, _multiplicative)
 
 
-def op_is_derivation(table: OpTable, weight_budget: int | None = None) -> CheckResult:
-    """Leibniz rule on all basis pairs within the weight budget, 0 <= budget <= N.
+def op_is_derivation(table: OpTable) -> CheckResult:
+    """Leibniz rule on every basis pair of total weight at most the bound.
 
-    Decided in one pass: D(1) = 0 and D(t^m) = D(t^e) t^(m-e) + t^e D(t^(m-e))
-    for each nonzero t^m within the budget.  By induction on weight, D is then
-    the Leibniz extension of its generator images, which obeys the rule on
-    every pair.  Witness: the failing pair (m - e, e), or (0, 0).
+    Decided in one pass over the whole table: D(1) = 0 and D(t^m) = D(t^e)
+    t^(m-e) + t^e D(t^(m-e)) for each nonzero t^m.  By induction on weight, D
+    is then the Leibniz extension of its generator images, which obeys the
+    rule on every pair.  Witness: the failing pair (m - e, e), or (0, 0).
     """
     zero = (0,) * table.ctx.dim
     unit = HahnPoly.zero(table.ctx, table.bound)
-    return _generator_check(table, weight_budget, unit, (zero, zero), _leibniz)
+    return _generator_check(table, unit, (zero, zero), _leibniz)
 
 
-def op_is_unital_endomorphism(table: OpTable, weight_budget: int | None = None) -> CheckResult:
-    """sigma(1) = 1 and multiplicativity on basis pairs within the budget, 0 <= budget <= N.
+def op_is_unital_endomorphism(table: OpTable) -> CheckResult:
+    """sigma(1) = 1 and multiplicativity on every basis pair of total weight at most the bound.
 
-    Decided in one pass: sigma(t^m) = sigma(t^e) sigma(t^(m-e)) for each nonzero
-    t^m within the budget.  By induction on weight, sigma is then multiplicative
-    on every pair.  Witness: the failing pair (m - e, e), or "unit".
+    Decided in one pass over the whole table: sigma(t^m) = sigma(t^e)
+    sigma(t^(m-e)) for each nonzero t^m.  By induction on weight, sigma is
+    then multiplicative on every pair.  Witness: the failing pair (m - e, e),
+    or "unit".
     """
     unit = HahnPoly.one(table.ctx, table.bound)
-    return _generator_check(table, weight_budget, unit, "unit", _multiplicative)
+    return _generator_check(table, unit, "unit", _multiplicative)
 
 
-def op_evaluate(
-    P: FreeSeries, args: Sequence[OpTable], require_contracting: bool = True
-) -> OpTable:
-    """Evaluate a free series at a tuple of operator tables.
+def op_evaluate(P: FreeSeries, args: Sequence[OpTable]) -> OpTable:
+    """Evaluate a free series at a tuple of contracting operator tables.
 
     Returns P(empty)*Id plus the sum over nonempty words theta of length at
-    most the bound of P(theta) * (args[theta_1] o ... o args[theta_n]).  With
-    contracting arguments the cutoff is exact: longer compositions vanish on
-    the truncated universe because each factor raises weight.
+    most the bound of P(theta) * (args[theta_1] o ... o args[theta_n]).  The
+    arguments must be contracting, so the cutoff is exact: longer
+    compositions vanish on the truncated universe because each factor raises
+    weight.  A non-contracting argument raises NotContractingError.
     """
     if not args:
         raise DimensionMismatchError("evaluation needs at least one operator argument")
@@ -306,14 +312,13 @@ def op_evaluate(
         raise DimensionMismatchError(
             f"series grade {P.grade} is below the operator bound {first.bound}"
         )
-    if require_contracting:
-        for i, t in enumerate(args):
-            chk = op_is_contracting(t)
-            if not chk:
-                raise NotContractingError(
-                    f"argument {i} is not contracting at basis pair {chk.witness}",
-                    witness=(i, chk.witness),
-                )
+    for i, t in enumerate(args):
+        chk = op_is_contracting(t)
+        if not chk:
+            raise NotContractingError(
+                f"argument {i} is not contracting at basis pair {chk.witness}",
+                witness=(i, chk.witness),
+            )
     one = OpTable.identity(first.ctx, first.bound)
     return evaluate_words(P, args, one, op_compose, first.bound)
 

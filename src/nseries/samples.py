@@ -22,15 +22,18 @@ from .vaut_factors import AdditiveChar, CharacterX
 
 # Terms drawn per image or generator image by the random tables below.
 DENSITY = 2
+# Random coefficients are n/d with |n| <= SPAN and 1 <= d <= DEN.
+SPAN = 4
+DEN = 4
 
 
-def random_fraction(rng: random.Random, span: int = 4, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-SPAN, SPAN), rng.randint(1, DEN))
 
 
-def nonzero_fraction(rng: random.Random, span: int = 4, den: int = 4) -> Fraction:
+def nonzero_fraction(rng: random.Random) -> Fraction:
     while True:
-        f = random_fraction(rng, span, den)
+        f = random_fraction(rng)
         if f != 0:
             return f
 

@@ -4,7 +4,8 @@ Exponents are integer tuples.  A context fixes the dimension, one of three
 translation-invariant partial orders (lexicographic, componentwise product,
 weight-then-lex) and an additive weight used for truncation bookkeeping.
 `MonoidCtx.generators` gives the unit vectors e_i to every module, and
-`operator.index` rejects a non-integral exponent or weight with TypeError.
+`operator.index` rejects a non-integral exponent, weight or dimension with
+TypeError.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ LEX = "lex"
 PRODUCT = "product"
 WEIGHTED = "weighted"
 _KINDS = (LEX, PRODUCT, WEIGHTED)
+
+# Largest fragment `max_antichain` searches; the branch search is exponential.
+ANTICHAIN_CAP = 64
 
 
 class Cmp(enum.Enum):
@@ -49,6 +53,7 @@ class MonoidCtx:
     weights: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 1:
             raise ValueError("context dimension must be >= 1")
         if self.kind not in _KINDS:
@@ -139,16 +144,16 @@ def minimal_elements(frag: FinitePosetFragment) -> set[ExpVec]:
     return out
 
 
-def max_antichain(frag: FinitePosetFragment, cap: int = 64) -> set[ExpVec]:
+def max_antichain(frag: FinitePosetFragment) -> set[ExpVec]:
     """A maximum-cardinality antichain, found by exhaustive branch search.
 
     Ties are broken by the deterministic element order, so the result is
-    reproducible.  Fragments larger than `cap` are rejected.
+    reproducible.  Fragments larger than ANTICHAIN_CAP are rejected.
     """
     elems = frag.sorted_elements()
-    if len(elems) > cap:
+    if len(elems) > ANTICHAIN_CAP:
         raise ResourceLimitError(
-            f"fragment has {len(elems)} elements, exceeding the cap of {cap}"
+            f"fragment has {len(elems)} elements, exceeding the cap of {ANTICHAIN_CAP}"
         )
     ctx = frag.ctx
     best: list[ExpVec] = []

@@ -33,7 +33,6 @@ from .hahn_series import HahnPoly
 from .operators import (
     CheckResult,
     OpTable,
-    op_apply,
     op_compose,
     op_is_contracting,
     op_is_unital_endomorphism,
@@ -390,17 +389,11 @@ def one_aut_check(table: OpTable) -> CheckResult:
 
 
 def compose_factors(f: FactorAut) -> OpTable:
-    """Recompose residual o character-rescale o exponent-relabeling as a table."""
-    ctx = f.residual.ctx
-    bound = f.residual.bound
+    """Recompose residual o character-rescale o exponent-relabeling by composing their tables."""
+    ctx, bound = f.residual.ctx, f.residual.bound
     if f.mu.ctx != ctx or f.chi.ctx != ctx:
         raise DimensionMismatchError("factor components live over different contexts")
-
-    def image(m):
-        relabeled = apply_oaut(f.mu, HahnPoly.monomial(ctx, bound, m))
-        return op_apply(f.residual, apply_gexp(f.chi, relabeled))
-
-    return OpTable.from_function(ctx, bound, image)
+    return op_compose(f.residual, op_compose(gexp_table(f.chi, bound), oaut_table(f.mu, bound)))
 
 
 def decompose_vaut(sigma: OpTable) -> FactorAut:
@@ -452,6 +445,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     base = CharacterX(ctx, tuple(lead_coeff[g] for g in gens))
     minv = mu.inverse()
     chi = CharacterX(ctx, tuple(base.at(minv.apply(g)) for g in gens))
+    # The chain of compose_factors, inverted: sigma o (relabel)^(-1) o (rescale)^(-1).
     residual = op_compose(
         op_compose(sigma, oaut_table(minv, bound)), gexp_table(chi.inverse(), bound)
     )

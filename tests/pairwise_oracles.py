@@ -1,17 +1,30 @@
-"""Slow reference routes for the generator walk, the word evaluator and the
-bracket expansion.
+"""Slow reference routes for the generator walk, the word evaluator, table
+application, factor recomposition and the bracket expansion.
 
 The pairwise scans check the Leibniz rule or multiplicativity on every basis
-pair within the weight budget, O(B^2) table applications.  The closed-form
-builders extend generator images by sum_i m_i t^(m - e_i) D(t^e_i) and by
-products of powers.  The naive word sum builds each word's product from
-scratch.  `nseries.operators` and `nseries.free_algebra` compute the same in
-one pass; the tests compare the two.  The left-normed bracket loop expands
+pair of total weight at most the bound, O(B^2) table applications.  The
+closed-form builders extend generator images by sum_i m_i t^(m - e_i)
+D(t^e_i) and by products of powers.  The naive word sum builds each word's
+product from scratch.  `nseries.operators` and `nseries.free_algebra` compute
+the same in one pass; the tests compare the two.  The folded application
+builds one series per term, out + image.scale(coeff), where `op_apply`
+accumulates into one dict, and the per-monomial recomposition applies the
+three factors to each basis monomial in turn, where `compose_factors`
+composes their tables.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.
 """
 
-from nseries import CheckResult, HahnPoly, OpTable, op_apply
+from nseries import (
+    CheckResult,
+    DimensionMismatchError,
+    HahnPoly,
+    IncompleteTableError,
+    OpTable,
+    apply_gexp,
+    apply_oaut,
+    op_apply,
+)
 from nseries.support_order import vec_sub
 
 
@@ -34,29 +47,27 @@ def multiplicative_on(table, m1, m2) -> bool:
     return op_apply(table, t1 * t2) == op_apply(table, t1) * op_apply(table, t2)
 
 
-def budget_pairs(table, weight_budget=None):
-    """Basis pairs (m1, m2), m1 not after m2, with total weight in the budget."""
-    budget = table.bound if weight_budget is None else weight_budget
-    ctx = table.ctx
-    basis = [m for m in table.basis() if ctx.weight(m) <= budget]
+def basis_pairs(table):
+    """Basis pairs (m1, m2), m1 not after m2, with total weight at most the bound."""
+    ctx, basis = table.ctx, table.basis()
     for i, m1 in enumerate(basis):
         for m2 in basis[i:]:
-            if ctx.weight(m1) + ctx.weight(m2) <= budget:
+            if ctx.weight(m1) + ctx.weight(m2) <= table.bound:
                 yield m1, m2
 
 
-def pairwise_derivation(table, weight_budget=None) -> CheckResult:
-    for m1, m2 in budget_pairs(table, weight_budget):
+def pairwise_derivation(table) -> CheckResult:
+    for m1, m2 in basis_pairs(table):
         if not leibniz_holds(table, m1, m2):
             return CheckResult(False, (m1, m2))
     return CheckResult(True)
 
 
-def pairwise_unital_endomorphism(table, weight_budget=None) -> CheckResult:
+def pairwise_unital_endomorphism(table) -> CheckResult:
     unit = HahnPoly.one(table.ctx, table.bound)
     if op_apply(table, unit) != unit:
         return CheckResult(False, "unit")
-    for m1, m2 in budget_pairs(table, weight_budget):
+    for m1, m2 in basis_pairs(table):
         if not multiplicative_on(table, m1, m2):
             return CheckResult(False, (m1, m2))
     return CheckResult(True)
@@ -86,6 +97,32 @@ def product_of_powers(ctx, bound, gen_images) -> OpTable:
         for i, e in enumerate(m):
             out = out * gen_images[i].power(e)
         return out
+
+    return OpTable.from_function(ctx, bound, image)
+
+
+def folded_apply(table, a) -> HahnPoly:
+    """Apply by folding out + image.scale(coeff) over the terms of `a`."""
+    if table.ctx != a.ctx or table.bound != a.bound:
+        raise DimensionMismatchError("operator and series contexts differ")
+    out = HahnPoly.zero(table.ctx, table.bound)
+    for exp, coeff in a.terms.items():
+        img = table.images.get(exp)
+        if img is None:
+            raise IncompleteTableError(f"no tabulated image for basis exponent {exp}")
+        out = out + img.scale(coeff)
+    return out
+
+
+def per_monomial_compose_factors(f) -> OpTable:
+    """t^m -> residual(rescale(relabel(t^m))), one basis monomial at a time."""
+    ctx, bound = f.residual.ctx, f.residual.bound
+    if f.mu.ctx != ctx or f.chi.ctx != ctx:
+        raise DimensionMismatchError("factor components live over different contexts")
+
+    def image(m):
+        relabeled = apply_oaut(f.mu, HahnPoly.monomial(ctx, bound, m))
+        return folded_apply(f.residual, apply_gexp(f.chi, relabeled))
 
     return OpTable.from_function(ctx, bound, image)
 

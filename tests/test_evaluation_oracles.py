@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nseries import FreeSeries, MonoidCtx, OpTable, fs_substitute, op_compose, op_evaluate
-from nseries.samples import random_contracting_table, random_free_series, random_hahn
+from nseries.samples import random_contracting_table, random_free_series
 from pairwise_oracles import naive_word_sum
 
 CONTEXTS = ((MonoidCtx.lex(1), 5), (MonoidCtx.product(2), 3), (MonoidCtx.weighted(1, 2), 4))
@@ -15,22 +15,15 @@ CONTEXTS = ((MonoidCtx.lex(1), 5), (MonoidCtx.product(2), 3), (MonoidCtx.weighte
 PROPERTY = settings(max_examples=60)
 
 
-def _any_table(rng, ctx, bound):
-    """A table with arbitrary images, in general neither contracting nor nilpotent."""
-    return OpTable.from_function(ctx, bound, lambda m: random_hahn(rng, ctx, bound, terms=2))
-
-
 @st.composite
 def table_cases(draw):
-    """Arguments and a series whose grade may exceed the table bound by up to 2."""
+    """Contracting arguments and a series whose grade may exceed the table bound by up to 2."""
     ctx, top = draw(st.sampled_from(CONTEXTS))
     bound = draw(st.integers(1, top))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    contracting = draw(st.booleans())
-    build = random_contracting_table if contracting else _any_table
-    args = tuple(build(rng, ctx, bound) for _ in range(draw(st.integers(1, 2))))
+    args = tuple(random_contracting_table(rng, ctx, bound) for _ in range(draw(st.integers(1, 2))))
     P = random_free_series(rng, len(args), bound + draw(st.integers(0, 2)), terms=8)
-    return P, args, contracting
+    return P, args
 
 
 @st.composite
@@ -48,10 +41,10 @@ def substitution_cases(draw):
 @PROPERTY
 @given(table_cases())
 def test_op_evaluate_matches_naive_word_sum(case):
-    P, args, contracting = case
+    P, args = case
     ctx, bound = args[0].ctx, args[0].bound
     want = naive_word_sum(P, args, OpTable.identity(ctx, bound), op_compose, bound)
-    assert op_evaluate(P, args, require_contracting=contracting) == want
+    assert op_evaluate(P, args) == want
 
 
 @PROPERTY

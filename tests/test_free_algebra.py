@@ -101,6 +101,22 @@ def test_non_integral_letters_are_rejected():
         FreeSeries(2, 3, {(0.7, 1): 1})
 
 
+@pytest.mark.parametrize("size", [(2.5, 3), (2, 3.0)])
+def test_non_integral_sizes_are_rejected(size):
+    with pytest.raises(TypeError):
+        FreeSeries(*size, {})
+
+
+@pytest.mark.parametrize("field, value", [("alphabet", 2.5), ("grade", 3.9)])
+def test_free_from_json_rejects_non_integral_sizes(field, value):
+    from nseries.free_algebra import free_from_json, free_to_json
+
+    data = free_to_json(FreeSeries(2, 3, {(0, 1): 1}))
+    data[field] = value
+    with pytest.raises(TypeError):
+        free_from_json(data)
+
+
 def test_mul_associative_and_bilinear():
     rng = random.Random(11)
     for _ in range(15):

@@ -138,6 +138,21 @@ def test_non_integral_exponents_are_rejected():
         HahnPoly(LEX1, 3, {(F(3, 2),): 1})
 
 
+def test_non_integral_bound_is_rejected():
+    with pytest.raises(TypeError):
+        HahnPoly(LEX1, 2.5, {})
+
+
+@pytest.mark.parametrize("field, value", [("dim", 1.7), ("bound", 2.9)])
+def test_hahn_from_json_rejects_non_integral_sizes(field, value):
+    from nseries.hahn_series import hahn_from_json, hahn_to_json
+
+    data = hahn_to_json(HahnPoly(LEX1, 2, {(1,): 1}))
+    (data["ctx"] if field == "dim" else data)[field] = value
+    with pytest.raises(TypeError):
+        hahn_from_json(data)
+
+
 def test_ctx_mismatch():
     with pytest.raises(DimensionMismatchError):
         hp_add(HahnPoly.one(LEX1, 3), HahnPoly.one(LEX1, 4))

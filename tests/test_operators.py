@@ -147,9 +147,6 @@ def test_evaluate_requires_contracting():
     P = FreeSeries.variable(0, 1, 4)
     with pytest.raises(NotContractingError):
         op_evaluate(P, (ident,))
-    # explicit opt-out computes the truncated sum anyway
-    out = op_evaluate(P, (ident,), require_contracting=False)
-    assert out == ident
 
 
 def test_evaluate_grade_too_small():
@@ -220,6 +217,13 @@ def test_incomplete_table_errors():
     stray = HahnPoly(ctx, 3, {(3, -1): 1})
     with pytest.raises(IncompleteTableError):
         op_apply(table, stray)
+
+
+def test_images_outside_the_basis_are_rejected():
+    images = dict(OpTable.identity(LEX1, 2).images)
+    images[(7,)] = HahnPoly.zero(LEX1, 2)
+    with pytest.raises(IncompleteTableError, match=r"image for \(7,\), outside the basis"):
+        OpTable(LEX1, 2, images)
 
 
 def test_strong_linearity_shadow():

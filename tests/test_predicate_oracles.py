@@ -4,7 +4,6 @@ multiplicative extensions against the closed-form builders."""
 
 import random
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,39 +94,35 @@ def cases(draw, build, kinds):
     table = build(draw(st.sampled_from(kinds)), rng, ctx, bound)
     if draw(st.booleans()):
         table = _perturb(rng, table)
-    budget = draw(st.one_of(st.none(), st.integers(0, bound)))
-    return table, budget
+    return table
 
 
-def _within_budget(table, budget, m1, m2):
-    limit = table.bound if budget is None else budget
-    return table.ctx.weight(m1) + table.ctx.weight(m2) <= limit
+def _in_table(table, m1, m2):
+    return table.ctx.weight(m1) + table.ctx.weight(m2) <= table.bound
 
 
 @PROPERTY
 @given(cases(_derivation, ("contracting", "diagonal", "mixed", "table", "table0")))
-def test_derivation_check_matches_pairwise_scan(case):
-    table, budget = case
-    fast = op_is_derivation(table, budget)
-    assert fast.ok == pairwise_derivation(table, budget).ok
+def test_derivation_check_matches_pairwise_scan(table):
+    fast = op_is_derivation(table)
+    assert fast.ok == pairwise_derivation(table).ok
     if not fast:
         m1, m2 = fast.witness
-        assert _within_budget(table, budget, m1, m2)
+        assert _in_table(table, m1, m2)
         assert not leibniz_holds(table, m1, m2)
 
 
 @PROPERTY
 @given(cases(_endomorphism, ("substitution", "exp", "rescaled", "table", "table0")))
-def test_endomorphism_check_matches_pairwise_scan(case):
-    table, budget = case
-    fast = op_is_unital_endomorphism(table, budget)
-    slow = pairwise_unital_endomorphism(table, budget)
+def test_endomorphism_check_matches_pairwise_scan(table):
+    fast = op_is_unital_endomorphism(table)
+    slow = pairwise_unital_endomorphism(table)
     assert fast.ok == slow.ok
     if fast.witness == "unit":
         assert slow.witness == "unit"
     elif not fast:
         m1, m2 = fast.witness
-        assert _within_budget(table, budget, m1, m2)
+        assert _in_table(table, m1, m2)
         assert not multiplicative_on(table, m1, m2)
 
 
@@ -138,15 +133,6 @@ def test_unperturbed_families_pass():
             assert op_is_derivation(_derivation(kind, rng, ctx, bound))
         for kind in ("substitution", "exp", "rescaled"):
             assert op_is_unital_endomorphism(_endomorphism(kind, rng, ctx, bound))
-
-
-@pytest.mark.parametrize("budget", [-1, 4])
-def test_budget_outside_zero_to_bound_is_rejected(budget):
-    table = OpTable.identity(MonoidCtx.lex(1), 3)
-    with pytest.raises(ValueError):
-        op_is_derivation(table, budget)
-    with pytest.raises(ValueError):
-        op_is_unital_endomorphism(table, budget)
 
 
 W13 = MonoidCtx.weighted(1, 3)

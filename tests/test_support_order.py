@@ -50,6 +50,11 @@ def test_non_integral_weights_are_rejected():
         MonoidCtx(2, "lex", (1.5, 1))
 
 
+def test_non_integral_dimension_is_rejected():
+    with pytest.raises(TypeError):
+        MonoidCtx(2.0, "lex", (1, 1))
+
+
 def test_cmp_never_incomparable_on_linear_orders():
     rng = random.Random(2)
     for ctx in (LEX2, W12):

@@ -25,16 +25,13 @@ def test_check_ends_the_step_at_the_first_failure():
         log.append(f"third {i}")
         yield i == 0, f"third, run {i}"
 
-    out = []
-    _check(out, "demo", 5, 3, trial)
-    assert out == [StepResult("demo", False, "second, run 1", 5)]
+    assert _check("demo", 5, 3, trial) == StepResult("demo", False, "second, run 1", 5)
     assert log == ["start 0", "third 0", "start 1"]
 
 
 def test_check_records_a_pass_with_its_bound():
-    out = []
-    _check(out, "demo", None, 2, lambda i: iter([(True, "never shown")]))
-    assert out == [StepResult("demo", True, "", None)]
+    step = _check("demo", None, 2, lambda i: iter([(True, "never shown")]))
+    assert step == StepResult("demo", True, "", None)
 
 
 @pytest.mark.parametrize("suite", SUITES)
