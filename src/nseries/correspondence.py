@@ -36,10 +36,15 @@ def _require_contracting(table: OpTable, role: str) -> None:
         )
 
 
+def _exp(d: OpTable) -> OpTable:
+    """The Taylor sum of `op_exp`, for a table its caller has checked is contracting."""
+    return nilpotent_sum(series_E0(d.bound), d, OpTable.identity(d.ctx, d.bound), op_compose)
+
+
 def op_exp(d: OpTable) -> OpTable:
     """Taylor exponential sum_{n <= N} d^[n] / n! of a contracting table."""
     _require_contracting(d, "exponential argument")
-    return nilpotent_sum(series_E0(d.bound), d, OpTable.identity(d.ctx, d.bound), op_compose)
+    return _exp(d)
 
 
 def op_exp_via_series(d: OpTable) -> OpTable:
@@ -69,11 +74,11 @@ def star(d1: OpTable, d2: OpTable) -> OpTable:
 
     Equal to the oracle op_evaluate(bch_product(N), (d1, d2)) for any contracting
     tables: log(exp X0 . exp X1) is the BCH series modulo words longer than N,
-    and those vanish on contracting tables."""
+    and those vanish on contracting tables.  Each argument is checked once."""
     d1._require_same(d2)
     _require_contracting(d1, "left star argument")
     _require_contracting(d2, "right star argument")
-    return op_log(op_compose(op_exp(d1), op_exp(d2)))
+    return op_log(op_compose(_exp(d1), _exp(d2)))
 
 
 def fractional_iterate(s: OpTable, c) -> OpTable:

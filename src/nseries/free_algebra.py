@@ -12,6 +12,7 @@ is the production route: a one-variable series at a nilpotent element, as in
 exp, log and `unit_inverse`, the geometric inverse of series and tables alike.
 `evaluate_words` evaluates any series word by word; `fs_substitute` and
 `op_evaluate` run it, and through them it is the oracle of the production route.
+Both collect (coefficient, product) pairs and sum them with one `lin_comb`.
 """
 
 from __future__ import annotations
@@ -144,32 +145,35 @@ class FreeSeries(SparseSeries):
 def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
     """The one-variable series P at a nilpotent x: sum of P(X0^n) x^n, n <= P.grade.
 
-    Powers run forward, x^n = mul(x, x^(n-1)) from x^0 = one, and the sum stops
-    at the first zero power.  `x` and `one` need `scale`, `is_zero` and `+`."""
-    acc, pw = one.scale(P.constant_term), one
+    Powers run forward, x^n = mul(x, x^(n-1)) from x^0 = one, and stop at the
+    first zero power; `one.lin_comb` sums the (P(X0^n), x^n) pairs once.  `one`
+    needs `lin_comb`, and the powers `is_zero`."""
+    pairs, pw = [(P.constant_term, one)], one
     for n in range(1, P.grade + 1):
         pw = mul(x, pw)
         if pw.is_zero():
             break
-        acc = acc + pw.scale(P.coefficient((0,) * n))
-    return acc
+        pairs.append((P.coefficient((0,) * n), pw))
+    return one.lin_comb(pairs)
 
 
 def unit_inverse(c, eps, one, mul: Callable, order: int):
-    """(c + eps)^(-1) = (1/c) sum_{n <= order} (-eps/c)^n for c != 0 and nilpotent eps."""
-    geom = FreeSeries(1, order, {(0,) * n: 1 / c for n in range(order + 1)})
-    return nilpotent_sum(geom, eps.scale(-1 / c), one, mul)
+    """(c + eps)^(-1) for c != 0 and nilpotent eps: the series
+    sum_{n <= order} (-1)^n c^-(n+1) X0^n evaluated at eps itself."""
+    geom = FreeSeries(1, order, {(0,) * n: (-1) ** n / c ** (n + 1) for n in range(order + 1)})
+    return nilpotent_sum(geom, eps, one, mul)
 
 
 def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int):
     """The sum of P(w) args[w1]...args[wn] over the words w of P of length <= bound.
 
     Each word's product is its prefix's product times args[wn], computed once
-    per prefix, and a zero prefix ends the word.  It shares no code with
-    `nilpotent_sum`, which it checks.  `one` and the arguments need `scale`,
-    `is_zero` and `+`."""
+    per prefix, and a zero prefix ends the word; `one.lin_comb` sums the
+    (P(w), product) pairs once.  Its word walk shares no code with
+    `nilpotent_sum`, which it checks.  `one` needs `lin_comb`, and the
+    products `is_zero`."""
     products = {(i,): a for i, a in enumerate(args)}
-    acc = one.scale(P.constant_term)
+    pairs = [(P.constant_term, one)]
     for word, coeff in P.sorted_terms():
         if not 0 < len(word) <= bound:
             continue
@@ -179,8 +183,8 @@ def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int
         for n in range(known, len(word)):
             prefix = products[word[:n]]
             products[word[:n + 1]] = prefix if prefix.is_zero() else mul(prefix, args[word[n]])
-        acc = acc + products[word].scale(coeff)
-    return acc
+        pairs.append((coeff, products[word]))
+    return one.lin_comb(pairs)
 
 
 # Named operation surface mirroring the contract above.

@@ -19,7 +19,6 @@ predicates by comparing each image with the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
@@ -30,9 +29,8 @@ from .errors import (
 )
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
+from .sparse import Linear
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class OpTable:
+class OpTable(Linear):
     """Image table of a strongly linear operator at truncation.
 
     `images` must assign a series to every exponent of weight <= bound in
@@ -111,47 +109,28 @@ class OpTable:
     def __call__(self, a: HahnPoly) -> HahnPoly:
         return op_apply(self, a)
 
-    def __add__(self, other: "OpTable") -> "OpTable":
-        self._require_same(other)
-        return OpTable(
-            self.ctx,
-            self.bound,
-            {m: self.images[m] + other.images[m] for m in self.images},
-        )
-
-    def __neg__(self) -> "OpTable":
-        return self.scale(-1)
-
-    def __sub__(self, other: "OpTable") -> "OpTable":
-        return self + (-other)
-
-    def scale(self, c) -> "OpTable":
-        c = Fraction(c)
-        return OpTable(
-            self.ctx, self.bound, {m: img.scale(c) for m, img in self.images.items()}
-        )
+    def lin_comb(self, pairs) -> "OpTable":
+        """The sum of c*t over the (c, t) pairs: one `HahnPoly.lin_comb` per basis image."""
+        pairs = list(pairs)
+        for _, t in pairs:
+            self._require_same(t)
+        return OpTable(self.ctx, self.bound, {
+            m: img.lin_comb((c, t.images[m]) for c, t in pairs) for m, img in self.images.items()
+        })
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
 
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
-    """Apply by linear extension over the support of `a`: every coeff * c
-    lands in one dict, and one series is built from it."""
+    """Apply by linear extension over the support of `a`: the combination of
+    the images of its exponents with its coefficients, one `lin_comb`."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    out: dict = {}
-    for exp, coeff in a.terms.items():
-        img = table.images.get(exp)
-        if img is None:
-            raise IncompleteTableError(f"no tabulated image for basis exponent {exp}")
-        for q, c in img.terms.items():
-            total = out.get(q, _ZERO) + coeff * c
-            if total:
-                out[q] = total
-            else:  # leave now, so a later term re-enters q last, as a sum of series would
-                del out[q]
-    return HahnPoly(table.ctx, table.bound, out)
+    missing = next((exp for exp in a.terms if exp not in table.images), None)
+    if missing is not None:
+        raise IncompleteTableError(f"no tabulated image for basis exponent {missing}")
+    return a.lin_comb((coeff, table.images[exp]) for exp, coeff in a.terms.items())
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
@@ -164,10 +143,7 @@ def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:
     """Pointwise sum of a nonempty finite family of tables."""
     if not tables:
         raise ValueError("lin_sum needs at least one table to fix the context")
-    acc = tables[0]
-    for t in tables[1:]:
-        acc = acc + t
-    return acc
+    return tables[0].lin_comb((1, t) for t in tables)
 
 
 def op_bracket(f: OpTable, g: OpTable) -> OpTable:

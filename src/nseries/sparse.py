@@ -5,11 +5,17 @@ bound.  The grade is nonnegative and additive under the key product, so
 dropping the pairs whose grades sum past the bound keeps the product exact
 modulo the ideal of keys above the bound.
 
+`SparseSeries.lin_comb` is the one loop that sums the terms of several
+series.  `+`, `-`, negation and scaling are one call each through `Linear`,
+which operator tables share; a table combines its images with it, and the
+evaluators of `nseries.free_algebra` sum their products with one call.
+
 A subclass is a frozen dataclass whose last field is `terms`.  It supplies
 `_space()` (the fields before `terms`, the bound last), `_check_key`,
 `_grade`, `one(*space)`, the mismatch message `_MISMATCH` and a `__mul__`
 that passes its key product to `_product`; its `__post_init__` checks the
-space and calls `_canonicalise`.
+space and calls `_canonicalise`.  `lin_comb` and the arithmetic of `Linear`
+come with the base class.
 """
 
 from __future__ import annotations
@@ -22,7 +28,24 @@ from .errors import DimensionMismatchError
 _ZERO = Fraction(0)
 
 
-class SparseSeries:
+class Linear:
+    """`+`, `-`, negation and scaling, each one `lin_comb` call; a subclass
+    supplies `lin_comb(pairs)`, the sum of c*x over its (c, x) pairs."""
+
+    def __add__(self, other):
+        return self.lin_comb(((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return self.lin_comb(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        return self.lin_comb(((c, self),))
+
+
+class SparseSeries(Linear):
     """Base of `FreeSeries` and `HahnPoly`: their shared arithmetic."""
 
     def _canonicalise(self) -> None:
@@ -61,24 +84,22 @@ class SparseSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, _ZERO) + c
+    def lin_comb(self, pairs):
+        """The sum of c*s over the (c, s) pairs, in the space of `self`, built once.
+
+        Every term lands in one dict.  A key that cancels leaves it at once, so
+        a later term re-enters the key last, as a fold of `+` would place it."""
+        out: dict = {}
+        for c, s in pairs:
+            self._require_same(s)
+            c = Fraction(c)
+            for key, v in s.terms.items():
+                total = out.get(key, _ZERO) + c * v
+                if total:
+                    out[key] = total
+                else:
+                    out.pop(key, None)
         return type(self)(*self._space(), out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return self.zero(*self._space())
-        return type(self)(*self._space(), {key: c * v for key, v in self.terms.items()})
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of

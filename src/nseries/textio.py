@@ -228,7 +228,16 @@ def parse_op_table(text: str) -> OpTable:
         raise ParseError("empty table text")
     n, header = lines[0]
     try:
-        fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+        fields = {}
+        for part in header.split():
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ParseError(f"table header token {part!r} has no '='")
+            if key not in ("ctx", "N"):
+                raise ParseError(f"unknown table header field {key!r}")
+            if key in fields:
+                raise ParseError(f"repeated table header field {key!r}")
+            fields[key] = value
         if "ctx" not in fields or "N" not in fields:
             raise ParseError(f"table header must carry ctx= and N=: {header!r}")
         ctx = parse_ctx(fields["ctx"])

@@ -1,19 +1,24 @@
-"""Slow reference routes for the generator walk, the word evaluator, table
-application, factor recomposition and the bracket expansion.
+"""Slow reference routes for the generator walk, the word evaluator, linear
+combinations, table application, factor recomposition and the bracket expansion.
 
 The pairwise scans check the Leibniz rule or multiplicativity on every basis
 pair of total weight at most the bound, O(B^2) table applications.  The
 closed-form builders extend generator images by sum_i m_i t^(m - e_i)
 D(t^e_i) and by products of powers.  The naive word sum builds each word's
 product from scratch.  `nseries.operators` and `nseries.free_algebra` compute
-the same in one pass; the tests compare the two.  The folded application
-builds one series per term, out + image.scale(coeff), where `op_apply`
-accumulates into one dict, and the per-monomial recomposition applies the
+the same in one pass; the tests compare the two.  The reference sum folds
+raw term dicts one pair at a time, as `acc + s.scale(c)` once did, and never
+calls `lin_comb`, so the folded application and the word and power sums built
+on it stay independent of the kernel they check.  The per-monomial
+recomposition applies the
 three factors to each basis monomial in turn, where `compose_factors`
 composes their tables.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.
 """
+
+from dataclasses import replace
+from fractions import Fraction
 
 from nseries import (
     CheckResult,
@@ -101,17 +106,42 @@ def product_of_powers(ctx, bound, gen_images) -> OpTable:
     return OpTable.from_function(ctx, bound, image)
 
 
+def reference_terms(pairs) -> dict:
+    """The terms of sum c*s over (c, s) pairs, folded one pair at a time over raw
+    term dicts: each step copies the running dict, adds c*v key by key and drops
+    the zeros only when the step ends."""
+    acc: dict = {}
+    for c, s in pairs:
+        step = dict(acc)
+        for key, v in s.terms.items():
+            step[key] = step.get(key, 0) + Fraction(c) * v
+        acc = {key: v for key, v in step.items() if v != 0}
+    return acc
+
+
+def reference_sum(like, pairs):
+    """sum c*x over (c, x) pairs in the space of `like`, a series or a table,
+    through `reference_terms` and the checked constructor."""
+    pairs = list(pairs)
+    if isinstance(like, OpTable):
+        return replace(like, images={
+            m: reference_sum(img, [(c, t.images[m]) for c, t in pairs])
+            for m, img in like.images.items()
+        })
+    return replace(like, terms=reference_terms(pairs))
+
+
 def folded_apply(table, a) -> HahnPoly:
-    """Apply by folding out + image.scale(coeff) over the terms of `a`."""
+    """Apply by the reference sum of coeff * image over the terms of `a`."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    out = HahnPoly.zero(table.ctx, table.bound)
+    pairs = []
     for exp, coeff in a.terms.items():
         img = table.images.get(exp)
         if img is None:
             raise IncompleteTableError(f"no tabulated image for basis exponent {exp}")
-        out = out + img.scale(coeff)
-    return out
+        pairs.append((coeff, img))
+    return reference_sum(a, pairs)
 
 
 def per_monomial_compose_factors(f) -> OpTable:
@@ -129,15 +159,28 @@ def per_monomial_compose_factors(f) -> OpTable:
 
 def naive_word_sum(P, args, one, mul, bound):
     """P(empty) one plus P(w) args[w1]...args[wn] over the nonempty words of
-    length <= bound, each product built from `one` with no cache or pruning."""
-    acc = one.scale(P.constant_term)
+    length <= bound, each product built from `one` with no cache or pruning,
+    summed by `reference_sum`."""
+    pairs = [(P.constant_term, one)]
     for word, coeff in P.terms.items():
         if 0 < len(word) <= bound:
             product = one
             for letter in word:
                 product = mul(product, args[letter])
-            acc = acc + product.scale(coeff)
-    return acc
+            pairs.append((coeff, product))
+    return reference_sum(one, pairs)
+
+
+def folded_power_sum(P, x, one, mul):
+    """sum of P(X0^n) x^n over every n <= P.grade, x^n built from `one` by n
+    products with no early stop, summed by `reference_sum`."""
+    pairs = []
+    for n in range(P.grade + 1):
+        power = one
+        for _ in range(n):
+            power = mul(x, power)
+        pairs.append((P.coefficient((0,) * n), power))
+    return reference_sum(one, pairs)
 
 
 def left_normed_bracket_loop(word):

@@ -167,6 +167,27 @@ def test_star_examples():
     assert star(d, d.scale(c)) == d.scale(c + 1)
 
 
+def test_star_checks_each_argument_once(monkeypatch):
+    import nseries.correspondence as corr
+
+    seen = []
+
+    def counting(table):
+        seen.append(table)
+        return op_is_contracting(table)
+
+    monkeypatch.setattr(corr, "op_is_contracting", counting)
+    rng = random.Random(13)
+    d1, d2 = (random_contracting_derivation(rng, LEX1, 6) for _ in range(2))
+    star(d1, d2)
+    assert len(seen) == 3  # d1, d2 and the logarithm's argument minus identity
+    ident = OpTable.identity(LEX1, 6)
+    with pytest.raises(NotContractingError, match="left star argument"):
+        star(ident, d2)
+    with pytest.raises(NotContractingError, match="right star argument"):
+        star(d1, ident)
+
+
 def test_star_degree_two_part():
     # at bound 2 the law cuts off after the first bracket term
     bound = 2

@@ -147,6 +147,21 @@ def test_op_table_rejects_bad_integers():
         parse_op_table("\nctx=lex:one N=1\n")
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("ctx=lex:1 N=3 N=2", "repeated table header field 'N'"),
+        ("ctx=lex:1 ctx=prod:1 N=2", "repeated table header field 'ctx'"),
+        ("ctx=lex:1 N=2 foo=1", "unknown table header field 'foo'"),
+        ("ctx=lex:1 N=2 junk", "table header token 'junk' has no '='"),
+    ],
+)
+def test_op_table_header_takes_each_field_once(header, message):
+    body = "\nt^(0) -> 0\nt^(1) -> 0\nt^(2) -> 0\n"
+    with pytest.raises(ParseError, match=f"line 1: {message}"):
+        parse_op_table(header + body)
+
+
 # -- round-trip properties: parse(format(x)) == x ------------------------------
 
 PROPERTY = settings(max_examples=100)

@@ -2,10 +2,12 @@
 
 The set is every corr and vaut job of the benchmark at seeds 1-3, with the
 inputs drawn by `nsbench/workloads.py`, and `verify <suite> --json` for every
-suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  Each command
-runs in this process against the package in `src/` of this checkout; its exit
-code, stdout and stderr enter the digest, with the temporary input directory
-stripped.  Equal digests on two checkouts mean byte-identical outputs.
+suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
+`op eval` of a seeded free series at two seeded contracting tables in three
+contexts at seeds 1-3, `bch --order 8 --json` and `series exp|log --order 8`.
+Each command runs in this process against the package in `src/` of this
+checkout; its exit code, stdout and stderr enter the digest, with the
+temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
 
     python3 tools/output_digest.py
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -23,11 +26,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
-from nseries import cli  # noqa: E402
+from nseries import cli, samples, textio  # noqa: E402
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
 VERIFY_CONFIGS = ((6, 10, 1), (8, 5, 7))
+EVAL_CONTEXTS = (("lex:1", 5), ("prod:2", 3), ("weighted:1,2", 4))
 
 
 def feed(h, argv: list[str], strip: str = "") -> None:
@@ -56,6 +60,21 @@ def main() -> None:
             argv = ["verify", suite, "--order", str(order), "--trials", str(trials),
                     "--seed", str(seed), "--json"]
             feed(h, argv)
+    for descr, bound in EVAL_CONTEXTS:
+        ctx = textio.parse_ctx(descr)
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            tables = [samples.random_contracting_table(rng, ctx, bound) for _ in range(2)]
+            series = samples.random_free_series(rng, 2, bound, terms=8)
+            with tempfile.TemporaryDirectory() as tmp:
+                t0, t1, P = (Path(tmp, name) for name in ("t0.tbl", "t1.tbl", "P.txt"))
+                t0.write_text(textio.format_op_table(tables[0]))
+                t1.write_text(textio.format_op_table(tables[1]))
+                P.write_text(textio.format_free(series))
+                feed(h, ["op", "eval", "-P", str(P), "-f", str(t0), str(t1)], strip=tmp + "/")
+    for argv in (["bch", "--order", "8", "--json"], ["series", "exp", "--order", "8"],
+                 ["series", "log", "--order", "8"]):
+        feed(h, argv)
     print(h.hexdigest())
 
 
