@@ -67,7 +67,10 @@ def _mark(passed: bool) -> str:
 
 def _read_factors(text: str) -> FactorAut:
     """The factor JSON that `vaut decompose` writes; a ParseError names the bad field."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"factor JSON is malformed: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("factor JSON must be an object with fields mu, chi and residual")
     for name in ("mu", "chi", "residual"):
@@ -112,22 +115,20 @@ def _read(path: str) -> str:
 
 def _cmd_bch(args) -> int:
     series = bch_product(args.order)
+    oracle = dynkin_bch(args.order) if args.oracle else None
+    agrees = oracle is None or series == oracle
     if args.json:
         payload = {"schema": SCHEMA, "series": free_to_json(series)}
-        if args.oracle:
-            oracle = dynkin_bch(args.order)
+        if oracle is not None:
             payload["oracle"] = free_to_json(oracle)
-            payload["agrees"] = series == oracle
+            payload["agrees"] = agrees
         _emit_json(payload)
-        return 0 if (not args.oracle or payload["agrees"]) else 1
-    print(format_free(series))
-    if args.oracle:
-        oracle = dynkin_bch(args.order)
-        agrees = series == oracle
-        print(f"oracle: {format_free(oracle)}")
-        print(f"{_mark(agrees)} commutator-formula oracle agreement")
-        return 0 if agrees else 1
-    return 0
+    else:
+        print(format_free(series))
+        if oracle is not None:
+            print(f"oracle: {format_free(oracle)}")
+            print(f"{_mark(agrees)} commutator-formula oracle agreement")
+    return 0 if agrees else 1
 
 
 def _cmd_series(args) -> int:
@@ -363,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NSeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,10 @@ endomorphism close to the identity; conversely log(s) = sum (-1)^(n+1)/n
 another exactly at the truncation.  The induced group law on derivations is
 computed as star(d1, d2) = log(exp d1 o exp d2); evaluating the BCH series at
 (d1, d2) is its oracle in `verify` and the tests.
+
+Each public entry checks its inputs once.  The unchecked bodies `_exp` and
+`_log` then run on the tables that are contracting by construction: sums and
+compositions of contracting tables, their scalar multiples, and exp d - Id.
 """
 
 from __future__ import annotations
@@ -52,16 +56,21 @@ def op_exp_via_series(d: OpTable) -> OpTable:
     return op_evaluate(series_E0(d.bound), (d,))
 
 
+def _log(eps: OpTable) -> OpTable:
+    """The Taylor sum of `op_log` at Id + eps, for an eps its caller has checked is contracting."""
+    ident = OpTable.identity(eps.ctx, eps.bound)
+    return nilpotent_sum(series_L0(eps.bound), eps, ident, op_compose)
+
+
 def op_log(s: OpTable) -> OpTable:
     """Logarithm sum_{1 <= n <= N} (-1)^(n+1)/n (s - Id)^[n].
 
     Requires s - Id to be contracting; when s is moreover a unital
     endomorphism, the result satisfies the Leibniz rule.
     """
-    ident = OpTable.identity(s.ctx, s.bound)
-    eps = s - ident
+    eps = s - OpTable.identity(s.ctx, s.bound)
     _require_contracting(eps, "logarithm argument minus identity")
-    return nilpotent_sum(series_L0(s.bound), eps, ident, op_compose)
+    return _log(eps)
 
 
 def op_log_via_series(s: OpTable) -> OpTable:
@@ -74,18 +83,20 @@ def star(d1: OpTable, d2: OpTable) -> OpTable:
 
     Equal to the oracle op_evaluate(bch_product(N), (d1, d2)) for any contracting
     tables: log(exp X0 . exp X1) is the BCH series modulo words longer than N,
-    and those vanish on contracting tables.  Each argument is checked once."""
+    and those vanish on contracting tables.  Each argument is checked once;
+    exp d1 o exp d2 - Id is contracting by construction."""
     d1._require_same(d2)
     _require_contracting(d1, "left star argument")
     _require_contracting(d2, "right star argument")
-    return op_log(op_compose(_exp(d1), _exp(d2)))
+    return _log(op_compose(_exp(d1), _exp(d2)) - OpTable.identity(d1.ctx, d1.bound))
 
 
 def fractional_iterate(s: OpTable, c) -> OpTable:
     """The iterate exp(c log s) for any exact rational exponent c.
 
     Requires s to be a unital endomorphism with s - Id contracting; iterates
-    compose additively in c and commute with s.
+    compose additively in c and commute with s.  c log s is contracting by
+    construction, so only s is checked.
     """
     chk = op_is_unital_endomorphism(s)
     if not chk:
@@ -93,7 +104,7 @@ def fractional_iterate(s: OpTable, c) -> OpTable:
             f"fractional iteration needs a unital endomorphism; failed at {chk.witness}",
             witness=chk.witness,
         )
-    return op_exp(op_log(s).scale(Fraction(c)))
+    return _exp(op_log(s).scale(Fraction(c)))
 
 
 @dataclass(frozen=True)
@@ -142,13 +153,14 @@ def push_morphism(
 
     Returns (exp d, exp phi(d)) after verifying that phi(d) is contracting
     and that transporting exp d through log, phi and exp lands on the same
-    automorphism.
+    automorphism.  d and both images under phi are checked, since phi is
+    caller code; exp d - Id is contracting by construction.
     """
     _require_contracting(d, "derivation")
     fd = phi(d)
     _require_contracting(fd, "morphism image")
-    sigma_in = op_exp(d)
-    sigma_out = op_exp(fd)
-    if op_exp(phi(op_log(sigma_in))) != sigma_out:
+    sigma_in = _exp(d)
+    sigma_out = _exp(fd)
+    if op_exp(phi(_log(sigma_in - OpTable.identity(d.ctx, d.bound)))) != sigma_out:
         raise NotContractingError("morphism does not commute with the exponential")
     return sigma_in, sigma_out

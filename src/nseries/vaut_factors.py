@@ -8,7 +8,9 @@ automorphism table factors as
 
     residual  o  character rescale  o  exponent relabeling
 
-with a near-identity residual, and the factorization round-trips exactly.
+with a near-identity residual, and the factorization round-trips exactly:
+`decompose_vaut` reads the residual off the table, and `compose_factors`
+recomposes the three tables as an independent check.
 Both character kinds share one base, which holds the values, the dimension
 check and the context check of the group law.  `_order_violation` is the one
 order-preservation scan, over `ExponentAut` probes and raw relabeling supports.
@@ -320,41 +322,13 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
 
 # -- middle correspondence ---------------------------------------------------
 
-def middle_correspond(
-    alpha: AdditiveChar,
-    e_values: Mapping | None = None,
-    *,
-    mode: str = "declared",
-    order: int | None = None,
-) -> CharacterX:
-    """Character e o alpha from declared (or truncated-Taylor) exponentials.
+def middle_correspond(alpha: AdditiveChar, e_values: Mapping) -> CharacterX:
+    """The character e o alpha from declared values of the exponential e.
 
-    No exact exponential exists on the rationals, so its finitely many needed
-    values are either supplied (`declared`, with the homomorphism law checked
-    on all probed sums of declared points) or synthesized as truncated Taylor
-    sums (`taylor`, needs `order`).
+    No exact exponential exists on the rationals, so the finitely many values
+    e(v) that alpha needs are declared, and the homomorphism law
+    e(u) e(v) = e(u + v) is checked on every sum of declared points.
     """
-    if mode == "taylor":
-        if order is None:
-            raise ValueError("taylor mode needs a truncation order")
-        vals = []
-        for v in alpha.values:
-            acc = Fraction(0)
-            term = Fraction(1)
-            for n in range(order + 1):
-                if n > 0:
-                    term = term * v / n
-                acc += term
-            if acc == 0:
-                raise InconsistentExponentialError(
-                    f"truncated exponential of {v} vanishes at order {order}"
-                )
-            vals.append(acc)
-        return CharacterX(alpha.ctx, tuple(vals))
-    if mode != "declared":
-        raise ValueError(f"unknown exponential mode {mode!r}")
-    if e_values is None:
-        raise ValueError("declared mode needs exponential values")
     table = {Fraction(k): Fraction(v) for k, v in e_values.items()}
     if any(v == 0 for v in table.values()):
         raise InconsistentExponentialError("exponential values must be nonzero")
@@ -399,11 +373,16 @@ def compose_factors(f: FactorAut) -> OpTable:
 def decompose_vaut(sigma: OpTable) -> FactorAut:
     """Split a valuation-compatible automorphism table into its three factors.
 
-    The exponent map is read off the (unique) minimal support exponent of
-    each basis image; it must extend the generator images linearly and be a
-    unimodular order automorphism.  The character is chosen so that the
-    residual sigma o (relabel)^(-1) o (rescale)^(-1) is a near-identity
-    automorphism; any failure along the way reports a witness.
+    The exponent map mu is read off the (unique) minimal support exponent of
+    each basis image; it must extend the generator images linearly, be a
+    unimodular order automorphism and keep every leading exponent in the
+    basis, so that mu permutes the basis.  With base the character of the
+    leading generator coefficients, chi = base o mu^(-1) takes
+    chi(mu m) = base(m), so the residual is read off sigma directly:
+    residual(t^(mu m)) = sigma(t^m) / base(m).  It must be a near-identity
+    automorphism, and recomposing the factors must give sigma back, which
+    checks the reading by composing tables; any failure along the way
+    reports a witness.
     """
     ctx, bound = sigma.ctx, sigma.bound
     endo = op_is_unital_endomorphism(sigma)
@@ -413,17 +392,13 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
             witness=endo.witness,
         )
     lead: dict[ExpVec, ExpVec] = {}
-    lead_coeff: dict[ExpVec, Fraction] = {}
     for m in sigma.basis():
-        img = sigma.images[m]
-        mins = minimal_elements(FinitePosetFragment.of(ctx, img.support))
+        mins = minimal_elements(FinitePosetFragment.of(ctx, sigma.images[m].support))
         if len(mins) != 1:
             raise NotDecomposableError(
                 f"image of {m} has {len(mins)} minimal support exponents", witness=m
             )
-        (lm,) = mins
-        lead[m] = lm
-        lead_coeff[m] = img.coefficient(lm)
+        (lead[m],) = mins
     gens = ctx.generators()
     matrix = tuple(tuple(lead[g][i] for g in gens) for i in range(ctx.dim))
     try:
@@ -438,16 +413,15 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
                 f"leading exponent of {m} is {lead[m]}, not the linear image {mat_vec(matrix, m)}",
                 witness=m,
             )
-    # Character making the residual near-identity: on a generator e_i the
-    # recomposition carries coefficient chi(mu e_i), so chi must take the
-    # observed leading coefficient at mu^(-1) e_i.  For mu = id this is just
-    # the leading coefficient at e_i.
-    base = CharacterX(ctx, tuple(lead_coeff[g] for g in gens))
-    minv = mu.inverse()
-    chi = CharacterX(ctx, tuple(base.at(minv.apply(g)) for g in gens))
-    # The chain of compose_factors, inverted: sigma o (relabel)^(-1) o (rescale)^(-1).
-    residual = op_compose(
-        op_compose(sigma, oaut_table(minv, bound)), gexp_table(chi.inverse(), bound)
+        if lead[m] not in sigma.images:
+            raise NotDecomposableError(
+                f"leading exponent of {m} is {lead[m]}, outside the basis", witness=m
+            )
+    base = CharacterX(ctx, tuple(sigma.images[g].coefficient(lead[g]) for g in gens))
+    minv = mat_inverse(matrix)
+    chi = CharacterX(ctx, tuple(base.at(mat_vec(minv, g)) for g in gens))
+    residual = OpTable.from_function(
+        ctx, bound, lambda q: sigma.images[mat_vec(minv, q)].scale(1 / chi.at(q))
     )
     near = one_aut_check(residual)
     if not near:

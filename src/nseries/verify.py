@@ -444,13 +444,16 @@ def suite_vaut(order: int, trials: int, rng: random.Random) -> Iterator[StepResu
 
     def trial(_):
         al = samples.random_additive_char(rng, ctx1)
-        try:
-            x = middle_correspond(al, mode="taylor", order=bound)
-        except InconsistentExponentialError:
-            return  # the truncated exponential may vanish for negative values
         v = al.values[0]
-        expected = sum(c * v ** len(w) for w, c in series_E0(bound).terms.items())
-        yield x.values[0] == expected, "taylor character disagrees with the scalar sum"
+        e = Fraction(1) if v == 0 else samples.nonzero_fraction(rng)
+        x = middle_correspond(al, {v: e})
+        yield x.values == (e,), "character does not take the declared exponential value"
+        try:
+            middle_correspond(al, {v: e, 2 * v: e * e + 1})
+        except InconsistentExponentialError:
+            pass
+        else:
+            yield False, f"declaration e({v}) = {e}, e({2 * v}) = {e * e + 1} was accepted"
         dtab = gder_table(al, bound)
         xtab = gexp_table(x, bound)
         yield op_compose(dtab, xtab) == op_compose(xtab, dtab), "diagonal factors do not commute"

@@ -12,7 +12,9 @@ calls `lin_comb`, so the folded application and the word and power sums built
 on it stay independent of the kernel they check.  The per-monomial
 recomposition applies the
 three factors to each basis monomial in turn, where `compose_factors`
-composes their tables.  The left-normed bracket loop expands
+composes their tables.  The inverse chain composes sigma with the inverse
+relabeling and rescaling tables, where `decompose_vaut` reads the residual
+off sigma directly.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.
 """
@@ -28,7 +30,10 @@ from nseries import (
     OpTable,
     apply_gexp,
     apply_oaut,
+    gexp_table,
+    oaut_table,
     op_apply,
+    op_compose,
 )
 from nseries.support_order import vec_sub
 
@@ -155,6 +160,14 @@ def per_monomial_compose_factors(f) -> OpTable:
         return folded_apply(f.residual, apply_gexp(f.chi, relabeled))
 
     return OpTable.from_function(ctx, bound, image)
+
+
+def inverse_chain_residual(sigma, mu, chi) -> OpTable:
+    """sigma o (relabel by mu)^(-1) o (rescale by chi)^(-1), by composing tables."""
+    bound = sigma.bound
+    return op_compose(
+        op_compose(sigma, oaut_table(mu.inverse(), bound)), gexp_table(chi.inverse(), bound)
+    )
 
 
 def naive_word_sum(P, args, one, mul, bound):

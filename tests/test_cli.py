@@ -53,6 +53,23 @@ def test_bch_oracle_flag(capsys):
     assert "oracle" in out and "PASS" in out
 
 
+def test_bch_oracle_is_built_once_for_text_and_json(capsys, monkeypatch):
+    import nseries.cli as cli
+
+    calls = []
+
+    def wrong_oracle(order):
+        calls.append(order)
+        return cli.bch_product(order).scale(2)
+
+    monkeypatch.setattr(cli, "dynkin_bch", wrong_oracle)
+    code, out, _ = run(capsys, "bch", "--order", "3", "--oracle")
+    assert code == 1 and "FAIL commutator-formula oracle agreement" in out
+    code, out, _ = run(capsys, "bch", "--order", "3", "--oracle", "--json")
+    assert code == 1 and json.loads(out)["agrees"] is False
+    assert calls == [3, 3]
+
+
 def test_series_commands(capsys):
     code, out, _ = run(capsys, "series", "exp", "--order", "3")
     assert code == 0
@@ -230,11 +247,12 @@ def test_parse_error_is_reported(tmp_path, capsys):
         ({"mu": [[1]], "residual": "ctx=lex:1 N=0\nt^(0) -> 1\n"}, "no field 'chi'"),
         ({"mu": 5, "chi": ["1"], "residual": "ctx=lex:1 N=0\nt^(0) -> 1\n"}, "'mu' must be"),
         ([[[1]], ["1"]], "must be an object"),
+        ("not json", "factor JSON is malformed: Expecting value: line 1 column 1"),
     ],
 )
 def test_vaut_compose_rejects_malformed_factor_json(tmp_path, capsys, factors, message):
     path = tmp_path / "factors.json"
-    path.write_text(json.dumps(factors))
+    path.write_text(factors if isinstance(factors, str) else json.dumps(factors))
     code, out, err = run(capsys, "vaut", "compose", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err

@@ -32,7 +32,7 @@ from nseries.samples import (
     random_contracting_table,
     random_substitution_automorphism,
 )
-from nseries.vaut_factors import ExponentAut, pullback_morphism
+from nseries.vaut_factors import CharacterX, ExponentAut, gexp_table, pullback_morphism
 
 LEX1 = MonoidCtx.lex(1)
 
@@ -167,7 +167,8 @@ def test_star_examples():
     assert star(d, d.scale(c)) == d.scale(c + 1)
 
 
-def test_star_checks_each_argument_once(monkeypatch):
+def _count_contracting_checks(monkeypatch):
+    """The tables `op_is_contracting` sees from `nseries.correspondence`, in order."""
     import nseries.correspondence as corr
 
     seen = []
@@ -177,10 +178,15 @@ def test_star_checks_each_argument_once(monkeypatch):
         return op_is_contracting(table)
 
     monkeypatch.setattr(corr, "op_is_contracting", counting)
+    return seen
+
+
+def test_star_checks_each_argument_once(monkeypatch):
+    seen = _count_contracting_checks(monkeypatch)
     rng = random.Random(13)
     d1, d2 = (random_contracting_derivation(rng, LEX1, 6) for _ in range(2))
     star(d1, d2)
-    assert len(seen) == 3  # d1, d2 and the logarithm's argument minus identity
+    assert len(seen) == 2  # d1 and d2; exp d1 o exp d2 - Id is contracting by construction
     ident = OpTable.identity(LEX1, 6)
     with pytest.raises(NotContractingError, match="left star argument"):
         star(ident, d2)
@@ -261,8 +267,18 @@ def test_torsion_free_and_injective():
 
 def test_fractional_iterate_rejects_non_endomorphism():
     s = OpTable.identity(LEX1, 4) + shift_table(LEX1, 4)
-    with pytest.raises(NotContractingError):
+    with pytest.raises(NotContractingError, match="needs a unital endomorphism"):
         fractional_iterate(s, F(1, 2))
+
+
+def test_fractional_iterate_checks_only_its_argument(monkeypatch):
+    s = op_exp(random_contracting_derivation(random.Random(47), LEX1, 6))
+    seen = _count_contracting_checks(monkeypatch)
+    fractional_iterate(s, F(1, 2))
+    assert len(seen) == 1  # s - Id; c log s is contracting by construction
+    doubling = gexp_table(CharacterX(LEX1, (F(2),)), 6)  # an endomorphism, not near Id
+    with pytest.raises(NotContractingError, match="logarithm argument minus identity"):
+        fractional_iterate(doubling, F(1, 2))
 
 
 def test_der_aut_pair_validates():
@@ -308,6 +324,26 @@ def test_push_morphism_pullback_family():
     assert lie_morphism_defect(phi, d1, d2).is_zero()
     s_in, s_out = push_morphism(phi, d1)
     assert op_is_unital_endomorphism(s_out)
+
+
+def test_push_morphism_checks_d_and_both_images_under_phi(monkeypatch):
+    seen = _count_contracting_checks(monkeypatch)
+    d = random_contracting_derivation(random.Random(53), LEX1, 6)
+    push_morphism(lambda t: t.scale(2), d)
+    assert len(seen) == 3  # d, phi(d) and phi of log exp d, since phi is caller code
+    ident = OpTable.identity(LEX1, 6)
+    with pytest.raises(NotContractingError, match="derivation is not contracting"):
+        push_morphism(lambda t: t, ident)
+    with pytest.raises(NotContractingError, match="morphism image is not contracting"):
+        push_morphism(lambda t: ident, d)
+    calls = []
+
+    def first_call_only(t):  # contracting on d, not on the transported derivation
+        calls.append(t)
+        return t if len(calls) == 1 else ident
+
+    with pytest.raises(NotContractingError, match="exponential argument is not contracting"):
+        push_morphism(first_call_only, d)
 
 
 def test_scalar_doubling_is_not_a_lie_morphism():

@@ -1,7 +1,8 @@
 """Table application and factor recomposition against their slow routes: the
-one-dict `op_apply` against the folded sum of scaled images, and the table
-chain of `compose_factors` against the per-monomial recomposition.  Results,
-term order and error messages must agree."""
+one-dict `op_apply` against the folded sum of scaled images, the table
+chain of `compose_factors` against the per-monomial recomposition, and the
+residual `decompose_vaut` reads off sigma against the inverse chain of table
+compositions.  Results, term order and error messages must agree."""
 
 import random
 
@@ -16,11 +17,17 @@ from nseries import (
     MonoidCtx,
     OpTable,
     compose_factors,
+    decompose_vaut,
     op_apply,
     op_exp,
 )
-from nseries.samples import random_character, random_contracting_derivation, random_hahn
-from pairwise_oracles import folded_apply, per_monomial_compose_factors
+from nseries.samples import (
+    random_character,
+    random_contracting_derivation,
+    random_hahn,
+    random_substitution_automorphism,
+)
+from pairwise_oracles import folded_apply, inverse_chain_residual, per_monomial_compose_factors
 
 LEX1, PROD2, W12 = MonoidCtx.lex(1), MonoidCtx.product(2), MonoidCtx.weighted(1, 2)
 # (context, largest bound, exponent maps, an exponent of weight <= 1 outside the basis)
@@ -30,6 +37,14 @@ CONTEXTS = (
     # The shear fixes the weight kernel (2, -1) and sends (1, 0) to (3, -1),
     # outside the basis, so recomposition fails there.
     (W12, 4, (((1, 0), (0, 1)), ((3, 4), (-1, -1))), (2, -1)),
+)
+
+# (context, largest bound, exponent maps that keep the basis)
+DECOMPOSE_CONTEXTS = (
+    (LEX1, 5, (((1,),),)),
+    (PROD2, 3, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+    (MonoidCtx.product(3), 2, (((0, 0, 1), (1, 0, 0), (0, 1, 0)),)),
+    (W12, 4, (((1, 0), (0, 1)),)),
 )
 
 PROPERTY = settings(max_examples=60)
@@ -96,6 +111,29 @@ def test_op_apply_matches_the_folded_sum(case):
 @given(factor_cases())
 def test_compose_factors_matches_the_per_monomial_recomposition(f):
     assert _outcome(compose_factors, f) == _outcome(per_monomial_compose_factors, f)
+
+
+@st.composite
+def decompose_cases(draw):
+    ctx, top, mus = draw(st.sampled_from(DECOMPOSE_CONTEXTS))
+    bound = draw(st.integers(max(ctx.weights), top))  # every generator in the basis
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mu = ExponentAut(ctx, draw(st.sampled_from(mus)))
+    if draw(st.booleans()):
+        residual = op_exp(random_contracting_derivation(rng, ctx, bound))
+    else:
+        residual = random_substitution_automorphism(rng, ctx, bound)
+    return FactorAut(mu, random_character(rng, ctx), residual)
+
+
+@settings(max_examples=40)
+@given(decompose_cases())
+def test_decompose_residual_matches_the_inverse_chain(f):
+    sigma = compose_factors(f)
+    split = decompose_vaut(sigma)
+    assert (split.mu.matrix, split.chi) == (f.mu.matrix, f.chi)
+    oracle = inverse_chain_residual(sigma, split.mu, split.chi)
+    assert _outcome(lambda: split.residual) == _outcome(lambda: oracle)
 
 
 def test_a_term_outside_the_basis_names_its_exponent():

@@ -28,6 +28,7 @@ from nseries import (
     op_exp,
     op_is_contracting,
     op_is_derivation,
+    op_is_unital_endomorphism,
 )
 from nseries.samples import (
     random_additive_char,
@@ -183,10 +184,12 @@ def test_middle_correspond_inconsistent():
         middle_correspond(alpha, {F(2): F(4)})  # value at 1 missing
 
 
-def test_middle_correspond_taylor():
-    alpha = AdditiveChar(LEX1, (F(1),))
-    x = middle_correspond(alpha, mode="taylor", order=4)
-    assert x.values == (1 + F(1) + F(1, 2) + F(1, 6) + F(1, 24),)
+def test_truncated_taylor_values_are_not_an_exponential():
+    # exp truncated at order 2 gives 1 + 1 + 1/2 at 1 and 1 + 2 + 2 at 2, but
+    # e(1) e(1) = 25/4 != 5 = e(2), so declaring those values must fail.
+    alpha = AdditiveChar(MonoidCtx.product(2), (F(1), F(2)))
+    with pytest.raises(InconsistentExponentialError, match="hom law fails"):
+        middle_correspond(alpha, {F(1): F(5, 2), F(2): F(5)})
 
 
 def test_compose_factors_trivial_cases():
@@ -268,6 +271,18 @@ def test_decompose_rejects_ambiguous_leading_term():
     table = OpTable.from_function(PROD2, bound, image)
     with pytest.raises(NotDecomposableError):
         decompose_vaut(table)
+
+
+def test_decompose_rejects_a_leading_exponent_outside_the_basis():
+    # mu sends (1, 0) to (1, -1): order-preserving on lex:2 and of weight 0,
+    # but outside the nonnegative cone, so no residual exists.
+    ctx = MonoidCtx.lex(2)
+    sigma = oaut_table(ExponentAut(ctx, ((1, 0), (-1, 1))), 3)
+    assert op_is_unital_endomorphism(sigma)
+    with pytest.raises(NotDecomposableError) as info:
+        decompose_vaut(sigma)
+    assert str(info.value) == "leading exponent of (1, 0) is (1, -1), outside the basis"
+    assert info.value.witness == (1, 0)
 
 
 def test_semidirect_conjugation_preserves_near_identity():

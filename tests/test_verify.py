@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nseries import InconsistentExponentialError, verify
+from nseries import CharacterX, InconsistentExponentialError, verify
 from nseries.cli import main
 from nseries.verify import SUITES, StepResult, _check, run_suite
 
@@ -68,17 +68,20 @@ def test_verify_rejects_runs_without_trials(capsys, flags):
     assert err.startswith("error: trials and order must be at least 1")
 
 
-def test_middle_correspondence_skips_only_a_vanishing_exponential(monkeypatch):
-    def vanishing(*args, **kwargs):
-        raise InconsistentExponentialError("vanishes")
+def test_an_inconsistent_declaration_leaves_the_middle_correspondence_step(monkeypatch):
+    def rejecting(alpha, e_values):
+        raise InconsistentExponentialError("rejected")
 
-    monkeypatch.setattr(verify, "middle_correspond", vanishing)
-    step = run_suite("vaut", 3, 2, 0)[-1]
-    assert step.name == "vaut.middle-correspondence" and step.passed
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("defect")
-
-    monkeypatch.setattr(verify, "middle_correspond", broken)
-    with pytest.raises(RuntimeError, match="defect"):
+    monkeypatch.setattr(verify, "middle_correspond", rejecting)
+    with pytest.raises(InconsistentExponentialError, match="rejected"):
         run_suite("vaut", 3, 2, 0)
+
+
+def test_accepting_an_inconsistent_declaration_fails_the_step(monkeypatch):
+    def lenient(alpha, e_values):  # takes the declared values, checks no hom law
+        return CharacterX(alpha.ctx, tuple(e_values[v] for v in alpha.values))
+
+    monkeypatch.setattr(verify, "middle_correspond", lenient)
+    step = run_suite("vaut", 3, 2, 0)[-1]
+    assert step.name == "vaut.middle-correspondence" and not step.passed
+    assert "was accepted" in step.detail

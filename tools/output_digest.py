@@ -4,7 +4,8 @@ The set is every corr and vaut job of the benchmark at seeds 1-3, with the
 inputs drawn by `nsbench/workloads.py`, and `verify <suite> --json` for every
 suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
 `op eval` of a seeded free series at two seeded contracting tables in three
-contexts at seeds 1-3, `bch --order 8 --json` and `series exp|log --order 8`.
+contexts at seeds 1-3, `bch --order 8 --json`, `bch --order 6 --oracle` with
+and without `--json`, and `series exp|log --order 8`.
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
@@ -72,8 +73,9 @@ def main() -> None:
                 t1.write_text(textio.format_op_table(tables[1]))
                 P.write_text(textio.format_free(series))
                 feed(h, ["op", "eval", "-P", str(P), "-f", str(t0), str(t1)], strip=tmp + "/")
-    for argv in (["bch", "--order", "8", "--json"], ["series", "exp", "--order", "8"],
-                 ["series", "log", "--order", "8"]):
+    for argv in (["bch", "--order", "8", "--json"], ["bch", "--order", "6", "--oracle"],
+                 ["bch", "--order", "6", "--oracle", "--json"],
+                 ["series", "exp", "--order", "8"], ["series", "log", "--order", "8"]):
         feed(h, argv)
     print(h.hexdigest())
 
