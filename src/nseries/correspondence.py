@@ -8,8 +8,9 @@ computed as star(d1, d2) = log(exp d1 o exp d2); evaluating the BCH series at
 (d1, d2) is its oracle in `verify` and the tests.
 
 Each public entry checks its inputs once.  The unchecked bodies `_exp` and
-`_log` then run on the tables that are contracting by construction: sums and
-compositions of contracting tables, their scalar multiples, and exp d - Id.
+`_log` then run on the tables that are contracting by construction: scalar
+multiples of a log, and exp d1 o exp d2 - Id.  `push_morphism` checks d and
+phi(d), since phi is caller code.
 """
 
 from __future__ import annotations
@@ -151,16 +152,14 @@ def push_morphism(
 ) -> tuple[OpTable, OpTable]:
     """Push a contracting derivation through a Lie morphism at group level.
 
-    Returns (exp d, exp phi(d)) after verifying that phi(d) is contracting
-    and that transporting exp d through log, phi and exp lands on the same
-    automorphism.  d and both images under phi are checked, since phi is
-    caller code; exp d - Id is contracting by construction.
+    Returns (exp d, exp phi(d)) after checking that d and phi(d) are
+    contracting, with one call of phi; phi is caller code, so its image is
+    checked.  Transporting exp d through log, phi and exp lands on exp phi(d)
+    by construction, since log(exp d) = d exactly at the truncation; the
+    tests and `verify`'s correspondence.lie-morphism-transport step check the
+    group law of the pushed pair.
     """
     _require_contracting(d, "derivation")
     fd = phi(d)
     _require_contracting(fd, "morphism image")
-    sigma_in = _exp(d)
-    sigma_out = _exp(fd)
-    if op_exp(phi(_log(sigma_in - OpTable.identity(d.ctx, d.bound)))) != sigma_out:
-        raise NotContractingError("morphism does not commute with the exponential")
-    return sigma_in, sigma_out
+    return _exp(d), _exp(fd)

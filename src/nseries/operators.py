@@ -18,6 +18,7 @@ predicates by comparing each image with the same step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -56,7 +57,10 @@ class OpTable(Linear):
     bound: int
     images: dict = field(default_factory=dict)
 
+    _MISMATCH = "tables live over different contexts or bounds"
+
     def __post_init__(self):
+        object.__setattr__(self, "bound", operator.index(self.bound))
         universe = weight_universe(self.ctx, self.bound)
         canon = {}
         for exp, img in self.images.items():
@@ -100,11 +104,8 @@ class OpTable(Linear):
     def basis(self) -> tuple[ExpVec, ...]:
         return weight_universe(self.ctx, self.bound)
 
-    def _require_same(self, other: "OpTable"):
-        if not isinstance(other, OpTable):
-            raise TypeError(f"expected OpTable, got {type(other).__name__}")
-        if self.ctx != other.ctx or self.bound != other.bound:
-            raise DimensionMismatchError("tables live over different contexts or bounds")
+    def _space(self) -> tuple[MonoidCtx, int]:
+        return self.ctx, self.bound
 
     def __call__(self, a: HahnPoly) -> HahnPoly:
         return op_apply(self, a)

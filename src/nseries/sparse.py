@@ -7,8 +7,9 @@ modulo the ideal of keys above the bound.
 
 `SparseSeries.lin_comb` is the one loop that sums the terms of several
 series.  `+`, `-`, negation and scaling are one call each through `Linear`,
-which operator tables share; a table combines its images with it, and the
-evaluators of `nseries.free_algebra` sum their products with one call.
+which also holds the one space check; operator tables share both.  A table
+combines its images with `lin_comb`, and the evaluators of
+`nseries.free_algebra` sum their products with one call.
 
 A subclass is a frozen dataclass whose last field is `terms`.  It supplies
 `_space()` (the fields before `terms`, the bound last), `_check_key`,
@@ -29,8 +30,15 @@ _ZERO = Fraction(0)
 
 
 class Linear:
-    """`+`, `-`, negation and scaling, each one `lin_comb` call; a subclass
-    supplies `lin_comb(pairs)`, the sum of c*x over its (c, x) pairs."""
+    """`+`, `-`, negation and scaling, each one `lin_comb` call, and the one
+    space check; a subclass supplies `lin_comb(pairs)`, the sum of c*x over
+    its (c, x) pairs, `_space()` and the mismatch message `_MISMATCH`."""
+
+    def _require_same(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self._space() != other._space():
+            raise DimensionMismatchError(self._MISMATCH.format(self, other))
 
     def __add__(self, other):
         return self.lin_comb(((1, self), (1, other)))
@@ -75,12 +83,6 @@ class SparseSeries(Linear):
         """Terms by grade, then by key."""
         grade = self._grade
         return sorted(self.terms.items(), key=lambda kv: (grade(kv[0]), kv[0]))
-
-    def _require_same(self, other) -> None:
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if self._space() != other._space():
-            raise DimensionMismatchError(self._MISMATCH.format(self, other))
 
     # -- arithmetic ---------------------------------------------------
 

@@ -11,6 +11,7 @@ TypeError.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -245,7 +246,15 @@ def closure_cmp(ctx: MonoidCtx, w1: tuple[ExpVec, ...], w2: tuple[ExpVec, ...]) 
 
 
 def weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
-    """All exponents in the nonnegative cone with weight <= bound, sorted."""
+    """All exponents in the nonnegative cone with weight <= bound, sorted.
+
+    Built once per context and bound; `operator.index` runs first, so a
+    non-integral bound raises TypeError and never reaches the cache."""
+    return _weight_universe(ctx, operator.index(bound))
+
+
+@functools.cache
+def _weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     ranges = [range(0, bound // w + 1) for w in ctx.weights]

@@ -439,6 +439,7 @@ def suite_vaut(order: int, trials: int, rng: random.Random) -> Iterator[StepResu
         sigma = compose_factors(FactorAut(mu, chi, residual))
         split = decompose_vaut(sigma)
         yield compose_factors(split) == sigma, "decomposition roundtrip failed"
+        yield one_aut_check(split.residual), "residual is not a near-identity automorphism"
         yield split.mu.matrix == mu.matrix, "exponent factor not recovered"
     yield _check("vaut.decompose-roundtrip", bound, trials, trial)
 

@@ -14,7 +14,10 @@ recomposition applies the
 three factors to each basis monomial in turn, where `compose_factors`
 composes their tables.  The inverse chain composes sigma with the inverse
 relabeling and rescaling tables, where `decompose_vaut` reads the residual
-off sigma directly.  The left-normed bracket loop expands
+off sigma directly.  The rechecked decomposition scans the lead of every
+basis image, inverts mu by elimination, tests the residual's
+multiplicativity and recomposes the factors, where `decompose_vaut` reads
+the split off the generator images alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.
 """
@@ -23,19 +26,29 @@ from dataclasses import replace
 from fractions import Fraction
 
 from nseries import (
+    CharacterX,
     CheckResult,
     DimensionMismatchError,
+    ExponentAut,
+    FactorAut,
+    FinitePosetFragment,
     HahnPoly,
     IncompleteTableError,
+    NotDecomposableError,
     OpTable,
     apply_gexp,
     apply_oaut,
+    compose_factors,
     gexp_table,
+    minimal_elements,
     oaut_table,
+    one_aut_check,
     op_apply,
     op_compose,
+    op_is_unital_endomorphism,
 )
 from nseries.support_order import vec_sub
+from nseries.vaut_factors import mat_inverse, mat_vec
 
 
 def _monomials(table, m1, m2):
@@ -168,6 +181,67 @@ def inverse_chain_residual(sigma, mu, chi) -> OpTable:
     return op_compose(
         op_compose(sigma, oaut_table(mu.inverse(), bound)), gexp_table(chi.inverse(), bound)
     )
+
+
+def rechecked_decompose(sigma) -> FactorAut:
+    """`decompose_vaut` with every by-construction fact checked again: the
+    unique lead of each basis image and its agreement with the linear image,
+    chi through the exact inverse of mu, the residual's near-identity test
+    (multiplicativity included) and the `compose_factors` round trip."""
+    ctx, bound = sigma.ctx, sigma.bound
+    endo = op_is_unital_endomorphism(sigma)
+    if not endo:
+        raise NotDecomposableError(
+            f"table is not a unital endomorphism; witness {endo.witness}",
+            witness=endo.witness,
+        )
+    lead = {}
+    for m in sigma.basis():
+        mins = minimal_elements(FinitePosetFragment.of(ctx, sigma.images[m].support))
+        if len(mins) != 1:
+            raise NotDecomposableError(
+                f"image of {m} has {len(mins)} minimal support exponents", witness=m
+            )
+        (lead[m],) = mins
+    gens = ctx.generators()
+    for g in gens:
+        if g not in lead:
+            raise NotDecomposableError(
+                f"generator {g} has weight {ctx.weight(g)}, above the bound {bound}", witness=g
+            )
+    matrix = tuple(tuple(lead[g][i] for g in gens) for i in range(ctx.dim))
+    try:
+        mu = ExponentAut(ctx, matrix)
+    except (ValueError, NotDecomposableError) as exc:
+        raise NotDecomposableError(
+            f"leading exponents do not form an order automorphism: {exc}", witness=matrix
+        ) from exc
+    for m in sigma.basis():
+        if mat_vec(matrix, m) != lead[m]:
+            raise NotDecomposableError(
+                f"leading exponent of {m} is {lead[m]}, not the linear image {mat_vec(matrix, m)}",
+                witness=m,
+            )
+        if lead[m] not in sigma.images:
+            raise NotDecomposableError(
+                f"leading exponent of {m} is {lead[m]}, outside the basis", witness=m
+            )
+    base = CharacterX(ctx, tuple(sigma.images[g].coefficient(lead[g]) for g in gens))
+    minv = mat_inverse(matrix)
+    chi = CharacterX(ctx, tuple(base.at(mat_vec(minv, g)) for g in gens))
+    residual = OpTable.from_function(
+        ctx, bound, lambda q: sigma.images[mat_vec(minv, q)].scale(1 / chi.at(q))
+    )
+    near = one_aut_check(residual)
+    if not near:
+        raise NotDecomposableError(
+            f"residual fails the near-identity test; witness {near.witness}",
+            witness=near.witness,
+        )
+    factors = FactorAut(mu, chi, residual)
+    if compose_factors(factors) != sigma:
+        raise NotDecomposableError("recomposition does not reproduce the table")
+    return factors
 
 
 def naive_word_sum(P, args, one, mul, bound):

@@ -217,6 +217,24 @@ def test_vaut_roundtrip(tmp_path, capsys):
     assert parse_op_table(out) == sigma
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("ctx=lex:1 N=0\nt^(0) -> 1\n", "generator (1,) has weight 1, above the bound 0"),
+        (
+            "ctx=weighted:1,3 N=2\nt^(0,0) -> 1\nt^(1,0) -> t^(1,0)\nt^(2,0) -> t^(2,0)\n",
+            "generator (0, 1) has weight 3, above the bound 2",
+        ),
+    ),
+    ids=("lex:1", "weighted:1,3"),
+)
+def test_vaut_decompose_names_a_generator_outside_the_basis(tmp_path, capsys, text, message):
+    path = tmp_path / "sigma.table"
+    path.write_text(text)
+    code, out, err = run(capsys, "vaut", "decompose", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_json_deterministic(capsys):
     argv = ["verify", "bch", "--order", "4", "--trials", "2", "--seed", "9", "--json"]
     code1, out1, _ = run(capsys, *argv)

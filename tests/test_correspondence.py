@@ -327,23 +327,23 @@ def test_push_morphism_pullback_family():
 
 
 def test_push_morphism_checks_d_and_both_images_under_phi(monkeypatch):
-    seen = _count_contracting_checks(monkeypatch)
     d = random_contracting_derivation(random.Random(53), LEX1, 6)
-    push_morphism(lambda t: t.scale(2), d)
-    assert len(seen) == 3  # d, phi(d) and phi of log exp d, since phi is caller code
+    want = (op_exp(d), op_exp(d.scale(2)))
+    seen = _count_contracting_checks(monkeypatch)
+    calls = []
+
+    def doubling(t):
+        calls.append(t)
+        return t.scale(2)
+
+    assert push_morphism(doubling, d) == want
+    assert calls == [d]  # one phi call; log exp d is d, so phi is not asked again
+    assert seen == [d, d.scale(2)]  # d and phi(d), since phi is caller code
     ident = OpTable.identity(LEX1, 6)
     with pytest.raises(NotContractingError, match="derivation is not contracting"):
         push_morphism(lambda t: t, ident)
     with pytest.raises(NotContractingError, match="morphism image is not contracting"):
         push_morphism(lambda t: ident, d)
-    calls = []
-
-    def first_call_only(t):  # contracting on d, not on the transported derivation
-        calls.append(t)
-        return t if len(calls) == 1 else ident
-
-    with pytest.raises(NotContractingError, match="exponential argument is not contracting"):
-        push_morphism(first_call_only, d)
 
 
 def test_scalar_doubling_is_not_a_lie_morphism():

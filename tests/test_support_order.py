@@ -185,3 +185,22 @@ def test_weight_universe():
     assert (0, 2) in u and (1, 1) in u and (0, 3) not in u
     assert all(W12.weight(m) <= 4 for m in u)
     assert u == tuple(sorted(u, key=lambda e: (W12.weight(e), e)))
+
+
+def test_each_basis_is_built_once_and_a_float_bound_never_reaches_it():
+    from nseries import OpTable
+
+    images = OpTable.identity(LEX1, 2).images  # caches (LEX1, 2)
+    assert OpTable(LEX1, 2, images).basis() is weight_universe(LEX1, 2)
+    with pytest.raises(TypeError):
+        weight_universe(LEX1, 2.0)
+    with pytest.raises(TypeError):
+        OpTable(LEX1, 2.0, images)
+
+    class Two:  # an integer type that is not int, as HahnPoly takes it
+        def __index__(self):
+            return 2
+
+    assert type(OpTable(LEX1, Two(), images).bound) is int
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        weight_universe(LEX1, -1)

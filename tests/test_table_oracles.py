@@ -1,8 +1,10 @@
 """Table application and factor recomposition against their slow routes: the
 one-dict `op_apply` against the folded sum of scaled images, the table
-chain of `compose_factors` against the per-monomial recomposition, and the
+chain of `compose_factors` against the per-monomial recomposition, the
 residual `decompose_vaut` reads off sigma against the inverse chain of table
-compositions.  Results, term order and error messages must agree."""
+compositions, and `decompose_vaut` as a whole against the decomposition that
+re-checks every by-construction fact.  Results, term order and error
+messages or classes must agree."""
 
 import random
 
@@ -10,24 +12,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nseries import (
+    Cmp,
     ExponentAut,
     FactorAut,
     HahnPoly,
     IncompleteTableError,
     MonoidCtx,
+    NSeriesError,
     OpTable,
     compose_factors,
     decompose_vaut,
+    oaut_table,
+    one_aut_check,
     op_apply,
     op_exp,
 )
 from nseries.samples import (
+    nonzero_fraction,
     random_character,
     random_contracting_derivation,
     random_hahn,
     random_substitution_automorphism,
+    substitution_endomorphism,
 )
-from pairwise_oracles import folded_apply, inverse_chain_residual, per_monomial_compose_factors
+from pairwise_oracles import (
+    folded_apply,
+    inverse_chain_residual,
+    per_monomial_compose_factors,
+    rechecked_decompose,
+)
 
 LEX1, PROD2, W12 = MonoidCtx.lex(1), MonoidCtx.product(2), MonoidCtx.weighted(1, 2)
 # (context, largest bound, exponent maps, an exponent of weight <= 1 outside the basis)
@@ -134,6 +147,80 @@ def test_decompose_residual_matches_the_inverse_chain(f):
     assert (split.mu.matrix, split.chi) == (f.mu.matrix, f.chi)
     oracle = inverse_chain_residual(sigma, split.mu, split.chi)
     assert _outcome(lambda: split.residual) == _outcome(lambda: oracle)
+
+
+LEX2 = MonoidCtx.lex(2)
+# Order-preserving on lex:2, but (1, 0) goes to (1, -1), outside the basis.
+SHEAR = ExponentAut(LEX2, ((1, 0), (-1, 1)))
+# (context, exponent maps that keep the basis), each drawn at bounds 0-4
+RECHECK_CONTEXTS = tuple(
+    (ctx, tuple(ExponentAut(ctx, mat) for mat in mats))
+    for ctx, mats in (
+        (LEX1, (((1,),),)),
+        (LEX2, (((1, 0), (0, 1)),)),
+        (PROD2, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+        (MonoidCtx.product(3), (((0, 0, 1), (1, 0, 0), (0, 1, 0)),)),
+        (W12, (((1, 0), (0, 1)),)),
+        (MonoidCtx.weighted(1, 3), (((1, 0), (0, 1)),)),
+    )
+)
+CHANGES = ("coefficient", "generator", "below the lead", "shear")
+
+
+@st.composite
+def recheck_cases(draw):
+    """A valid sigma, or one with a perturbed coefficient, a perturbed and
+    re-extended generator image, a term below a generator's lead, or the shear."""
+    ctx, mus = draw(st.sampled_from(RECHECK_CONTEXTS))
+    bound = draw(st.integers(0, 4))
+    change = draw(st.sampled_from(CHANGES)) if draw(st.booleans()) else None
+    if change == "shear":
+        return oaut_table(SHEAR, bound)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mu = draw(st.sampled_from(mus))
+    if draw(st.booleans()) or bound < max(ctx.weights):  # the samples need every generator
+        residual = op_exp(random_contracting_derivation(rng, ctx, bound))
+    else:
+        residual = random_substitution_automorphism(rng, ctx, bound)
+    sigma = compose_factors(FactorAut(mu, random_character(rng, ctx), residual))
+    basis = sigma.basis()
+    if change == "coefficient":
+        m = rng.choice(basis)
+        bump = HahnPoly.monomial(ctx, bound, rng.choice(basis), nonzero_fraction(rng))
+        return OpTable(ctx, bound, {**sigma.images, m: sigma.images[m] + bump})
+    gens = {i: g for i, g in enumerate(ctx.generators()) if g in sigma.images}
+    if change is None or not gens:
+        return sigma
+    i = rng.choice(sorted(gens))
+    lead = mu.apply(gens[i])
+    below = [q for q in basis if ctx.cmp(q, lead) is Cmp.LESS]
+    q = rng.choice(below if change == "below the lead" else basis)
+    images = {j: sigma.images[g] for j, g in gens.items()}
+    images[i] = images[i] + HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng))
+    return substitution_endomorphism(ctx, bound, images)
+
+
+def _split(decompose, sigma):
+    """The factors with the residual's term order, or the class of the error."""
+    try:
+        f = decompose(sigma)
+    except NSeriesError as exc:
+        return type(exc)
+    return f, [(m, list(img.terms)) for m, img in f.residual.images.items()]
+
+
+@settings(max_examples=150)
+@given(recheck_cases())
+@example(oaut_table(SHEAR, 3))
+@example(OpTable.identity(LEX1, 0))
+@example(OpTable.identity(MonoidCtx.weighted(1, 3), 2))
+def test_decompose_matches_the_rechecked_decomposition(sigma):
+    got = _split(decompose_vaut, sigma)
+    assert got == _split(rechecked_decompose, sigma)
+    if not isinstance(got, type):
+        split, _ = got
+        assert one_aut_check(split.residual)
+        assert compose_factors(split) == sigma
 
 
 def test_a_term_outside_the_basis_names_its_exponent():

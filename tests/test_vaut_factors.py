@@ -285,6 +285,57 @@ def test_decompose_rejects_a_leading_exponent_outside_the_basis():
     assert info.value.witness == (1, 0)
 
 
+# (table, message, witness): a generator above the bound leaves mu undetermined
+GENERATOR_OUTSIDE = (
+    (OpTable.identity(LEX1, 0), "generator (1,) has weight 1, above the bound 0", (1,)),
+    (
+        OpTable.identity(MonoidCtx.weighted(1, 3), 2),
+        "generator (0, 1) has weight 3, above the bound 2",
+        (0, 1),
+    ),
+)
+
+
+@pytest.mark.parametrize("table, message, witness", GENERATOR_OUTSIDE, ids=("lex:1", "weighted:1,3"))
+def test_decompose_rejects_a_generator_outside_the_basis(table, message, witness):
+    with pytest.raises(NotDecomposableError) as info:
+        decompose_vaut(table)
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
+def test_decompose_reads_the_split_off_the_generator_images(monkeypatch):
+    import sys
+
+    import nseries.vaut_factors as vf
+
+    prod3 = MonoidCtx.product(3)
+    mu = ExponentAut(prod3, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    rng = random.Random(17)
+    residual = op_exp(random_contracting_derivation(rng, prod3, 3))
+    chi = random_character(rng, prod3)
+    sigma = compose_factors(FactorAut(mu, chi, residual))
+    calls = {}
+
+    def count(name):
+        real = getattr(vf, name)
+
+        def counted(*args):
+            calls.setdefault(name, []).append((sys._getframe(1).f_code.co_name, args))
+            return real(*args)
+
+        monkeypatch.setattr(vf, name, counted)
+
+    for name in ("minimal_elements", "mat_inverse", "compose_factors", "one_aut_check",
+                 "op_is_unital_endomorphism"):
+        count(name)
+    assert decompose_vaut(sigma) == FactorAut(mu, chi, residual)
+    assert len(calls["minimal_elements"]) == prod3.dim  # one per generator image
+    assert [caller for caller, _ in calls["mat_inverse"]] == ["__post_init__"]  # mu's own check
+    assert "compose_factors" not in calls and "one_aut_check" not in calls
+    assert calls["op_is_unital_endomorphism"] == [("decompose_vaut", (sigma,))]
+
+
 def test_semidirect_conjugation_preserves_near_identity():
     rng = random.Random(11)
     bound = 5

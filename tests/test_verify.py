@@ -85,3 +85,18 @@ def test_accepting_an_inconsistent_declaration_fails_the_step(monkeypatch):
     step = run_suite("vaut", 3, 2, 0)[-1]
     assert step.name == "vaut.middle-correspondence" and not step.passed
     assert "was accepted" in step.detail
+
+
+def test_a_residual_that_recomposes_but_is_not_near_identity_fails_the_step(monkeypatch):
+    from nseries import FactorAut, decompose_vaut, gexp_table, op_compose
+
+    def unscaled(sigma):  # moves the character into the residual; the round trip still holds
+        split = decompose_vaut(sigma)
+        rescaled = op_compose(split.residual, gexp_table(split.chi, sigma.bound))
+        return FactorAut(split.mu, CharacterX.trivial(sigma.ctx), rescaled)
+
+    monkeypatch.setattr(verify, "decompose_vaut", unscaled)
+    step = next(s for s in run_suite("vaut", 3, 2, 0) if s.name == "vaut.decompose-roundtrip")
+    assert step == StepResult(
+        "vaut.decompose-roundtrip", False, "residual is not a near-identity automorphism", 3
+    )
