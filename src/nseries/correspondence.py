@@ -16,7 +16,6 @@ phi(d), since phi is caller code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import NotContractingError
@@ -105,7 +104,7 @@ def fractional_iterate(s: OpTable, c) -> OpTable:
             f"fractional iteration needs a unital endomorphism; failed at {chk.witness}",
             witness=chk.witness,
         )
-    return _exp(op_log(s).scale(Fraction(c)))
+    return _exp(op_log(s).scale(c))
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class FreeSeries(SparseSeries):
 
     @classmethod
     def constant(cls, value, alphabet_size: int, grade: int) -> "FreeSeries":
-        return cls(alphabet_size, grade, {EMPTY_WORD: Fraction(value)})
+        return cls(alphabet_size, grade, {EMPTY_WORD: value})
 
     @classmethod
     def one(cls, alphabet_size: int, grade: int) -> "FreeSeries":
@@ -99,7 +99,7 @@ class FreeSeries(SparseSeries):
 
     @classmethod
     def monomial(cls, word: Iterable[int], coeff, alphabet_size: int, grade: int) -> "FreeSeries":
-        return cls(alphabet_size, grade, {tuple(word): Fraction(coeff)})
+        return cls(alphabet_size, grade, {tuple(word): coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -220,5 +220,5 @@ def free_to_json(P: FreeSeries) -> dict:
 
 
 def free_from_json(data: Mapping) -> FreeSeries:
-    terms = {tuple(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
+    terms = {tuple(t["word"]): t["coeff"] for t in data["terms"]}
     return FreeSeries(data["alphabet"], data["grade"], terms)

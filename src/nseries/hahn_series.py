@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import WeightBoundError
@@ -57,7 +56,7 @@ class HahnPoly(SparseSeries):
 
     @classmethod
     def monomial(cls, ctx: MonoidCtx, bound: int, exp: Iterable[int], coeff=1) -> "HahnPoly":
-        return cls(ctx, bound, {tuple(exp): Fraction(coeff)})
+        return cls(ctx, bound, {tuple(exp): coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -117,5 +116,5 @@ def hahn_to_json(a: HahnPoly) -> dict:
 def hahn_from_json(data: Mapping) -> HahnPoly:
     c = data["ctx"]
     ctx = MonoidCtx(c["dim"], c["kind"], tuple(c["weights"]))
-    terms = {tuple(t["exps"]): Fraction(t["coeff"]) for t in data["terms"]}
+    terms = {tuple(t["exps"]): t["coeff"] for t in data["terms"]}
     return HahnPoly(ctx, data["bound"], terms)

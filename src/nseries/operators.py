@@ -111,11 +111,12 @@ class OpTable(Linear):
         return op_apply(self, a)
 
     def lin_comb(self, pairs) -> "OpTable":
-        """The sum of c*t over the (c, t) pairs: one `HahnPoly.lin_comb` per basis image."""
+        """The sum of c*t over the (c, t) pairs: one `HahnPoly.lin_comb` per basis
+        image, over the basis of `self`, built unchecked."""
         pairs = list(pairs)
         for _, t in pairs:
             self._require_same(t)
-        return OpTable(self.ctx, self.bound, {
+        return OpTable._trusted(self._space(), {
             m: img.lin_comb((c, t.images[m]) for c, t in pairs) for m, img in self.images.items()
         })
 
@@ -135,9 +136,10 @@ def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
-    """(f o g): images are f applied to the images of g."""
+    """(f o g): images are f applied to the images of g, over the basis of g,
+    so the table is complete by construction and is built unchecked."""
     f._require_same(g)
-    return OpTable(f.ctx, f.bound, {m: op_apply(f, img) for m, img in g.images.items()})
+    return OpTable._trusted(f._space(), {m: op_apply(f, img) for m, img in g.images.items()})
 
 
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:

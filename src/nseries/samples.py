@@ -51,7 +51,7 @@ def random_free_series(
         word = tuple(rng.randrange(alphabet_size) for _ in range(length))
         out[word] = random_fraction(rng)
     if constant is not None:
-        out[()] = Fraction(constant)
+        out[()] = constant
     return FreeSeries(alphabet_size, grade, out)
 
 
@@ -89,10 +89,12 @@ def random_contracting_derivation(rng: random.Random, ctx: MonoidCtx, bound: int
 
 
 def random_substitution_automorphism(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
-    """Near-identity substitution: each generator maps to itself plus higher terms."""
+    """Near-identity substitution: each generator in the basis maps to itself
+    plus higher terms; a generator above the bound has no image to draw."""
     gen_images = {
         i: HahnPoly(ctx, bound, {g: Fraction(1), **_raising_terms(rng, ctx, bound, g)})
         for i, g in enumerate(ctx.generators())
+        if g in weight_universe(ctx, bound)
     }
     return substitution_endomorphism(ctx, bound, gen_images)
 

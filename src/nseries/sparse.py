@@ -17,11 +17,23 @@ A subclass is a frozen dataclass whose last field is `terms`.  It supplies
 that passes its key product to `_product`; its `__post_init__` checks the
 space and calls `_canonicalise`.  `lin_comb` and the arithmetic of `Linear`
 come with the base class.
+
+Both loops sum plain integers over one common denominator.  `_integral`
+writes an operand as (D, numerators), D the least common denominator of its
+coefficients.  `lin_comb` sums over the lcm of c.denominator * D across its
+(c, s) pairs, `_product` over D_a * D_b, and each surviving key is reduced
+once, as Fraction(n, D).  The keys and coefficients of such a result are
+canonical already, so `Linear._trusted` builds it without `__post_init__`;
+the public constructors keep every check.  `exact` is the one
+exact-coefficient check: a float or any other non-rational number is a
+`TypeError`, never a binary fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Callable, Iterable
 
 from .errors import DimensionMismatchError
@@ -29,10 +41,38 @@ from .errors import DimensionMismatchError
 _ZERO = Fraction(0)
 
 
+def exact(value) -> Fraction:
+    """`value` as a Fraction: an int, a Fraction or another rational, or a string
+    that `Fraction` parses.  A float or any other number raises TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, str, Rational)):
+        return Fraction(value)
+    raise TypeError(
+        f"{value!r} is not an exact rational; use an int, a Fraction or a string such as '1/3'"
+    )
+
+
+def _integral(terms: dict) -> tuple[int, list]:
+    """(D, [(key, n)]): D the least common denominator of the coefficients of
+    `terms`, and n each coefficient times D, in term order."""
+    den = lcm(*[v.denominator for v in terms.values()])
+    return den, [(key, v.numerator * (den // v.denominator)) for key, v in terms.items()]
+
+
 class Linear:
     """`+`, `-`, negation and scaling, each one `lin_comb` call, and the one
     space check; a subclass supplies `lin_comb(pairs)`, the sum of c*x over
     its (c, x) pairs, `_space()` and the mismatch message `_MISMATCH`."""
+
+    @classmethod
+    def _trusted(cls, space, body):
+        """The instance whose dataclass fields are `space` then `body`, in order,
+        built without `__post_init__`: for kernel results only, whose keys and
+        values are canonical by construction."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, (*space, body)))
+        return obj
 
     def _require_same(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -62,7 +102,7 @@ class SparseSeries(Linear):
         check_key = self._check_key
         for key, coeff in self.terms.items():
             key = check_key(key)
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff != 0:
                 canon[key] = coeff
         object.__setattr__(self, "terms", canon)
@@ -89,36 +129,47 @@ class SparseSeries(Linear):
     def lin_comb(self, pairs):
         """The sum of c*s over the (c, s) pairs, in the space of `self`, built once.
 
-        Every term lands in one dict.  A key that cancels leaves it at once, so
-        a later term re-enters the key last, as a fold of `+` would place it."""
-        out: dict = {}
+        Every term lands in one dict, as an integer over the lcm of the pairs'
+        denominators.  A key that cancels leaves it at once, so a later term
+        re-enters the key last, as a fold of `+` would place it."""
+        parts = []
         for c, s in pairs:
             self._require_same(s)
-            c = Fraction(c)
-            for key, v in s.terms.items():
-                total = out.get(key, _ZERO) + c * v
+            c = exact(c)
+            den, nums = _integral(s.terms)
+            parts.append((c.numerator, c.denominator * den, nums))
+        common = lcm(*[den for _, den, _ in parts])
+        out: dict = {}
+        for p, den, nums in parts:
+            p *= common // den
+            for key, n in nums:
+                total = out.get(key, 0) + p * n
                 if total:
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return type(self)(*self._space(), out)
+        return self._trusted(self._space(), {key: Fraction(n, common) for key, n in out.items()})
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
-        terms whose grades sum to at most the bound; the other pairs are dropped."""
+        terms whose grades sum to at most the bound; the other pairs are dropped.
+        The sums run over D_a * D_b, and a key whose sum is zero is dropped."""
         self._require_same(other)
         space = self._space()
         grade = self._grade
-        right = [(key, c, grade(key)) for key, c in other.terms.items()]
+        den_a, left = _integral(self.terms)
+        den_b, right = _integral(other.terms)
+        right = [(key, n, grade(key)) for key, n in right]
         out: dict = {}
-        for ka, ca in self.terms.items():
+        for ka, na in left:
             room = space[-1] - grade(ka)
-            for kb, cb, gb in right:
+            for kb, nb, gb in right:
                 if gb > room:
                     continue
                 key = key_mul(ka, kb)
-                out[key] = out.get(key, _ZERO) + ca * cb
-        return type(self)(*space, out)
+                out[key] = out.get(key, 0) + na * nb
+        den = den_a * den_b
+        return self._trusted(space, {key: Fraction(n, den) for key, n in out.items() if n})
 
     def power(self, n: int):
         if n < 0:

@@ -43,6 +43,7 @@ from .operators import (
     op_is_contracting,
     op_is_unital_endomorphism,
 )
+from .sparse import exact
 from .support_order import WEIGHTED, Cmp, ExpVec, FinitePosetFragment, MonoidCtx, minimal_elements
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -138,7 +139,7 @@ class _LatticeChar:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(exact(v) for v in self.values)
         if len(vals) != self.ctx.dim:
             raise DimensionMismatchError("one generator value per dimension required")
         object.__setattr__(self, "values", vals)
@@ -333,7 +334,7 @@ def middle_correspond(alpha: AdditiveChar, e_values: Mapping) -> CharacterX:
     e(v) that alpha needs are declared, and the homomorphism law
     e(u) e(v) = e(u + v) is checked on every sum of declared points.
     """
-    table = {Fraction(k): Fraction(v) for k, v in e_values.items()}
+    table = {exact(k): exact(v) for k, v in e_values.items()}
     if any(v == 0 for v in table.values()):
         raise InconsistentExponentialError("exponential values must be nonzero")
     if Fraction(0) in table and table[Fraction(0)] != 1:

@@ -9,7 +9,10 @@ product from scratch.  `nseries.operators` and `nseries.free_algebra` compute
 the same in one pass; the tests compare the two.  The reference sum folds
 raw term dicts one pair at a time, as `acc + s.scale(c)` once did, and never
 calls `lin_comb`, so the folded application and the word and power sums built
-on it stay independent of the kernel they check.  The per-monomial
+on it stay independent of the kernel they check.  The reference product folds
+c_a c_b into a raw term dict one pair at a time in `Fraction` arithmetic and
+builds its result through the checked constructor, where the kernel sums
+integers over one denominator and builds its result unchecked.  The per-monomial
 recomposition applies the
 three factors to each basis monomial in turn, where `compose_factors`
 composes their tables.  The inverse chain composes sigma with the inverse
@@ -32,6 +35,7 @@ from nseries import (
     ExponentAut,
     FactorAut,
     FinitePosetFragment,
+    FreeSeries,
     HahnPoly,
     IncompleteTableError,
     NotDecomposableError,
@@ -46,8 +50,9 @@ from nseries import (
     op_apply,
     op_compose,
     op_is_unital_endomorphism,
+    word_concat,
 )
-from nseries.support_order import vec_sub
+from nseries.support_order import vec_add, vec_sub
 from nseries.vaut_factors import mat_inverse, mat_vec
 
 
@@ -135,6 +140,23 @@ def reference_terms(pairs) -> dict:
             step[key] = step.get(key, 0) + Fraction(c) * v
         acc = {key: v for key, v in step.items() if v != 0}
     return acc
+
+
+def reference_product(a, b):
+    """a * b for two series of one space, folded over raw term dicts: every pair
+    of terms whose grades sum to at most the bound adds c_a c_b at its key, and
+    the checked constructor drops the keys whose sum is zero."""
+    if isinstance(a, FreeSeries):
+        grade, key_mul, bound = len, word_concat, a.grade
+    else:
+        grade, key_mul, bound = a.ctx.weight, vec_add, a.bound
+    acc: dict = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            if grade(ka) + grade(kb) <= bound:
+                key = key_mul(ka, kb)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return replace(a, terms=acc)
 
 
 def reference_sum(like, pairs):

@@ -358,3 +358,10 @@ def test_scalar_doubling_is_not_a_lie_morphism():
             assert not lie_morphism_defect(doubling, d1, d2).is_zero()
             found = True
     assert found
+
+
+def test_fractional_iterate_takes_only_an_exact_exponent():
+    s = random_substitution_automorphism(random.Random(3), LEX1, 4)
+    assert fractional_iterate(s, "1/2") == fractional_iterate(s, F(1, 2))
+    with pytest.raises(TypeError, match="0.5 is not an exact rational"):
+        fractional_iterate(s, 0.5)

@@ -1,19 +1,37 @@
 """The sparse kernel shared by FreeSeries and HahnPoly: operands must share a
 space, and `lin_comb`, behind every sum of series and of tables, agrees with
-the reference fold over raw term dicts, term order included."""
+the reference fold over raw term dicts, term order included.  The product
+agrees with the reference product, every kernel result equals the same terms
+rebuilt through the checked constructor, and a coefficient that is not an
+exact rational is a TypeError."""
 
 import operator
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nseries import FreeSeries, HahnPoly, MonoidCtx, OpTable
-from nseries.errors import DimensionMismatchError
-from nseries.samples import random_free_series, random_hahn
-from pairwise_oracles import reference_sum
+from nseries import (
+    AdditiveChar,
+    CharacterX,
+    FreeSeries,
+    HahnPoly,
+    MonoidCtx,
+    OpTable,
+    op_apply,
+    op_compose,
+    weight_universe,
+)
+from nseries.errors import DimensionMismatchError, IncompleteTableError, WeightBoundError
+from nseries.free_algebra import free_from_json
+from nseries.hahn_series import hahn_from_json
+from nseries.samples import random_contracting_table, random_free_series, random_hahn
+from nseries.vaut_factors import middle_correspond
+from pairwise_oracles import reference_product, reference_sum
 
 
 def lin_comb(a, b):
@@ -119,3 +137,208 @@ def test_lin_comb_matches_the_reference_fold(case):
 def test_a_cancelled_key_re_enters_last():
     like, pairs = CANCEL_THEN_REENTER
     assert list(like.lin_comb(pairs).terms) == [(0, 0), (0,)]
+
+
+# -- the fraction-free kernel against the reference product and the checked constructor
+
+W12 = MonoidCtx.weighted(1, 2)
+# Coprime denominators near 10^6 make the common denominator a product of primes.
+BIG = (Fraction(1, 999983), Fraction(-1, 999979), Fraction(2, 1000003), Fraction(-3, 1000033))
+KERNEL_COEFFS = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)) + BIG
+SPACES = (
+    (FreeSeries, (2, 3), [()] + [(i,) for i in range(2)] + [(i, j) for i in range(2) for j in range(2)]
+     + [(0, 1, 0), (1, 1, 1)]),
+    (HahnPoly, (LEX1, 4), list(weight_universe(LEX1, 4))),
+    (HahnPoly, (PROD2, 3), list(weight_universe(PROD2, 3))),
+    (HahnPoly, (W12, 4), list(weight_universe(W12, 4))),
+)
+
+
+def _series(draw, cls, space, keys):
+    terms = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(KERNEL_COEFFS), max_size=5))
+    return cls(*space, terms)
+
+
+@st.composite
+def operands(draw):
+    """Two series of one space, either of which may be zero, and a scalar."""
+    cls, space, keys = draw(st.sampled_from(SPACES))
+    return _series(draw, cls, space, keys), _series(draw, cls, space, keys), draw(
+        st.sampled_from(KERNEL_COEFFS + (0,)))
+
+
+def _rebuilt(x):
+    """The same terms, in the same order, through the checked constructor."""
+    if isinstance(x, OpTable):
+        return OpTable(x.ctx, x.bound, {m: _rebuilt(img) for m, img in x.images.items()})
+    return type(x)(*x._space(), dict(x.terms))
+
+
+def _series_results(a, b, c):
+    """Every kernel builder on (a, b, c), exact total cancellation included."""
+    zero = a.zero(*a._space())
+    return [a * b, b * a, a * a, a * zero, zero * b, a + b, a - b, a - a, -a, a.scale(c),
+            a.lin_comb([(c, a), (1, b), (-c, a), (-1, b)]),
+            a.lin_comb([(c, a), (1, b), (-c, a)]), a.lin_comb([])]
+
+
+PRODUCT_CASES = (
+    (FreeSeries(1, 3, {(): BIG[0], (0,): BIG[1]}), FreeSeries(1, 3, {(): BIG[2], (0, 0): BIG[3]}), 0),
+    (HahnPoly(PROD2, 3, {(0, 0): 1, (1, 0): 1}), HahnPoly(PROD2, 3, {(0, 0): 1, (1, 0): -1}), 1),
+    (HahnPoly(W12, 4, {(2, 0): BIG[0]}), HahnPoly(W12, 4, {}), BIG[1]),
+)
+
+
+@PROPERTY
+@given(operands())
+@example(PRODUCT_CASES[0])
+@example(PRODUCT_CASES[1])
+@example(PRODUCT_CASES[2])
+def test_product_matches_the_reference_product(case):
+    a, b, c = case
+    for x, y in ((a, b), (b, a), (a, a), (a.scale(c), b)):
+        assert _with_order(x * y) == _with_order(reference_product(x, y))
+    pairs = [(c, a), (BIG[0], b), (-1, a)]
+    assert _with_order(a.lin_comb(pairs)) == _with_order(reference_sum(a, pairs))
+
+
+@PROPERTY
+@given(operands())
+@example(PRODUCT_CASES[0])
+@example(PRODUCT_CASES[1])
+@example(PRODUCT_CASES[2])
+def test_every_kernel_result_equals_its_checked_rebuild(case):
+    for x in _series_results(*case):
+        assert _with_order(x) == _with_order(_rebuilt(x))
+        assert all(type(v) is Fraction and v != 0 for v in x.terms.values())
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.sampled_from(KERNEL_COEFFS))
+def test_every_table_result_equals_its_checked_rebuild(seed, c):
+    rng = random.Random(seed)
+    f, g = (random_contracting_table(rng, W12, 4).scale(c) for _ in range(2))
+    for x in (f + g, f - f, f.lin_comb([(c, f), (BIG[0], g)]), op_compose(f, g),
+              op_compose(f, OpTable.zero(W12, 4))):
+        assert _with_order(x) == _with_order(_rebuilt(x))
+
+
+def test_cancelled_keys_leave_products_and_sums():
+    a = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): 1})
+    b = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): -1})
+    assert list((a * b).terms.items()) == [((0, 0), 1), ((2, 0), -1)]
+    x = FreeSeries(1, 2, {(): BIG[0], (0,): BIG[1]})
+    assert (x.scale(BIG[2]) - x.scale(BIG[2])).is_zero()
+    assert (x * FreeSeries.zero(1, 2)).is_zero() and (FreeSeries.zero(1, 2) * x).is_zero()
+
+
+def _reductions(monkeypatch):
+    """Record the denominator of every Fraction(n, d) built while the patch holds."""
+    calls = []
+    new = Fraction.__new__
+
+    def recording(cls, numerator=0, denominator=None, **kw):
+        if denominator is not None:
+            calls.append(denominator)
+        return new(cls, numerator, denominator, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", recording)
+    return calls
+
+
+def test_each_key_is_reduced_once_over_the_least_common_denominator(monkeypatch):
+    a = FreeSeries(1, 2, {(): Fraction(1, 6), (0,): Fraction(1, 4)})
+    b = FreeSeries(1, 2, {(): Fraction(1, 10), (0, 0): Fraction(1, 5)})
+    pairs = [(Fraction(1, 3), a), (2, b)]
+    calls = _reductions(monkeypatch)
+    total = a.lin_comb(pairs)
+    # lcm(3 * 12, 1 * 10) = 180, not the product 360.
+    assert calls == [180] * len(total.terms) and len(total.terms) == 3
+    calls.clear()
+    product = a * b
+    assert calls == [12 * 10] * len(product.terms) and len(product.terms) == 3
+    monkeypatch.undo()
+    assert total.terms == {(): Fraction(23, 90), (0,): Fraction(1, 12), (0, 0): Fraction(2, 5)}
+    assert product.terms == {(): Fraction(1, 60), (0,): Fraction(1, 40), (0, 0): Fraction(1, 30)}
+
+
+def test_kernel_builders_run_no_post_init(monkeypatch):
+    rng = random.Random(5)
+    f, g = (random_contracting_table(rng, PROD2, 3) for _ in range(2))
+    a, b = random_hahn(rng, PROD2, 3), random_hahn(rng, PROD2, 3)
+    p, q = random_free_series(rng, 2, 3), random_free_series(rng, 2, 3)
+    counts = {}
+    for cls in (FreeSeries, HahnPoly, OpTable):
+        original = cls.__post_init__
+
+        def counting(self, original=original, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    results = [a * b, a + b, a.scale(3), p * q, p - q, -p, f + g, f.scale(2),
+               op_compose(f, g), op_apply(f, a)]
+    assert counts == {}
+    # The checked constructors still run it.
+    FreeSeries(2, 3, {}), HahnPoly(PROD2, 3, {}), OpTable.zero(PROD2, 3)
+    assert counts == {"FreeSeries": 1, "HahnPoly": 1 + len(weight_universe(PROD2, 3)), "OpTable": 1}
+    assert all(r == _rebuilt(r) for r in results)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: FreeSeries(2, 2, {(0, 1, 0): 1}), ValueError, "exceeds the grade bound"),
+        (lambda: FreeSeries(2, 2, {(2,): 1}), DimensionMismatchError, "outside alphabet"),
+        (lambda: FreeSeries(2.0, 2, {}), TypeError, "integer"),
+        (lambda: HahnPoly(LEX1, 2, {(3,): 1}), WeightBoundError, "outside \\[0, 2\\]"),
+        (lambda: HahnPoly(PROD2, 2, {(1.0, 0): 1}), TypeError, "integer"),
+        (lambda: HahnPoly(PROD2, -1, {}), ValueError, "weight bound"),
+        (lambda: OpTable(LEX1, 2, {(0,): HahnPoly.one(LEX1, 2)}), IncompleteTableError, "missing"),
+        (lambda: OpTable(LEX1, 1, {(0,): HahnPoly.one(LEX1, 1), (1,): HahnPoly.zero(LEX1, 2)}),
+         DimensionMismatchError, "different context or bound"),
+    ],
+)
+def test_public_constructors_keep_every_check(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+# -- exact coefficients -------------------------------------------------------
+
+
+NOT_EXACT = (0.1, 0.5, 1e300, complex(1, 0), Decimal("0.1"), None)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+def test_a_coefficient_that_is_not_an_exact_rational_is_a_type_error(value):
+    builders = (
+        lambda: HahnPoly(LEX1, 2, {(1,): value}),
+        lambda: HahnPoly.monomial(LEX1, 2, (1,), value),
+        lambda: FreeSeries(1, 2, {(): value}),
+        lambda: FreeSeries.constant(value, 1, 2),
+        lambda: FreeSeries.one(1, 2).scale(value),
+        lambda: HahnPoly.one(LEX1, 2).lin_comb([(1, HahnPoly.one(LEX1, 2)), (value, HahnPoly.one(LEX1, 2))]),
+        lambda: OpTable.identity(LEX1, 2).scale(value),
+        lambda: CharacterX(PROD2, (1, value)),
+        lambda: AdditiveChar(PROD2, (value, 1)),
+        lambda: middle_correspond(AdditiveChar(PROD2, (1, 0)), {1: value}),
+        lambda: middle_correspond(AdditiveChar(PROD2, (1, 0)), {value: 2}),
+        lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1, "weights": [1]}, "bound": 2,
+                                "terms": [{"exps": [1], "coeff": value}]}),
+        lambda: free_from_json({"alphabet": 1, "grade": 2, "terms": [{"word": [0], "coeff": value}]}),
+    )
+    for build in builders:
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            build()
+
+
+def test_ints_fractions_and_rational_strings_stay_exact():
+    a = HahnPoly(LEX1, 2, {(0,): 2, (1,): Fraction(1, 3), (2,): "0.1"})
+    assert a.terms == {(0,): 2, (1,): Fraction(1, 3), (2,): Fraction(1, 10)}
+    assert all(type(v) is Fraction for v in a.terms.values())
+    assert FreeSeries.one(1, 2).scale(Fraction(1, 10)).terms == {(): Fraction(1, 10)}
+    assert FreeSeries.one(1, 2).scale(True).terms == {(): 1}
+    assert CharacterX(PROD2, (2, "1/2")).values == (2, Fraction(1, 2))
+    data = {"alphabet": 1, "grade": 2, "terms": [{"word": [0], "coeff": "1/10"}, {"word": [], "coeff": 3}]}
+    assert free_from_json(data).terms == {(0,): Fraction(1, 10), (): 3}

@@ -9,6 +9,9 @@ and without `--json`, and `series exp|log --order 8`.
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
+The one line on stdout is the digest over every command.  Stderr gets one
+`<group> <digest>` line per command group (corr, vaut, verify, op eval,
+bch/series), so two checkouts whose digests differ can be told apart by group.
 
     python3 tools/output_digest.py
 """
@@ -35,8 +38,8 @@ VERIFY_CONFIGS = ((6, 10, 1), (8, 5, 7))
 EVAL_CONTEXTS = (("lex:1", 5), ("prod:2", 3), ("weighted:1,2", 4))
 
 
-def feed(h, argv: list[str], strip: str = "") -> None:
-    """Run one command line and add its exit code, stdout and stderr to `h`."""
+def feed(hashes, argv: list[str], strip: str = "") -> None:
+    """Run one command line and add its exit code, stdout and stderr to each of `hashes`."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -44,23 +47,25 @@ def feed(h, argv: list[str], strip: str = "") -> None:
     except SystemExit as exc:
         rc = exc.code
     for part in (str(rc), out.getvalue(), err.getvalue()):
-        h.update(part.replace(strip, "").encode() + b"\0")
+        for h in hashes:
+            h.update(part.replace(strip, "").encode() + b"\0")
 
 
 def main() -> None:
     h = hashlib.sha256()
+    groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
                 setup = workloads.SETUPS[name](ns, seed, Path(tmp))
                 for job in setup.jobs:
-                    feed(h, job.argv, strip=tmp + "/")
+                    feed((h, groups[name]), job.argv, strip=tmp + "/")
     for order, trials, seed in VERIFY_CONFIGS:
         for suite in SUITES:
             argv = ["verify", suite, "--order", str(order), "--trials", str(trials),
                     "--seed", str(seed), "--json"]
-            feed(h, argv)
+            feed((h, groups["verify"]), argv)
     for descr, bound in EVAL_CONTEXTS:
         ctx = textio.parse_ctx(descr)
         for seed in SEEDS:
@@ -72,11 +77,14 @@ def main() -> None:
                 t0.write_text(textio.format_op_table(tables[0]))
                 t1.write_text(textio.format_op_table(tables[1]))
                 P.write_text(textio.format_free(series))
-                feed(h, ["op", "eval", "-P", str(P), "-f", str(t0), str(t1)], strip=tmp + "/")
+                feed((h, groups["op eval"]), ["op", "eval", "-P", str(P), "-f", str(t0), str(t1)],
+                     strip=tmp + "/")
     for argv in (["bch", "--order", "8", "--json"], ["bch", "--order", "6", "--oracle"],
                  ["bch", "--order", "6", "--oracle", "--json"],
                  ["series", "exp", "--order", "8"], ["series", "log", "--order", "8"]):
-        feed(h, argv)
+        feed((h, groups["bch/series"]), argv)
+    for name, group in groups.items():
+        print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
 
 
