@@ -2,15 +2,14 @@
 
 Subcommands: bch, series, order, op, exp-der, log-aut, star, iterate, vaut,
 verify.  Text output follows the published grammars; --json emits versioned,
-byte-stable JSON.  Set NSERIES_COLOR=1/0 to force or suppress colored
-pass/fail markers.
+byte-stable JSON.  Pass/fail markers are colored exactly when stdout is a
+terminal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,16 +49,9 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
 
 
-def _use_color() -> bool:
-    flag = os.environ.get("NSERIES_COLOR")
-    if flag is not None:
-        return flag not in ("0", "", "no")
-    return sys.stdout.isatty()
-
-
 def _mark(passed: bool) -> str:
     word = "PASS" if passed else "FAIL"
-    if _use_color():
+    if sys.stdout.isatty():
         code = "32" if passed else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
     return word
@@ -111,6 +103,17 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _table(path: str):
+    """The operator table in the file at `path`."""
+    return parse_op_table(_read(path))
+
+
+def _write_table(table) -> int:
+    """Print a table result in the table grammar; exit code 0."""
+    print(format_op_table(table), end="")
+    return 0
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_bch(args) -> int:
@@ -158,32 +161,30 @@ def _cmd_order(args) -> int:
         else:
             print(" ".join(",".join(str(x) for x in v) for v in vecs))
         return 0
-    if args.action == "closure":
-        offsets = [parse_vec(v) for v in args.offsets]
-        start = [parse_vec(v) for v in args.vectors]
-        words = choice_closure(
-            ctx, start, lambda p: [vec_add(p, d) for d in offsets], args.depth
+    offsets = [parse_vec(v) for v in args.offsets]
+    start = [parse_vec(v) for v in args.vectors]
+    words = choice_closure(
+        ctx, start, lambda p: [vec_add(p, d) for d in offsets], args.depth
+    )
+    lasts = [w[-1] for w in words]
+    good = find_good_pair(ctx, lasts)
+    if args.json:
+        _emit_json(
+            {
+                "schema": SCHEMA,
+                "words": [[list(v) for v in w] for w in words],
+                "good_pair": list(good) if good else None,
+            }
         )
-        lasts = [w[-1] for w in words]
-        good = find_good_pair(ctx, lasts)
-        if args.json:
-            _emit_json(
-                {
-                    "schema": SCHEMA,
-                    "words": [[list(v) for v in w] for w in words],
-                    "good_pair": list(good) if good else None,
-                }
-            )
-        else:
-            for w in words:
-                print(" -> ".join(",".join(str(x) for x in v) for v in w))
-            print(f"good pair on last letters: {good}")
-        return 0
-    raise NSeriesError(f"unknown order action {args.action!r}")
+    else:
+        for w in words:
+            print(" -> ".join(",".join(str(x) for x in v) for v in w))
+        print(f"good pair on last letters: {good}")
+    return 0
 
 
 def _cmd_op(args) -> int:
-    table = parse_op_table(_read(args.table))
+    table = _table(args.table)
     checks = {
         "contracting": op_is_contracting,
         "derivation": op_is_derivation,
@@ -207,42 +208,32 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_op_eval(args) -> int:
-    tables = [parse_op_table(_read(path)) for path in args.table_files]
+    tables = [_table(path) for path in args.table_files]
     P = parse_free(
         _read(args.series), alphabet_size=len(tables), grade=tables[0].bound
     )
-    result = op_evaluate(P, tuple(tables))
-    print(format_op_table(result), end="")
-    return 0
+    return _write_table(op_evaluate(P, tuple(tables)))
 
 
 def _cmd_exp_der(args) -> int:
-    print(format_op_table(op_exp(parse_op_table(_read(args.table)))), end="")
-    return 0
+    return _write_table(op_exp(_table(args.table)))
 
 
 def _cmd_log_aut(args) -> int:
-    print(format_op_table(op_log(parse_op_table(_read(args.table)))), end="")
-    return 0
+    return _write_table(op_log(_table(args.table)))
 
 
 def _cmd_star(args) -> int:
-    t1 = parse_op_table(_read(args.left))
-    t2 = parse_op_table(_read(args.right))
-    print(format_op_table(star(t1, t2)), end="")
-    return 0
+    return _write_table(star(_table(args.left), _table(args.right)))
 
 
 def _cmd_iterate(args) -> int:
-    table = parse_op_table(_read(args.table))
-    print(format_op_table(fractional_iterate(table, parse_rational(args.c))), end="")
-    return 0
+    return _write_table(fractional_iterate(_table(args.table), parse_rational(args.c)))
 
 
 def _cmd_vaut(args) -> int:
     if args.action == "decompose":
-        table = parse_op_table(_read(args.path))
-        split = decompose_vaut(table)
+        split = decompose_vaut(_table(args.path))
         _emit_json(
             {
                 "schema": SCHEMA,
@@ -252,8 +243,7 @@ def _cmd_vaut(args) -> int:
             }
         )
         return 0
-    print(format_op_table(compose_factors(_read_factors(_read(args.path)))), end="")
-    return 0
+    return _write_table(compose_factors(_read_factors(_read(args.path))))
 
 
 def _cmd_verify(args) -> int:

@@ -33,11 +33,9 @@ from .series_calculus import series_E0, series_L0
 
 
 def _require_contracting(table: OpTable, role: str) -> None:
-    chk = op_is_contracting(table)
-    if not chk:
-        raise NotContractingError(
-            f"{role} is not contracting at basis pair {chk.witness}", witness=chk.witness
-        )
+    op_is_contracting(table).require(
+        NotContractingError, role + " is not contracting at basis pair {}"
+    )
 
 
 def _exp(d: OpTable) -> OpTable:
@@ -98,12 +96,9 @@ def fractional_iterate(s: OpTable, c) -> OpTable:
     compose additively in c and commute with s.  c log s is contracting by
     construction, so only s is checked.
     """
-    chk = op_is_unital_endomorphism(s)
-    if not chk:
-        raise NotContractingError(
-            f"fractional iteration needs a unital endomorphism; failed at {chk.witness}",
-            witness=chk.witness,
-        )
+    op_is_unital_endomorphism(s).require(
+        NotContractingError, "fractional iteration needs a unital endomorphism; failed at {}"
+    )
     return _exp(op_log(s).scale(c))
 
 

@@ -11,10 +11,6 @@ class DimensionMismatchError(NSeriesError):
     """Operands live over different alphabets, contexts or bounds."""
 
 
-class NotAUnitError(NSeriesError):
-    """Inversion was requested for a non-invertible element or table."""
-
-
 class NotInIdealError(NSeriesError):
     """A substitution argument has a nonzero constant term."""
 
@@ -33,6 +29,10 @@ class WitnessError(NSeriesError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class NotAUnitError(WitnessError):
+    """Inversion was requested for a non-invertible element or table."""
 
 
 class NotContractingError(WitnessError):

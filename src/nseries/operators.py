@@ -13,7 +13,9 @@ exponent pair.  `op_geometric_inverse` evaluates through
 One generator walk over the weight-sorted basis splits each exponent m into
 (m - e, e), e a generator.  It builds the Leibniz and multiplicative
 extensions of generator images, and decides the derivation and endomorphism
-predicates by comparing each image with the same step.
+predicates by comparing each image with the same step.  Every entry point
+that needs a predicate to hold raises through `CheckResult.require`, which
+attaches the predicate's witness to the error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     IncompleteTableError,
     NotAUnitError,
     NotContractingError,
+    WitnessError,
 )
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
@@ -43,6 +46,12 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self, error: type[WitnessError], message: str) -> None:
+        """Nothing on a pass.  On a failure raise `error` with `message` formatted
+        on the witness, as in `message.format(witness)`, and `.witness` attached."""
+        if not self.ok:
+            raise error(message.format(self.witness), witness=self.witness)
 
 
 @dataclass(frozen=True)
@@ -293,11 +302,9 @@ def op_evaluate(P: FreeSeries, args: Sequence[OpTable]) -> OpTable:
         )
     for i, t in enumerate(args):
         chk = op_is_contracting(t)
-        if not chk:
-            raise NotContractingError(
-                f"argument {i} is not contracting at basis pair {chk.witness}",
-                witness=(i, chk.witness),
-            )
+        CheckResult(chk.ok, (i, chk.witness)).require(
+            NotContractingError, "argument {0[0]} is not contracting at basis pair {0[1]}"
+        )
     one = OpTable.identity(first.ctx, first.bound)
     return evaluate_words(P, args, one, op_compose, first.bound)
 
@@ -315,9 +322,7 @@ def op_geometric_inverse(table: OpTable) -> OpTable:
         raise NotAUnitError("table has no scalar part on the weight-zero monomial")
     ident = OpTable.identity(ctx, bound)
     eps = table - ident.scale(c)
-    chk = op_is_contracting(eps)
-    if not chk:
-        raise NotAUnitError(
-            f"table is not of the form c*Id + contracting; offending pair {chk.witness}"
-        )
+    op_is_contracting(eps).require(
+        NotAUnitError, "table is not of the form c*Id + contracting; offending pair {}"
+    )
     return unit_inverse(c, eps, ident, op_compose, bound)

@@ -395,12 +395,9 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     vaut.decompose-roundtrip step.  Any failure reports a witness.
     """
     ctx, bound = sigma.ctx, sigma.bound
-    endo = op_is_unital_endomorphism(sigma)
-    if not endo:
-        raise NotDecomposableError(
-            f"table is not a unital endomorphism; witness {endo.witness}",
-            witness=endo.witness,
-        )
+    op_is_unital_endomorphism(sigma).require(
+        NotDecomposableError, "table is not a unital endomorphism; witness {}"
+    )
     gens = ctx.generators()
     leads = []
     for g in gens:
@@ -434,10 +431,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     residual = OpTable.from_function(
         ctx, bound, lambda q: sigma.images[preimage[q]].scale(1 / base.at(preimage[q]))
     )
-    near = op_is_contracting(residual - OpTable.identity(ctx, bound))
-    if not near:
-        raise NotDecomposableError(
-            f"residual fails the near-identity test; witness {near.witness}",
-            witness=near.witness,
-        )
+    op_is_contracting(residual - OpTable.identity(ctx, bound)).require(
+        NotDecomposableError, "residual fails the near-identity test; witness {}"
+    )
     return FactorAut(mu, chi, residual)

@@ -66,7 +66,7 @@ from .vaut_factors import (
     gder_table,
     middle_correspond,
     one_aut_check,
-    oaut_table,
+    pullback_morphism,
     gexp_table,
 )
 
@@ -421,9 +421,7 @@ def suite_vaut(order: int, trials: int, rng: random.Random) -> Iterator[StepResu
 
     def trial(_):
         res = op_exp(samples.random_contracting_derivation(rng, ctx2, bound))
-        conj = op_compose(
-            op_compose(oaut_table(swap, bound), res), oaut_table(swap.inverse(), bound)
-        )
+        conj = pullback_morphism(swap, bound)(res)
         yield one_aut_check(conj), "relabeling conjugation left the near-identity group"
         x = samples.random_character(rng, ctx2)
         t = gexp_table(x, bound)

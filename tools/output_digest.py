@@ -5,13 +5,18 @@ inputs drawn by `nsbench/workloads.py`, and `verify <suite> --json` for every
 suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
 `op eval` of a seeded free series at two seeded contracting tables in three
 contexts at seeds 1-3, `bch --order 8 --json`, `bch --order 6 --oracle` with
-and without `--json`, and `series exp|log --order 8`.
+and without `--json`, and `series exp|log --order 8`.  It runs `order
+cmp|minimal|antichain|closure` in three contexts, and `op check` on a passing
+and a failing table, each as text and with `--json`.  In the same three
+contexts it makes one failing call per check the command line reaches:
+`exp-der`, `star` (left and right) and `op eval` on the identity table,
+`log-aut` on the zero table and `iterate` on Id plus a seeded contracting table.
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
 The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, vaut, verify, op eval,
-bch/series), so two checkouts whose digests differ can be told apart by group.
+bch/series, order, op check, failures), so two checkouts whose digests differ can be told apart by group.
 
     python3 tools/output_digest.py
 """
@@ -30,12 +35,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
-from nseries import cli, samples, textio  # noqa: E402
+from nseries import OpTable, cli, samples, textio  # noqa: E402
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
 VERIFY_CONFIGS = ((6, 10, 1), (8, 5, 7))
 EVAL_CONTEXTS = (("lex:1", 5), ("prod:2", 3), ("weighted:1,2", 4))
+ORDER_CONTEXTS = ("lex:2", "prod:2", "weighted:1,2")
+ORDER_ARGV = (
+    ["cmp", "1,0", "0,1"],
+    ["cmp", "1,1", "2,-1"],
+    ["minimal", "1,0", "0,1", "1,1", "2,0", "0,2"],
+    ["antichain", "1,0", "0,1", "1,1", "2,0", "0,2", "2,-1"],
+    ["closure", "0,0", "1,0", "--offsets", "1,0", "0,1", "--depth", "3"],
+)
 
 
 def feed(hashes, argv: list[str], strip: str = "") -> None:
@@ -53,7 +66,8 @@ def feed(hashes, argv: list[str], strip: str = "") -> None:
 
 def main() -> None:
     h = hashlib.sha256()
-    groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series")}
+    groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series",
+                                                   "order", "op check", "failures")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
@@ -83,6 +97,38 @@ def main() -> None:
                  ["bch", "--order", "6", "--oracle", "--json"],
                  ["series", "exp", "--order", "8"], ["series", "log", "--order", "8"]):
         feed((h, groups["bch/series"]), argv)
+    for descr in ORDER_CONTEXTS:
+        for argv in ORDER_ARGV:
+            for json_flag in ([], ["--json"]):
+                feed((h, groups["order"]), ["order", *argv, "--ctx", descr, *json_flag])
+    for seed, (descr, bound) in enumerate(EVAL_CONTEXTS, start=1):
+        ctx = textio.parse_ctx(descr)
+        rng = random.Random(seed)
+        ident = OpTable.identity(ctx, bound)
+        tables = {
+            "id": ident,
+            "zero": OpTable.zero(ctx, bound),
+            "der": samples.random_contracting_derivation(rng, ctx, bound),
+            "con": samples.random_contracting_table(rng, ctx, bound),
+        }
+        tables["id+con"] = ident + tables["con"]
+        series = samples.random_free_series(rng, 2, bound, terms=8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = {name: str(Path(tmp, name + ".tbl")) for name in tables}
+            for name, table in tables.items():
+                Path(path[name]).write_text(textio.format_op_table(table))
+            P = Path(tmp, "P.txt")
+            P.write_text(textio.format_free(series))
+            for name, flags in (("der", ["--contracting", "--derivation"]),
+                                ("id", ["--contracting", "--derivation", "--endo"])):
+                for json_flag in ([], ["--json"]):
+                    feed((h, groups["op check"]), ["op", "check", path[name], *flags, *json_flag],
+                         strip=tmp + "/")
+            for argv in (["exp-der", path["id"]], ["log-aut", path["zero"]],
+                         ["star", path["id"], path["der"]], ["star", path["der"], path["id"]],
+                         ["op", "eval", "-P", str(P), "-f", path["con"], path["id"]],
+                         ["iterate", path["id+con"], "--c", "1/2"]):
+                feed((h, groups["failures"]), argv, strip=tmp + "/")
     for name, group in groups.items():
         print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
