@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import NSeriesError, ParseError
 from .correspondence import fractional_iterate, op_exp, op_log, star
@@ -78,8 +77,8 @@ def _read_factors(text: str) -> FactorAut:
     if not isinstance(data["residual"], str):
         raise ParseError("factor field 'residual' must be a table text string")
     try:
-        chi = tuple(Fraction(v) for v in chi)
-    except (ValueError, ZeroDivisionError) as exc:
+        chi = tuple(parse_rational(str(v)) for v in chi)
+    except ParseError as exc:
         raise ParseError(f"factor field 'chi': {exc}") from None
     try:
         residual = parse_op_table(data["residual"])
@@ -198,7 +197,8 @@ def _cmd_op(args) -> int:
     for name in picked:
         res = checks[name](table)
         all_ok &= res.ok
-        rows.append({"check": name, "passed": res.ok, "witness": repr(res.witness)})
+        witness = None if res.ok else repr(res.witness)
+        rows.append({"check": name, "passed": res.ok, "witness": witness})
         if not args.json:
             extra = "" if res.ok else f"  witness: {res.witness}"
             print(f"{_mark(res.ok)} {name}{extra}")

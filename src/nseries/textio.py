@@ -5,10 +5,16 @@ Hahn series:  `2*t^(1,0) - 1/3*t^(0,2)`, `1` for t^0
 Context:      `lex:d`, `prod:d`, `weighted:w1,w2,...`
 Exponent:     `1,0`, comma-separated integers (command-line vectors)
 Table file:   header `ctx=<descr> N=<bound>`, then `t^(..) -> <series>` lines.
+
+A series text is read left to right by one term pattern, `_TERM`: an optional
+sign, required after the first term, then the text up to the next sign that
+lies outside a parenthesised exponent tuple.  Each term is `coeff*key`, `key`
+or a bare rational.  Every integer is the ASCII token `[+-]?[0-9]+`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, NSeriesError, ParseError
@@ -17,16 +23,21 @@ from .hahn_series import HahnPoly
 from .operators import OpTable
 from .support_order import LEX, WEIGHTED, MonoidCtx, weight_universe
 
-
-def format_rational(c: Fraction) -> str:
-    return str(c)
+_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+_LETTER = re.compile(r"[Xx]([0-9]+)")
+# Exponent tuples never nest, so the body has no nested quantifier to backtrack.
+_TERM = re.compile(r"\s*([+-]?)((?:[^+\-()]|\([^()]*\))*)")
 
 
 def parse_rational(text: str, position: int = 0) -> Fraction:
+    """`p`, `p/q` or a decimal in ASCII digits, without `_` separators."""
+    token = text.strip()
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not an exact rational: {text.strip()!r}", position) from exc
+        if token.isascii() and "_" not in token:
+            return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"not an exact rational: {token!r}", position)
 
 
 def format_ctx(ctx: MonoidCtx) -> str:
@@ -36,15 +47,16 @@ def format_ctx(ctx: MonoidCtx) -> str:
     return f"{kind}:{ctx.dim}"
 
 
+def _parse_int(tok: str, what: str, position: int | None = None) -> int:
+    """One ASCII integer token; a ParseError names `what` and the token."""
+    if not _INT.fullmatch(tok):
+        raise ParseError(f"{what}: not an integer: {tok.strip()!r}", position)
+    return int(tok)
+
+
 def _parse_ints(text: str, what: str, position: int | None = None) -> tuple[int, ...]:
     """Comma-separated integers; a ParseError names `what` and the bad entry."""
-    out = []
-    for tok in text.split(","):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"{what}: not an integer: {tok.strip()!r}", position) from None
-    return tuple(out)
+    return tuple(_parse_int(tok, what, position) for tok in text.split(","))
 
 
 def parse_vec(text: str) -> tuple[int, ...]:
@@ -66,44 +78,7 @@ def parse_ctx(text: str) -> MonoidCtx:
     return MonoidCtx.lex(*numbers) if head == "lex" else MonoidCtx.product(*numbers)
 
 
-# -- signed-term tokenizer ---------------------------------------------------
-
-def _split_terms(text: str) -> list[tuple[int, str, int]]:
-    """Split on top-level +/- into (sign, chunk, position) triples."""
-    terms = []
-    sign = 1
-    sign_seen = False
-    chunk = []
-    start = 0
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parenthesis", pos)
-        if ch in "+-" and depth == 0:
-            body = "".join(chunk).strip()
-            if body:
-                terms.append((sign, body, start))
-            elif terms or sign_seen:
-                raise ParseError("empty term", pos)
-            sign = 1 if ch == "+" else -1
-            sign_seen = True
-            chunk = []
-            start = pos + 1
-        else:
-            chunk.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced parenthesis", len(text))
-    body = "".join(chunk).strip()
-    if body:
-        terms.append((sign, body, start))
-    elif not terms:
-        raise ParseError("empty series text", 0)
-    return terms
-
+# -- signed terms ------------------------------------------------------------
 
 def _format_terms(series, write_key) -> str:
     """Signed terms `c*key` of a series, or `0`; `write_key` gives "" for the
@@ -113,9 +88,9 @@ def _format_terms(series, write_key) -> str:
         mag = abs(coeff)
         body = write_key(key)
         if not body:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag != 1:
-            body = f"{format_rational(mag)}*{body}"
+            body = f"{mag}*{body}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
@@ -127,7 +102,14 @@ def _parse_terms(text: str, read_key, unit_key: tuple[int, ...]) -> dict:
     """Signed `coeff*key` terms summed per key.  `read_key(body, position)` gives
     the key written by `body`, or None when `body` is a bare rational."""
     terms: dict[tuple[int, ...], Fraction] = {}
-    for sign, body, pos in _split_terms(text):
+    end = 0
+    while True:
+        match = _TERM.match(text, end)
+        sign, body, pos, end = match[1], match[2].strip(), match.start(2), match.end()
+        if text[end:end + 1] in ("(", ")"):
+            raise ParseError("unbalanced parenthesis", end)
+        if not body:
+            raise ParseError("empty term" if sign or terms else "empty series text", pos)
         coeff = Fraction(1)
         if "*" in body:
             coeff_text, _, body = body.partition("*")
@@ -138,8 +120,9 @@ def _parse_terms(text: str, read_key, unit_key: tuple[int, ...]) -> dict:
         key = read_key(body, pos)
         if key is None:
             key, coeff = unit_key, coeff * parse_rational(body, pos)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return terms
+        terms[key] = terms.get(key, Fraction(0)) + (-coeff if sign == "-" else coeff)
+        if end == len(text):
+            return terms
 
 
 # -- free series -------------------------------------------------------------
@@ -153,9 +136,10 @@ def _read_word(body: str, position: int) -> tuple[int, ...] | None:
         return None
     letters = []
     for tok in body.split():
-        if tok[:1] not in ("X", "x") or not tok[1:].isdigit():
+        letter = _LETTER.fullmatch(tok)
+        if not letter:
             raise ParseError(f"bad variable token {tok!r}", position)
-        letters.append(int(tok[1:]))
+        letters.append(int(letter[1]))
     return tuple(letters)
 
 
@@ -241,7 +225,7 @@ def parse_op_table(text: str) -> OpTable:
         if "ctx" not in fields or "N" not in fields:
             raise ParseError(f"table header must carry ctx= and N=: {header!r}")
         ctx = parse_ctx(fields["ctx"])
-        bound = int(fields["N"])
+        bound = _parse_int(fields["N"], "table header field N")
         universe = set(weight_universe(ctx, bound))
         images = {}
         for n, ln in lines[1:]:

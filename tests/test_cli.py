@@ -22,6 +22,7 @@ from nseries import (
 from nseries.cli import main
 from nseries.samples import random_contracting_derivation
 from nseries.textio import format_op_table, parse_op_table
+from nseries.verify import SUITES
 
 LEX1 = MonoidCtx.lex(1)
 
@@ -312,6 +313,78 @@ def test_iterate_rejects_zero_denominator(tmp_path, capsys):
     code, out, err = run(capsys, "iterate", str(path), "--c", "1/0")
     assert code == 2 and out == ""
     assert err.startswith("error: not an exact rational: '1/0'")
+
+
+def test_op_check_json_writes_null_for_a_passing_witness(tmp_path, capsys):
+    path = tmp_path / "d.table"
+    path.write_text(format_op_table(flow_table(2)))
+    code, out, _ = run(capsys, "op", "check", str(path), "--contracting", "--endo", "--json")
+    assert code == 1
+    contracting, endo = json.loads(out)["checks"]
+    assert (contracting["passed"], contracting["witness"]) == (True, None)
+    assert (endo["passed"], endo["witness"]) == (False, "'unit'")
+
+
+TABLE_HEAD = "ctx=lex:1 N=1\nt^(0) -> 1\n"
+FLOW_TABLE = "ctx=lex:1 N=1\nt^(0) -> 0\nt^(1) -> 0\n"
+RESIDUAL = "ctx=lex:1 N=0\nt^(0) -> 1\n"
+
+
+def _factors(**fields) -> str:
+    return json.dumps({"mu": [[1]], "chi": ["1"], "residual": RESIDUAL, **fields})
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> \n"}, "line 3: empty series text"),
+        (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> 2*\n"},
+         "line 3: missing monomial after '*'"),
+        (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^1 -> 0\n"},
+         "line 3: exponent must be parenthesized: 't^1'"),
+        (["exp-der", "{t}"], {"t": "ctx=lex:1 N=1\nx -> 0\n"}, "line 2: bad basis monomial 'x'"),
+        (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> (t^(1)\n"},
+         "line 3: unbalanced parenthesis"),
+        (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> t^(1))\n"},
+         "line 3: unbalanced parenthesis"),
+        (["op", "eval", "-P", "{P}", "-f", "{t}", "{t}"], {"P": "X0 Y1", "t": FLOW_TABLE},
+         "bad variable token 'Y1'"),
+        (["vaut", "compose", "{f}"], {"f": _factors(chi=[1.5])},
+         "factor field 'chi' must be an array of exact rationals"),
+        (["vaut", "compose", "{f}"], {"f": _factors(chi=["1/0"])},
+         "factor field 'chi': not an exact rational: '1/0'"),
+        (["vaut", "compose", "{f}"], {"f": _factors(residual=5)},
+         "factor field 'residual' must be a table text string"),
+        (["vaut", "compose", "{f}"], {"f": _factors(residual="ctx=lex:1 N=0\nt^(0) 1\n")},
+         "factor field 'residual': line 2: table line needs '->'"),
+        (["op", "check", "{t}"], {"t": FLOW_TABLE},
+         "pick at least one of --contracting/--derivation/--endo"),
+        (["order", "cmp", "1,0", "--ctx", "lex:2"], {}, "cmp needs exactly two exponents"),
+    ],
+    ids=[
+        "empty-series", "missing-monomial", "bare-exponent", "bad-basis", "stray-open",
+        "stray-close", "bad-letter", "float-chi", "zero-denominator-chi", "residual-type",
+        "residual-text", "no-predicate", "one-vector",
+    ],
+)
+def test_each_rejection_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):
+    paths = {name: tmp_path / name for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_text_prints_a_pass_line_per_step_and_then_the_suite(capsys, suite):
+    argv = ["verify", suite, "--order", "4", "--trials", "2", "--seed", "3"]
+    code, out, _ = run(capsys, *argv)
+    _, data, _ = run(capsys, *argv, "--json")
+    steps = [f"PASS {r['name']}" for r in json.loads(data)["results"]]
+    assert code == 0
+    assert out.splitlines() == [*steps, f"PASS suite {suite}"]
 
 
 # -- factor JSON round trip: vaut decompose -> JSON -> vaut compose -------------

@@ -17,6 +17,8 @@ from nseries.textio import (
     parse_free,
     parse_hahn,
     parse_op_table,
+    parse_rational,
+    parse_vec,
 )
 
 LEX1 = MonoidCtx.lex(1)
@@ -160,6 +162,78 @@ def test_op_table_header_takes_each_field_once(header, message):
     body = "\nt^(0) -> 0\nt^(1) -> 0\nt^(2) -> 0\n"
     with pytest.raises(ParseError, match=f"line 1: {message}"):
         parse_op_table(header + body)
+
+
+@pytest.mark.parametrize(
+    "parse, message",
+    [
+        (lambda: parse_free("1 -"), r"empty term \(at position 3\)"),
+        (lambda: parse_hahn("t^(1) +", LEX1, 4), r"empty term \(at position 7\)"),
+        (lambda: parse_op_table("ctx=lex:1 N=1\nt^(0) -> t^(1) -\nt^(1) -> 0\n"),
+         "line 2: empty term"),
+    ],
+    ids=["free", "hahn", "table"],
+)
+def test_a_dangling_sign_is_an_empty_term(parse, message):
+    with pytest.raises(ParseError, match=message):
+        parse()
+
+
+@pytest.mark.parametrize("text", ["", "  ", "(", "X0 )", "t^(1", "1 + (X0"])
+def test_empty_text_and_stray_parentheses_carry_a_position(text):
+    with pytest.raises(ParseError) as info:
+        parse_free(text)
+    assert info.value.position is not None
+
+
+def test_integer_tokens_keep_their_sign_and_surrounding_spaces():
+    assert parse_vec(" -1 , +2 ") == (-1, 2)
+    assert parse_ctx("weighted: 1, 2") == MonoidCtx.weighted(1, 2)
+    assert parse_hahn("t^( 1, 0 )", PROD2, 2) == HahnPoly.monomial(PROD2, 2, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "parse, message",
+    [
+        (lambda: parse_vec("1_0,2"), "exponent vector '1_0,2': not an integer: '1_0'"),
+        (lambda: parse_vec("\u0663,1"), "exponent vector '\u0663,1': not an integer"),
+        (lambda: parse_ctx("lex:1_0"), "context descriptor 'lex:1_0': not an integer: '1_0'"),
+        (lambda: parse_hahn("t^(0_1)", LEX1, 4), "not an integer: '0_1'"),
+        (lambda: parse_free("X\u0663"), "bad variable token 'X\u0663'"),
+        (lambda: parse_free("X\u00b2"), "bad variable token 'X\u00b2'"),
+        (lambda: parse_free("X1_0"), "bad variable token 'X1_0'"),
+        (lambda: parse_op_table("ctx=lex:1 N=1_0\n"), "line 1: .*not an integer: '1_0'"),
+        (lambda: parse_op_table("ctx=lex:1 N=\u0663\n"), "line 1: .*not an integer"),
+        (lambda: parse_rational("1_0"), "not an exact rational: '1_0'"),
+        (lambda: parse_rational("\u0661/\u0662"), "not an exact rational"),
+        (lambda: parse_free("1_0*X0"), "not an exact rational: '1_0'"),
+    ],
+    ids=["vector", "vector-arabic", "ctx", "exponent", "arabic-letter", "superscript-letter",
+         "letter-separator", "header", "header-arabic", "rational", "rational-arabic",
+         "coefficient"],
+)
+def test_non_ascii_digits_and_separators_are_parse_errors(parse, message):
+    with pytest.raises(ParseError, match=message):
+        parse()
+
+
+def test_rationals_keep_integers_fractions_and_decimals():
+    assert parse_rational(" -3 ") == -3
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("0.25") == F(1, 4)
+
+
+@settings(max_examples=50)
+@given(st.dictionaries(st.lists(st.integers(0, 1), max_size=2).map(tuple),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=5),
+       st.sampled_from([" ", "\n", " \n  "]))
+def test_repeated_keys_sum_and_terms_may_span_lines(terms, gap):
+    """Each term written as two signed halves, the sign apart from its term."""
+    parts = []
+    for word, c in terms.items():
+        body = " ".join(f"x{i}" for i in word) or "1"
+        parts += [f"{'-' if c < 0 else '+'}{gap}{abs(c) / 2}*{body}"] * 2
+    assert parse_free(gap.join(parts) or "0", 2, 2) == FreeSeries(2, 2, terms)
 
 
 # -- round-trip properties: parse(format(x)) == x ------------------------------

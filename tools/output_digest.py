@@ -11,12 +11,15 @@ and a failing table, each as text and with `--json`.  In the same three
 contexts it makes one failing call per check the command line reaches:
 `exp-der`, `star` (left and right) and `op eval` on the identity table,
 `log-aut` on the zero table and `iterate` on Id plus a seeded contracting table.
+In the same contexts it runs `exp-der`, `log-aut` and `op eval` on files written
+in every spelling the grammar has always accepted (see `respell`).
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
 The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, vaut, verify, op eval,
-bch/series, order, op check, failures), so two checkouts whose digests differ can be told apart by group.
+bch/series, order, op check, failures, spellings), so two checkouts whose digests differ can be told
+apart by group.
 
     python3 tools/output_digest.py
 """
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
-from nseries import OpTable, cli, samples, textio  # noqa: E402
+from nseries import OpTable, cli, op_exp, samples, textio  # noqa: E402
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -49,6 +52,32 @@ ORDER_ARGV = (
     ["antichain", "1,0", "0,1", "1,1", "2,0", "0,2", "2,-1"],
     ["closure", "0,0", "1,0", "--offsets", "1,0", "0,1", "--depth", "3"],
 )
+
+
+def respell(series, write_key, sep: str = " ") -> str:
+    """`series` in the spellings the canonical writer never uses: a sign before
+    every term, the first included; each key written twice, a decimal 0.5 and
+    its negation -1/2 added to it; and the constant term as `2*c/2`.  Terms are
+    joined by `sep`, so a newline splits them across lines."""
+    parts = ["- 0", "+ 0.0"]
+    for key, coeff in series.sorted_terms():
+        sign, body = "+" if coeff > 0 else "-", write_key(key)
+        if body:
+            parts += [f"+ 0.5*{body}", f"{sign} {abs(coeff)}*{body}", f"- 1/2 * {body}"]
+        else:
+            parts.append(f"{sign} 2*{abs(coeff) / 2}")
+    return sep.join(parts)
+
+
+def respell_table(table) -> str:
+    """A table file with spaced exponent tuples and respelled images."""
+    def spaced(exp):
+        return "t^( " + ", ".join(str(e) for e in exp) + " )"
+
+    lines = [f"ctx={textio.format_ctx(table.ctx)} N={table.bound}"]
+    for m, image in table.images.items():
+        lines.append(f"{spaced(m)} -> {respell(image, lambda e: spaced(e) if any(e) else '')}")
+    return "\n".join(lines) + "\n"
 
 
 def feed(hashes, argv: list[str], strip: str = "") -> None:
@@ -67,7 +96,8 @@ def feed(hashes, argv: list[str], strip: str = "") -> None:
 def main() -> None:
     h = hashlib.sha256()
     groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series",
-                                                   "order", "op check", "failures")}
+                                                   "order", "op check", "failures",
+                                                   "spellings")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
@@ -129,6 +159,22 @@ def main() -> None:
                          ["op", "eval", "-P", str(P), "-f", path["con"], path["id"]],
                          ["iterate", path["id+con"], "--c", "1/2"]):
                 feed((h, groups["failures"]), argv, strip=tmp + "/")
+    for seed, (descr, bound) in enumerate(EVAL_CONTEXTS, start=1):
+        ctx = textio.parse_ctx(descr)
+        rng = random.Random(seed)
+        der = samples.random_contracting_derivation(rng, ctx, bound)
+        tables = {"der": der, "aut": op_exp(der),
+                  "con": samples.random_contracting_table(rng, ctx, bound)}
+        series = samples.random_free_series(rng, 2, bound, terms=8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = {name: str(Path(tmp, name + ".tbl")) for name in tables}
+            for name, table in tables.items():
+                Path(path[name]).write_text(respell_table(table))
+            P = Path(tmp, "P.txt")
+            P.write_text(respell(series, lambda w: " ".join(f"x{i}" for i in w), sep="\n"))
+            for argv in (["exp-der", path["der"]], ["log-aut", path["aut"]],
+                         ["op", "eval", "-P", str(P), "-f", path["der"], path["con"]]):
+                feed((h, groups["spellings"]), argv, strip=tmp + "/")
     for name, group in groups.items():
         print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
