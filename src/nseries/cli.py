@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: bch, series, order, op, exp-der, log-aut, star, iterate, vaut,
-verify.  Text output follows the published grammars; --json emits versioned,
-byte-stable JSON.  Pass/fail markers are colored exactly when stdout is a
+verify.  Each handler computes its result once and hands a JSON payload and
+its text lines to one writer, `_report`, which prints either the payload as
+versioned, byte-stable JSON (under --json, and always for `vaut decompose`) or
+the lines.  Table results go through `_write_table` in the table grammar.
+Text output follows the published grammars, and vectors are written by
+`textio.format_vec`.  Pass/fail markers are colored exactly when stdout is a
 terminal.
 """
 
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import NSeriesError, ParseError
 from .correspondence import fractional_iterate, op_exp, op_log, star
@@ -26,6 +31,7 @@ from .support_order import FinitePosetFragment, choice_closure, find_good_pair, 
 from .textio import (
     format_free,
     format_op_table,
+    format_vec,
     parse_ctx,
     parse_free,
     parse_op_table,
@@ -44,16 +50,24 @@ from .verify import SUITES, run_suite
 SCHEMA = 1
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
+def _report(args, payload: dict, lines, passed: bool = True) -> int:
+    """The one writer of command results: under `args.json`, `payload` with the
+    schema as one sorted JSON line, else the text `lines`.  Exit code 0 if
+    `passed`, else 1."""
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, separators=(", ", ": ")))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if passed else 1
 
 
-def _mark(passed: bool) -> str:
+def _mark(passed: bool, what: str) -> str:
+    """`PASS what` or `FAIL what`, the marker colored when stdout is a terminal."""
     word = "PASS" if passed else "FAIL"
     if sys.stdout.isatty():
-        code = "32" if passed else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
+        word = f"\x1b[{32 if passed else 31}m{word}\x1b[0m"
+    return f"{word} {what}"
 
 
 def _read_factors(text: str) -> FactorAut:
@@ -117,69 +131,41 @@ def _write_table(table) -> int:
 
 def _cmd_bch(args) -> int:
     series = bch_product(args.order)
-    oracle = dynkin_bch(args.order) if args.oracle else None
-    agrees = oracle is None or series == oracle
-    if args.json:
-        payload = {"schema": SCHEMA, "series": free_to_json(series)}
-        if oracle is not None:
-            payload["oracle"] = free_to_json(oracle)
-            payload["agrees"] = agrees
-        _emit_json(payload)
-    else:
-        print(format_free(series))
-        if oracle is not None:
-            print(f"oracle: {format_free(oracle)}")
-            print(f"{_mark(agrees)} commutator-formula oracle agreement")
-    return 0 if agrees else 1
+    payload, lines, agrees = {"series": free_to_json(series)}, [format_free(series)], True
+    if args.oracle:
+        oracle = dynkin_bch(args.order)
+        agrees = series == oracle
+        payload.update(oracle=free_to_json(oracle), agrees=agrees)
+        lines += [f"oracle: {format_free(oracle)}",
+                  _mark(agrees, "commutator-formula oracle agreement")]
+    return _report(args, payload, lines, agrees)
 
 
 def _cmd_series(args) -> int:
-    series = series_E0(args.order) if args.which == "exp" else series_L0(args.order)
-    if args.json:
-        _emit_json({"schema": SCHEMA, "series": free_to_json(series)})
-    else:
-        print(format_free(series))
-    return 0
+    series = (series_E0 if args.which == "exp" else series_L0)(args.order)
+    return _report(args, {"series": free_to_json(series)}, [format_free(series)])
 
 
 def _cmd_order(args) -> int:
     ctx = parse_ctx(args.ctx)
+    if args.action == "closure":
+        offsets = [parse_vec(v) for v in args.offsets]
+        start = [parse_vec(v) for v in args.vectors]
+        words = choice_closure(ctx, start, lambda p: [vec_add(p, d) for d in offsets], args.depth)
+        good = find_good_pair(ctx, [w[-1] for w in words])
+        payload = {"words": [[list(v) for v in w] for w in words],
+                   "good_pair": list(good) if good else None}
+        lines = [" -> ".join(map(format_vec, w)) for w in words]
+        return _report(args, payload, [*lines, f"good pair on last letters: {good}"])
+    if args.action == "cmp" and len(args.vectors) != 2:
+        raise NSeriesError("cmp needs exactly two exponents")
+    vecs = [parse_vec(v) for v in args.vectors]
     if args.action == "cmp":
-        if len(args.vectors) != 2:
-            raise NSeriesError("cmp needs exactly two exponents")
-        a, b = (parse_vec(v) for v in args.vectors)
-        result = ctx.cmp(a, b).value
-        _emit_json({"schema": SCHEMA, "cmp": result}) if args.json else print(result)
-        return 0
-    if args.action in ("minimal", "antichain"):
-        frag = FinitePosetFragment.of(ctx, [parse_vec(v) for v in args.vectors])
-        found = minimal_elements(frag) if args.action == "minimal" else max_antichain(frag)
-        vecs = sorted(found)
-        if args.json:
-            _emit_json({"schema": SCHEMA, args.action: [list(v) for v in vecs]})
-        else:
-            print(" ".join(",".join(str(x) for x in v) for v in vecs))
-        return 0
-    offsets = [parse_vec(v) for v in args.offsets]
-    start = [parse_vec(v) for v in args.vectors]
-    words = choice_closure(
-        ctx, start, lambda p: [vec_add(p, d) for d in offsets], args.depth
-    )
-    lasts = [w[-1] for w in words]
-    good = find_good_pair(ctx, lasts)
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "words": [[list(v) for v in w] for w in words],
-                "good_pair": list(good) if good else None,
-            }
-        )
-    else:
-        for w in words:
-            print(" -> ".join(",".join(str(x) for x in v) for v in w))
-        print(f"good pair on last letters: {good}")
-    return 0
+        result = ctx.cmp(*vecs).value
+        return _report(args, {"cmp": result}, [result])
+    frag = FinitePosetFragment.of(ctx, vecs)
+    found = sorted(minimal_elements(frag) if args.action == "minimal" else max_antichain(frag))
+    return _report(args, {args.action: [list(v) for v in found]}, [" ".join(map(format_vec, found))])
 
 
 def _cmd_op(args) -> int:
@@ -192,19 +178,13 @@ def _cmd_op(args) -> int:
     picked = [name for name in checks if getattr(args, name)]
     if not picked:
         raise NSeriesError("pick at least one of --contracting/--derivation/--endo")
-    all_ok = True
-    rows = []
-    for name in picked:
-        res = checks[name](table)
-        all_ok &= res.ok
-        witness = None if res.ok else repr(res.witness)
-        rows.append({"check": name, "passed": res.ok, "witness": witness})
-        if not args.json:
-            extra = "" if res.ok else f"  witness: {res.witness}"
-            print(f"{_mark(res.ok)} {name}{extra}")
-    if args.json:
-        _emit_json({"schema": SCHEMA, "checks": rows, "passed": all_ok})
-    return 0 if all_ok else 1
+    results = [(name, checks[name](table)) for name in picked]
+    rows = [{"check": name, "passed": res.ok, "witness": None if res.ok else repr(res.witness)}
+            for name, res in results]
+    lines = [_mark(res.ok, name if res.ok else f"{name}  witness: {res.witness}")
+             for name, res in results]
+    passed = all(res.ok for _, res in results)
+    return _report(args, {"checks": rows, "passed": passed}, lines, passed)
 
 
 def _cmd_op_eval(args) -> int:
@@ -232,44 +212,24 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_vaut(args) -> int:
-    if args.action == "decompose":
-        split = decompose_vaut(_table(args.path))
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "mu": [list(row) for row in split.mu.matrix],
-                "chi": [str(v) for v in split.chi.values],
-                "residual": format_op_table(split.residual),
-            }
-        )
-        return 0
-    return _write_table(compose_factors(_read_factors(_read(args.path))))
+    if args.action == "compose":
+        return _write_table(compose_factors(_read_factors(_read(args.path))))
+    split = decompose_vaut(_table(args.path))
+    payload = {
+        "mu": [list(row) for row in split.mu.matrix],
+        "chi": [str(v) for v in split.chi.values],
+        "residual": format_op_table(split.residual),
+    }
+    return _report(args, payload, [])
 
 
 def _cmd_verify(args) -> int:
     results = run_suite(args.suite, args.order, args.trials, args.seed)
     passed = all(r.passed for r in results)
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "suite": args.suite,
-                "order": args.order,
-                "trials": args.trials,
-                "seed": args.seed,
-                "results": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail, "bound": r.bound}
-                    for r in results
-                ],
-                "passed": passed,
-            }
-        )
-    else:
-        for r in results:
-            extra = "" if r.passed else f"  ({r.detail})"
-            print(f"{_mark(r.passed)} {r.name}{extra}")
-        print(f"{_mark(passed)} suite {args.suite}")
-    return 0 if passed else 1
+    payload = {"suite": args.suite, "order": args.order, "trials": args.trials,
+               "seed": args.seed, "results": [asdict(r) for r in results], "passed": passed}
+    lines = [_mark(r.passed, r.name if r.passed else f"{r.name}  ({r.detail})") for r in results]
+    return _report(args, payload, [*lines, _mark(passed, f"suite {args.suite}")], passed)
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -337,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vaut", help="decompose or recompose automorphism factors")
     p.add_argument("action", choices=("decompose", "compose"))
     p.add_argument("path", help="table file (decompose) or factor JSON file (compose)")
-    p.set_defaults(func=_cmd_vaut)
+    p.set_defaults(func=_cmd_vaut, json=True)  # decompose always writes JSON
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=SUITES)

@@ -42,7 +42,7 @@ def parse_rational(text: str, position: int = 0) -> Fraction:
 
 def format_ctx(ctx: MonoidCtx) -> str:
     if ctx.kind == WEIGHTED:
-        return "weighted:" + ",".join(str(w) for w in ctx.weights)
+        return "weighted:" + format_vec(ctx.weights)
     kind = "lex" if ctx.kind == LEX else "prod"
     return f"{kind}:{ctx.dim}"
 
@@ -64,18 +64,30 @@ def parse_vec(text: str) -> tuple[int, ...]:
     return _parse_ints(text, f"exponent vector {text!r}")
 
 
+def format_vec(vec: tuple[int, ...]) -> str:
+    """The text `parse_vec` reads: comma-separated integers, e.g. `1,0`."""
+    return ",".join(map(str, vec))
+
+
+_CTX_KINDS = {"lex": MonoidCtx.lex, "prod": MonoidCtx.product, "weighted": MonoidCtx.weighted}
+
+
 def parse_ctx(text: str) -> MonoidCtx:
-    head, sep, rest = text.strip().partition(":")
+    """A context descriptor; a ParseError names it, also when its numbers are
+    out of range (a dimension below 1, a weight below 1)."""
+    descr = text.strip()
+    head, sep, rest = descr.partition(":")
     if not sep:
         raise ParseError(f"context descriptor needs a colon: {text!r}")
-    if head not in ("lex", "prod", "weighted"):
+    if head not in _CTX_KINDS:
         raise ParseError(f"unknown context kind {head!r}")
-    numbers = _parse_ints(rest, f"context descriptor {text.strip()!r}")
-    if head == "weighted":
-        return MonoidCtx.weighted(*numbers)
-    if len(numbers) != 1:
-        raise ParseError(f"context descriptor {text.strip()!r} takes one dimension")
-    return MonoidCtx.lex(*numbers) if head == "lex" else MonoidCtx.product(*numbers)
+    numbers = _parse_ints(rest, f"context descriptor {descr!r}")
+    if head != "weighted" and len(numbers) != 1:
+        raise ParseError(f"context descriptor {descr!r} takes one dimension")
+    try:
+        return _CTX_KINDS[head](*numbers)
+    except ValueError as exc:
+        raise ParseError(f"context descriptor {descr!r}: {exc}") from None
 
 
 # -- signed terms ------------------------------------------------------------
@@ -168,7 +180,7 @@ def parse_free(
 # -- Hahn series -------------------------------------------------------------
 
 def _write_exponent(exp: tuple[int, ...]) -> str:
-    return "t^(" + ",".join(str(e) for e in exp) + ")"
+    return f"t^({format_vec(exp)})"
 
 
 def _read_exponent(body: str, position: int | None, dim: int) -> tuple[int, ...] | None:

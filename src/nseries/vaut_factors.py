@@ -73,44 +73,43 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _gauss_jordan(mat: Matrix) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Determinant and exact inverse by elimination on [mat | I]; no inverse when singular."""
+def _bareiss(mat: Matrix) -> tuple[int, Matrix | None]:
+    """Determinant and adjugate by fraction-free (Bareiss) Gauss-Jordan
+    elimination on [mat | I]; no adjugate when singular.  Each step divides by
+    the previous pivot, and every such division is exact, so all entries stay
+    integers; at the end the left block is d*I and the right block d*mat^-1,
+    with d the determinant up to the sign of the row swaps."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    det = Fraction(1)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
+            return 0, None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            sign = -sign
+        row, d = aug[col], aug[col][col]
         for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return det, [row[n:] for row in aug]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(d * x - f * y) // prev for x, y in zip(aug[r], row)]
+        prev = d
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
 def mat_det(mat: Matrix) -> int:
-    det, _ = _gauss_jordan(mat)
-    assert det.denominator == 1
-    return int(det)
+    return _bareiss(mat)[0]
 
 
 def mat_inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    _, inverse = _gauss_jordan(mat)
-    if inverse is None:
+    """Exact inverse of a unimodular integer matrix: det * adj, as det = +-1."""
+    det, adj = _bareiss(mat)
+    if adj is None:
         raise NotDecomposableError("matrix is singular", witness=mat)
-    if any(x.denominator != 1 for row in inverse for x in row):
+    if det not in (1, -1):
         raise NotDecomposableError("matrix inverse is not integral", witness=mat)
-    return tuple(tuple(int(x) for x in row) for row in inverse)
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def _probe_vectors(dim: int) -> list[ExpVec]:

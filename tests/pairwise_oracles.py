@@ -18,11 +18,13 @@ three factors to each basis monomial in turn, where `compose_factors`
 composes their tables.  The inverse chain composes sigma with the inverse
 relabeling and rescaling tables, where `decompose_vaut` reads the residual
 off sigma directly.  The rechecked decomposition scans the lead of every
-basis image, inverts mu by elimination, tests the residual's
+basis image, inverts mu by `Fraction` elimination, tests the residual's
 multiplicativity and recomposes the factors, where `decompose_vaut` reads
 the split off the generator images alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
-mirrors the right-nested expansion.
+mirrors the right-nested expansion.  The `Fraction` Gauss-Jordan elimination
+on [mat | I] checks `mat_det` and `mat_inverse`, which eliminate fraction-free
+over the integers.
 """
 
 from dataclasses import replace
@@ -53,7 +55,7 @@ from nseries import (
     word_concat,
 )
 from nseries.support_order import vec_add, vec_sub
-from nseries.vaut_factors import mat_inverse, mat_vec
+from nseries.vaut_factors import mat_vec
 
 
 def _monomials(table, m1, m2):
@@ -205,6 +207,41 @@ def inverse_chain_residual(sigma, mu, chi) -> OpTable:
     )
 
 
+def gauss_jordan(mat):
+    """Determinant and exact inverse by `Fraction` elimination on [mat | I];
+    no inverse when singular."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r == col or aug[r][col] == 0:
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return det, [row[n:] for row in aug]
+
+
+def gauss_jordan_inverse(mat):
+    """The integer inverse of `mat` by `gauss_jordan`, with the errors of `mat_inverse`."""
+    _, inverse = gauss_jordan(mat)
+    if inverse is None:
+        raise NotDecomposableError("matrix is singular", witness=mat)
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise NotDecomposableError("matrix inverse is not integral", witness=mat)
+    return tuple(tuple(int(x) for x in row) for row in inverse)
+
+
 def rechecked_decompose(sigma) -> FactorAut:
     """`decompose_vaut` with every by-construction fact checked again: the
     unique lead of each basis image and its agreement with the linear image,
@@ -249,7 +286,7 @@ def rechecked_decompose(sigma) -> FactorAut:
                 f"leading exponent of {m} is {lead[m]}, outside the basis", witness=m
             )
     base = CharacterX(ctx, tuple(sigma.images[g].coefficient(lead[g]) for g in gens))
-    minv = mat_inverse(matrix)
+    minv = gauss_jordan_inverse(matrix)
     chi = CharacterX(ctx, tuple(base.at(mat_vec(minv, g)) for g in gens))
     residual = OpTable.from_function(
         ctx, bound, lambda q: sigma.images[mat_vec(minv, q)].scale(1 / chi.at(q))

@@ -96,6 +96,12 @@ def test_order_bad_integers_name_their_input(capsys):
     assert "exponent vector '1,x': not an integer: 'x'" in err
 
 
+def test_order_out_of_range_ctx_is_one_error_line(capsys):
+    code, out, err = run(capsys, "order", "cmp", "1", "2", "--ctx", "lex:0")
+    assert (code, out) == (2, "")
+    assert err == "error: context descriptor 'lex:0': context dimension must be >= 1\n"
+
+
 def test_order_minimal_and_antichain(capsys):
     code, out, _ = run(
         capsys, "order", "minimal", "1,0", "0,1", "1,1", "--ctx", "prod:2"

@@ -2,9 +2,10 @@
 one-dict `op_apply` against the folded sum of scaled images, the table
 chain of `compose_factors` against the per-monomial recomposition, the
 residual `decompose_vaut` reads off sigma against the inverse chain of table
-compositions, and `decompose_vaut` as a whole against the decomposition that
-re-checks every by-construction fact.  Results, term order and error
-messages or classes must agree."""
+compositions, `decompose_vaut` as a whole against the decomposition that
+re-checks every by-construction fact, and the fraction-free `mat_det` and
+`mat_inverse` against `Fraction` Gauss-Jordan elimination.  Results, term
+order and error messages or classes must agree."""
 
 import random
 
@@ -18,6 +19,7 @@ from nseries import (
     HahnPoly,
     IncompleteTableError,
     MonoidCtx,
+    NotDecomposableError,
     NSeriesError,
     OpTable,
     compose_factors,
@@ -35,8 +37,11 @@ from nseries.samples import (
     random_substitution_automorphism,
     substitution_endomorphism,
 )
+from nseries.vaut_factors import mat_det, mat_inverse, mat_mul
 from pairwise_oracles import (
     folded_apply,
+    gauss_jordan,
+    gauss_jordan_inverse,
     inverse_chain_residual,
     per_monomial_compose_factors,
     rechecked_decompose,
@@ -228,3 +233,36 @@ def test_a_term_outside_the_basis_names_its_exponent():
     a = HahnPoly(PROD2, 2, {(0, 1): 1, (-1, 2): 2})
     want = r"no tabulated image for basis exponent (-1, 2)"
     assert _outcome(op_apply, table, a) == _outcome(folded_apply, table, a) == want
+
+
+def _square(n):
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A row permutation of L U, L lower and U upper unitriangular."""
+    n = draw(st.integers(1, 4))
+    lower, upper = draw(_square(n)), draw(_square(n))
+    L = tuple(tuple(int(i == j) or x * (j < i) for j, x in enumerate(r)) for i, r in enumerate(lower))
+    U = tuple(tuple(int(i == j) or x * (j > i) for j, x in enumerate(r)) for i, r in enumerate(upper))
+    return tuple(mat_mul(L, U)[i] for i in draw(st.permutations(range(n))))
+
+
+def _inverse_outcome(inverse, mat):
+    try:
+        return inverse(mat)
+    except NotDecomposableError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(1, 4).flatmap(_square), unimodular_matrices()))
+@example(((2, 1), (4, 2)))
+@example(((2, 0), (0, 1)))
+@example(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+def test_fraction_free_elimination_matches_gauss_jordan(mat):
+    det, _ = gauss_jordan(mat)
+    assert type(mat_det(mat)) is int and mat_det(mat) == det
+    assert _inverse_outcome(mat_inverse, mat) == _inverse_outcome(gauss_jordan_inverse, mat)

@@ -13,6 +13,7 @@ from nseries.textio import (
     format_free,
     format_hahn,
     format_op_table,
+    format_vec,
     parse_ctx,
     parse_free,
     parse_hahn,
@@ -105,6 +106,33 @@ def test_ctx_descriptor_bad_integer_names_the_descriptor():
         parse_ctx("weighted:1,x")
     with pytest.raises(ParseError, match="'lex:1,2' takes one dimension"):
         parse_ctx("lex:1,2")
+
+
+@pytest.mark.parametrize(
+    "descr, reason",
+    [
+        ("lex:0", "context dimension must be >= 1"),
+        ("lex:-1", "context dimension must be >= 1"),
+        ("prod:0", "context dimension must be >= 1"),
+        ("weighted:0,1", "weights must be positive integers"),
+        ("weighted:1,-2", "weights must be positive integers"),
+    ],
+)
+def test_out_of_range_ctx_descriptor_is_a_parse_error(descr, reason):
+    with pytest.raises(ParseError) as info:
+        parse_ctx(descr)
+    assert str(info.value) == f"context descriptor {descr!r}: {reason}"
+
+
+def test_table_header_with_an_out_of_range_ctx_names_line_1():
+    with pytest.raises(ParseError) as info:
+        parse_op_table("ctx=lex:0 N=2\nt^(0) -> 0\n")
+    assert str(info.value) == "line 1: context descriptor 'lex:0': context dimension must be >= 1"
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5))
+def test_format_vec_writes_what_parse_vec_reads(vec):
+    assert parse_vec(format_vec(tuple(vec))) == tuple(vec)
 
 
 def test_op_table_roundtrip():

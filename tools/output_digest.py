@@ -11,6 +11,9 @@ and a failing table, each as text and with `--json`.  In the same three
 contexts it makes one failing call per check the command line reaches:
 `exp-der`, `star` (left and right) and `op eval` on the identity table,
 `log-aut` on the zero table and `iterate` on Id plus a seeded contracting table.
+It adds three failing matrix checks: `vaut compose` on factor JSON whose mu is
+[[2]] on lex:1 or the swap on lex:2, and `vaut decompose` on the lex:1 table
+t -> t^2, whose leads have det 2.
 In the same contexts it runs `exp-der`, `log-aut` and `op eval` on files written
 in every spelling the grammar has always accepted (see `respell`).
 Each command runs in this process against the package in `src/` of this
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 import tempfile
@@ -38,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
-from nseries import OpTable, cli, op_exp, samples, textio  # noqa: E402
+from nseries import MonoidCtx, OpTable, cli, op_exp, samples, textio  # noqa: E402
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -159,6 +163,17 @@ def main() -> None:
                          ["op", "eval", "-P", str(P), "-f", path["con"], path["id"]],
                          ["iterate", path["id+con"], "--c", "1/2"]):
                 feed((h, groups["failures"]), argv, strip=tmp + "/")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, dim, mu in (("det2", 1, [[2]]), ("swap", 2, [[0, 1], [1, 0]])):
+            residual = textio.format_op_table(OpTable.identity(MonoidCtx.lex(dim), 2))
+            factors = {"mu": mu, "chi": ["1"] * dim, "residual": residual}
+            Path(tmp, name + ".json").write_text(json.dumps(factors))
+            feed((h, groups["failures"]), ["vaut", "compose", str(Path(tmp, name + ".json"))],
+                 strip=tmp + "/")
+        square = Path(tmp, "square.tbl")
+        square.write_text("ctx=lex:1 N=4\nt^(0) -> 1\nt^(1) -> t^(2)\nt^(2) -> t^(4)\n"
+                          "t^(3) -> 0\nt^(4) -> 0\n")
+        feed((h, groups["failures"]), ["vaut", "decompose", str(square)], strip=tmp + "/")
     for seed, (descr, bound) in enumerate(EVAL_CONTEXTS, start=1):
         ctx = textio.parse_ctx(descr)
         rng = random.Random(seed)
