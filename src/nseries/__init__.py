@@ -15,6 +15,7 @@ from .errors import (
     NSeriesError,
     NotAUnitError,
     NotContractingError,
+    NotUnitalEndomorphismError,
     NotInIdealError,
     NotDecomposableError,
     ParseError,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NotContractingError
+from .errors import NotContractingError, NotUnitalEndomorphismError
 from .free_algebra import nilpotent_sum
 from .operators import (
     OpTable,
@@ -92,12 +92,14 @@ def star(d1: OpTable, d2: OpTable) -> OpTable:
 def fractional_iterate(s: OpTable, c) -> OpTable:
     """The iterate exp(c log s) for any exact rational exponent c.
 
-    Requires s to be a unital endomorphism with s - Id contracting; iterates
-    compose additively in c and commute with s.  c log s is contracting by
+    Requires s to be a unital endomorphism, else NotUnitalEndomorphismError,
+    with s - Id contracting, else NotContractingError; iterates compose
+    additively in c and commute with s.  c log s is contracting by
     construction, so only s is checked.
     """
     op_is_unital_endomorphism(s).require(
-        NotContractingError, "fractional iteration needs a unital endomorphism; failed at {}"
+        NotUnitalEndomorphismError,
+        "fractional iteration needs a unital endomorphism; failed at {}",
     )
     return _exp(op_log(s).scale(c))
 

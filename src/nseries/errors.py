@@ -16,7 +16,8 @@ class NotInIdealError(NSeriesError):
 
 
 class WeightBoundError(NSeriesError):
-    """An exponent falls outside the admissible weight range [0, N]."""
+    """A series term lies outside the truncation at N: an entry is negative or
+    the weight exceeds N."""
 
 
 class IncompleteTableError(NSeriesError):
@@ -39,12 +40,17 @@ class NotContractingError(WitnessError):
     """A contracting operator was required; carries the offending pair."""
 
 
+class NotUnitalEndomorphismError(WitnessError):
+    """A unital endomorphism was required; carries "unit" or the failing pair."""
+
+
 class ExtensivityError(WitnessError):
     """A choice operator produced a successor that is not strictly above."""
 
 
 class TruncationOverflowError(NSeriesError):
-    """An exponent relabeling left the truncated universe."""
+    """An exponent relabeling sent a term outside the truncation at N: an entry
+    became negative or the weight rose above N."""
 
 
 class NotDecomposableError(WitnessError):

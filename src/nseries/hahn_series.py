@@ -1,7 +1,9 @@
 """Truncated Hahn/Noetherian series over an ordered exponent monoid.
 
 A series is a sparse map from exponent vectors to exact rationals; every
-stored exponent has weight in [0, N].  Because the weight is additive and
+stored exponent lies in the truncation at N (`MonoidCtx.in_truncation`):
+nonnegative entries and weight <= N, the basis of an operator table at N.
+The truncation is closed under sums, and because the weight is additive and
 nonnegative, multiplication is exact modulo the ideal of weights above N.
 The arithmetic is the shared kernel of `nseries.sparse`, with exponents as
 keys, the context weight as grade and vector addition as key product.
@@ -37,10 +39,10 @@ class HahnPoly(SparseSeries):
 
     def _check_key(self, exp) -> ExpVec:
         exp = self.ctx.check_vec(exp)
-        w = self.ctx.weight(exp)
-        if w < 0 or w > self.bound:
+        if not self.ctx.in_truncation(exp, self.bound):
             raise WeightBoundError(
-                f"exponent {exp} has weight {w}, outside [0, {self.bound}]"
+                f"exponent {exp} of weight {self.ctx.weight(exp)} lies outside the truncation"
+                f" at N={self.bound}: a negative entry, or a weight outside [0, {self.bound}]"
             )
         return exp
 

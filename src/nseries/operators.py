@@ -1,12 +1,12 @@
 """Strongly linear operators on truncated Hahn series, as monomial tables.
 
 An operator is stored as the family of images of every basis monomial t^m
-with m in the nonnegative cone of weight at most N, and acts on a series by
-linear extension over its finite support.  Contracting tables (every image
-supported strictly above its basis exponent, with weight raised by at least
-one) are the operators for which evaluation of formal power series
-terminates at the truncation bound; `in_contracting_cone` decides it for one
-exponent pair.  `op_geometric_inverse` evaluates through
+with m in the truncation at N (`MonoidCtx.in_truncation`), and acts on a
+series by linear extension over its finite support.  Contracting tables
+(every image supported strictly above its basis exponent, with weight raised
+by at least one) are the operators for which evaluation of formal power
+series terminates at the truncation bound; `in_contracting_cone` decides it
+for one exponent pair.  `op_geometric_inverse` evaluates through
 `free_algebra.unit_inverse`, and `op_evaluate` through
 `free_algebra.evaluate_words`, which takes any word.
 
@@ -58,8 +58,9 @@ class CheckResult:
 class OpTable(Linear):
     """Image table of a strongly linear operator at truncation.
 
-    `images` must assign a series to every exponent of weight <= bound in
-    the nonnegative cone and to nothing else; a missing or extra key fails fast.
+    `images` must assign a series to every exponent of the truncation at
+    bound, `weight_universe(ctx, bound)`, and to nothing else; a missing or
+    extra key fails fast.
     """
 
     ctx: MonoidCtx
@@ -135,12 +136,11 @@ class OpTable(Linear):
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
     """Apply by linear extension over the support of `a`: the combination of
-    the images of its exponents with its coefficients, one `lin_comb`."""
+    the images of its exponents with its coefficients, one `lin_comb`.  Every
+    exponent of `a` lies in the truncation of its space, which is the table's
+    basis, so each has an image."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    missing = next((exp for exp in a.terms if exp not in table.images), None)
-    if missing is not None:
-        raise IncompleteTableError(f"no tabulated image for basis exponent {missing}")
     return a.lin_comb((coeff, table.images[exp]) for exp, coeff in a.terms.items())
 
 

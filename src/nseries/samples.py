@@ -94,7 +94,7 @@ def random_substitution_automorphism(rng: random.Random, ctx: MonoidCtx, bound: 
     gen_images = {
         i: HahnPoly(ctx, bound, {g: Fraction(1), **_raising_terms(rng, ctx, bound, g)})
         for i, g in enumerate(ctx.generators())
-        if g in weight_universe(ctx, bound)
+        if ctx.in_truncation(g, bound)
     }
     return substitution_endomorphism(ctx, bound, gen_images)
 

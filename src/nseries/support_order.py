@@ -5,7 +5,10 @@ translation-invariant partial orders (lexicographic, componentwise product,
 weight-then-lex) and an additive weight used for truncation bookkeeping.
 `MonoidCtx.generators` gives the unit vectors e_i to every module, and
 `operator.index` rejects a non-integral exponent, weight or dimension with
-TypeError.
+TypeError.  `MonoidCtx.in_truncation` is the one membership test of the
+truncation at N, the exponents with nonnegative entries and weight <= N:
+series keys, table bases (`weight_universe` enumerates exactly its set),
+relabeled exponents and parsed basis lines are all checked through it.
 """
 
 from __future__ import annotations
@@ -91,6 +94,10 @@ class MonoidCtx:
 
     def weight(self, m: ExpVec) -> int:
         return sum(w * x for w, x in zip(self.weights, m))
+
+    def in_truncation(self, m: ExpVec, bound: int) -> bool:
+        """m lies in the truncation at `bound`: no negative entry, weight <= bound."""
+        return min(m) >= 0 and self.weight(m) <= bound
 
     def cmp(self, a: ExpVec, b: ExpVec) -> Cmp:
         a = self.check_vec(a)
@@ -246,7 +253,8 @@ def closure_cmp(ctx: MonoidCtx, w1: tuple[ExpVec, ...], w2: tuple[ExpVec, ...]) 
 
 
 def weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
-    """All exponents in the nonnegative cone with weight <= bound, sorted.
+    """The truncation at `bound`, every m with `ctx.in_truncation(m, bound)`,
+    sorted by weight, then lexicographically.
 
     Built once per context and bound; `operator.index` runs first, so a
     non-integral bound raises TypeError and never reaches the cache."""
@@ -258,9 +266,5 @@ def _weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     ranges = [range(0, bound // w + 1) for w in ctx.weights]
-    cone = [
-        v
-        for v in itertools.product(*ranges)
-        if ctx.weight(v) <= bound
-    ]
+    cone = [v for v in itertools.product(*ranges) if ctx.in_truncation(v, bound)]
     return tuple(sorted(cone, key=lambda e: (ctx.weight(e), e)))

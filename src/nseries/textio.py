@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, NSeriesError, ParseError
 from .free_algebra import FreeSeries
 from .hahn_series import HahnPoly
 from .operators import OpTable
-from .support_order import LEX, WEIGHTED, MonoidCtx, weight_universe
+from .support_order import LEX, WEIGHTED, MonoidCtx
 
 _INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 _LETTER = re.compile(r"[Xx]([0-9]+)")
@@ -212,7 +212,7 @@ def parse_hahn(text: str, ctx: MonoidCtx, bound: int) -> HahnPoly:
 
 def format_op_table(table: OpTable) -> str:
     lines = [f"ctx={format_ctx(table.ctx)} N={table.bound}"]
-    for m in weight_universe(table.ctx, table.bound):
+    for m in table.basis():
         lines.append(f"{_write_exponent(m)} -> {format_hahn(table.images[m])}")
     return "\n".join(lines) + "\n"
 
@@ -238,7 +238,6 @@ def parse_op_table(text: str) -> OpTable:
             raise ParseError(f"table header must carry ctx= and N=: {header!r}")
         ctx = parse_ctx(fields["ctx"])
         bound = _parse_int(fields["N"], "table header field N")
-        universe = set(weight_universe(ctx, bound))
         images = {}
         for n, ln in lines[1:]:
             left, sep, right = ln.partition("->")
@@ -248,7 +247,7 @@ def parse_op_table(text: str) -> OpTable:
             exp = _read_exponent(left, None, ctx.dim)
             if exp is None:
                 raise ParseError(f"bad basis monomial {left!r}")
-            if exp not in universe:
+            if not ctx.in_truncation(exp, bound):
                 raise ParseError(f"basis monomial {left} lies outside the universe of N={bound}")
             if exp in images:
                 raise ParseError(f"duplicate basis line for {left}")

@@ -275,8 +275,9 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
     """Relabel exponents along mu: sum a(g) t^(mu g).
 
     `mu` may be an ExponentAut or a plain integer matrix (any injective
-    order-preserving relabeling, not necessarily onto).  Images leaving the
-    admissible weight range raise instead of being dropped.
+    order-preserving relabeling, not necessarily onto).  An image outside the
+    truncation at the bound (a negative entry, or weight above the bound)
+    raises instead of being dropped.
     """
     matrix = mu.matrix if isinstance(mu, ExponentAut) else _as_matrix(mu)
     if not isinstance(mu, ExponentAut):
@@ -289,10 +290,11 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
     out = {}
     for g, c in a.terms.items():
         img = mat_vec(matrix, g)
-        w = a.ctx.weight(img)
-        if w < 0 or w > a.bound:
+        if not a.ctx.in_truncation(img, a.bound):
             raise TruncationOverflowError(
-                f"relabeled exponent {img} of {g} has weight {w}, outside [0, {a.bound}]"
+                f"relabeled exponent {img} of {g} has weight {a.ctx.weight(img)} and lies"
+                f" outside the truncation at N={a.bound}: a negative entry, or a weight"
+                f" outside [0, {a.bound}]"
             )
         out[img] = c
     return HahnPoly(a.ctx, a.bound, out)
@@ -382,11 +384,16 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     in the basis, and sigma(t^e_i) must have a unique minimal support
     exponent.  These leads are the columns of mu, which must be a unimodular
     order automorphism sending every basis exponent into the basis, so that
-    it permutes the basis.  The lead of sigma(t^m) is then mu m, by
-    translation invariance along the generator walk.  With base the
-    character of the leading generator coefficients, chi(e_i) = base(mu^(-1)
-    e_i) and residual(t^(mu m)) = sigma(t^m) / base(m).  Last, residual - Id
-    must be contracting.  A permutation of the basis keeps weight, so the
+    it permutes the basis; both basis checks are `MonoidCtx.in_truncation`.
+    On lex an order automorphism can leave the nonnegative orthant, as the
+    shear (1, 0) -> (1, -1) does, and the truncation cannot hold it:
+    `oaut_table` raises TruncationOverflowError.  Leads lie in the basis, so
+    here mu keeps the generators in the orthant, and the basis check rejects
+    a mu that raises some basis exponent past the bound.  The lead of
+    sigma(t^m) is then mu m, by translation invariance along the generator
+    walk.  With base the character of the leading generator coefficients,
+    chi(e_i) = base(mu^(-1) e_i) and residual(t^(mu m)) = sigma(t^m) /
+    base(m).  Last, residual - Id must be contracting.  A permutation of the basis keeps weight, so the
     residual sigma o O(mu^(-1)) o G(chi^(-1)) is a unital endomorphism, and
     the recomposed factors are sigma term by term.  The re-checks of both
     (the per-monomial lead scan, the residual's endomorphism scan and the
@@ -400,7 +407,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     gens = ctx.generators()
     leads = []
     for g in gens:
-        if g not in sigma.images:
+        if not ctx.in_truncation(g, bound):
             raise NotDecomposableError(
                 f"generator {g} has weight {ctx.weight(g)}, above the bound {bound}", witness=g
             )
@@ -420,7 +427,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     preimage = {}
     for m in sigma.basis():
         q = mat_vec(matrix, m)
-        if q not in sigma.images:
+        if not ctx.in_truncation(q, bound):
             raise NotDecomposableError(
                 f"leading exponent of {m} is {q}, outside the basis", witness=m
             )

@@ -334,6 +334,14 @@ def test_op_check_json_writes_null_for_a_passing_witness(tmp_path, capsys):
 TABLE_HEAD = "ctx=lex:1 N=1\nt^(0) -> 1\n"
 FLOW_TABLE = "ctx=lex:1 N=1\nt^(0) -> 0\nt^(1) -> 0\n"
 RESIDUAL = "ctx=lex:1 N=0\nt^(0) -> 1\n"
+# lex:2 N=3 in basis order; line 4 maps t^(1,0) to t^(3,-1), of weight 2 but
+# with a negative entry, so outside the truncation at N=3.
+OUT_OF_TRUNCATION = "ctx=lex:2 N=3\n" + "".join(
+    f"t^({a},{b}) -> {'t^(3,-1)' if (a, b) == (1, 0) else 0}\n"
+    for a, b in ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0))
+)
+OUTSIDE_MESSAGE = ("line 4: exponent (3, -1) of weight 2 lies outside the truncation at N=3:"
+                   " a negative entry, or a weight outside [0, 3]\n")
 
 
 def _factors(**fields) -> str:
@@ -366,11 +374,16 @@ def _factors(**fields) -> str:
         (["op", "check", "{t}"], {"t": FLOW_TABLE},
          "pick at least one of --contracting/--derivation/--endo"),
         (["order", "cmp", "1,0", "--ctx", "lex:2"], {}, "cmp needs exactly two exponents"),
+        (["op", "check", "{t}", "--contracting"], {"t": OUT_OF_TRUNCATION}, OUTSIDE_MESSAGE),
+        (["op", "check", "{t}", "--contracting", "--json"], {"t": OUT_OF_TRUNCATION},
+         OUTSIDE_MESSAGE),
+        (["exp-der", "{t}"], {"t": OUT_OF_TRUNCATION}, OUTSIDE_MESSAGE),
     ],
     ids=[
         "empty-series", "missing-monomial", "bare-exponent", "bad-basis", "stray-open",
         "stray-close", "bad-letter", "float-chi", "zero-denominator-chi", "residual-type",
-        "residual-text", "no-predicate", "one-vector",
+        "residual-text", "no-predicate", "one-vector", "outside-check", "outside-check-json",
+        "outside-exp-der",
     ],
 )
 def test_each_rejection_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):

@@ -8,6 +8,7 @@ from nseries import (
     HahnPoly,
     MonoidCtx,
     NotContractingError,
+    NotUnitalEndomorphismError,
     OpTable,
     bch_product,
     conjugation_morphism,
@@ -267,7 +268,7 @@ def test_torsion_free_and_injective():
 
 def test_fractional_iterate_rejects_non_endomorphism():
     s = OpTable.identity(LEX1, 4) + shift_table(LEX1, 4)
-    with pytest.raises(NotContractingError, match="needs a unital endomorphism"):
+    with pytest.raises(NotUnitalEndomorphismError, match="needs a unital endomorphism"):
         fractional_iterate(s, F(1, 2))
 
 

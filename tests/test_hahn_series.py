@@ -127,10 +127,15 @@ def test_weight_bound_rejection():
         HahnPoly(LEX1, 3, {(4,): 1})
     with pytest.raises(WeightBoundError):
         HahnPoly(LEX1, 3, {(-1,): 1})
-    # negative coordinate with weight still in range is allowed
-    a = HahnPoly(W12, 4, {(4, -1): 1})
+    # A negative entry is outside the truncation, though the weight is in
+    # range: the truncation at N is the table basis, and no wider.
     assert W12.weight((4, -1)) == 2
-    assert a.support == {(4, -1)}
+    with pytest.raises(WeightBoundError, match=r"\(4, -1\) of weight 2 lies outside"):
+        HahnPoly(W12, 4, {(4, -1): 1})
+    assert HahnPoly(W12, 4, {(4, 0): 1}).support == {(4, 0)}
+    # Weight 0 on prod:2, and its square would be t^(-2,2).
+    with pytest.raises(WeightBoundError, match=r"\(-1, 1\) of weight 0 lies outside .* N=2"):
+        HahnPoly(PROD2, 2, {(-1, 1): 1})
 
 
 def test_non_integral_exponents_are_rejected():

@@ -12,6 +12,7 @@ from nseries import (
     NotAUnitError,
     NotContractingError,
     OpTable,
+    WeightBoundError,
     multiplication_table,
     op_apply,
     op_compose,
@@ -211,12 +212,10 @@ def test_geometric_inverse_table():
 def test_incomplete_table_errors():
     with pytest.raises(IncompleteTableError):
         OpTable(LEX1, 3, {(0,): HahnPoly.zero(LEX1, 3)})
-    # a series supported outside the tabulated cone cannot be applied
-    ctx = MonoidCtx.weighted(1, 1)
-    table = OpTable.identity(ctx, 3)
-    stray = HahnPoly(ctx, 3, {(3, -1): 1})
-    with pytest.raises(IncompleteTableError):
-        op_apply(table, stray)
+    # a series supported outside the tabulated cone cannot be built, so no
+    # series of the table's space reaches op_apply without an image
+    with pytest.raises(WeightBoundError, match=r"\(3, -1\)"):
+        HahnPoly(MonoidCtx.weighted(1, 1), 3, {(3, -1): 1})
 
 
 def test_images_outside_the_basis_are_rejected():

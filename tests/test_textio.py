@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nseries import FreeSeries, HahnPoly, MonoidCtx, OpTable, ParseError
+from nseries import FreeSeries, HahnPoly, MonoidCtx, OpTable, ParseError, weight_universe
 from nseries.errors import DimensionMismatchError
 from nseries.samples import random_contracting_table, random_free_series, random_hahn
 from nseries.textio import (
@@ -282,10 +282,8 @@ def free_series(draw):
 
 @st.composite
 def hahn_terms(draw, ctx, bound):
-    """Terms over exponents of weight in [0, bound], negative entries included."""
-    exps = st.tuples(*[st.integers(-2, bound)] * ctx.dim).filter(
-        lambda e: 0 <= ctx.weight(e) <= bound
-    )
+    """Terms over exponents of the truncation at `bound`."""
+    exps = st.sampled_from(weight_universe(ctx, bound))
     return draw(st.dictionaries(exps, COEFFS, max_size=5))
 
 

@@ -85,7 +85,8 @@ def test_apply_oaut_overflow_is_loud():
 
 def test_oaut_table_overflow_names_the_relabeled_exponent():
     shear = ExponentAut(MonoidCtx.lex(2), ((1, 0), (1, 1)))
-    message = r"exponent \(1, 1\) of \(1, 0\) has weight 2, outside \[0, 1\]"
+    message = (r"exponent \(1, 1\) of \(1, 0\) has weight 2 and lies outside the truncation"
+               r" at N=1: a negative entry, or a weight outside \[0, 1\]")
     with pytest.raises(TruncationOverflowError, match=message):
         oaut_table(shear, 1)
 
@@ -274,15 +275,21 @@ def test_decompose_rejects_ambiguous_leading_term():
 
 
 def test_decompose_rejects_a_leading_exponent_outside_the_basis():
-    # mu sends (1, 0) to (1, -1): order-preserving on lex:2 and of weight 0,
-    # but outside the nonnegative cone, so no residual exists.
     ctx = MonoidCtx.lex(2)
-    sigma = oaut_table(ExponentAut(ctx, ((1, 0), (-1, 1))), 3)
+    # The shear sends (1, 0) to (1, -1): order-preserving on lex:2 and of
+    # weight 0, but outside the nonnegative cone, so its table is not built.
+    with pytest.raises(TruncationOverflowError, match=r"exponent \(1, -1\) of \(1, 0\)"):
+        oaut_table(ExponentAut(ctx, ((1, 0), (-1, 1))), 3)
+    # e0 -> t^(1,1), e1 -> t^(0,1): mu = ((1, 0), (1, 1)) keeps the lex order and
+    # the orthant, but raises the weight of (1, 1) from 2 to 3, past N = 2.
+    sigma = substitution_endomorphism(ctx, 2, {
+        0: HahnPoly.monomial(ctx, 2, (1, 1)), 1: HahnPoly.monomial(ctx, 2, (0, 1)),
+    })
     assert op_is_unital_endomorphism(sigma)
     with pytest.raises(NotDecomposableError) as info:
         decompose_vaut(sigma)
-    assert str(info.value) == "leading exponent of (1, 0) is (1, -1), outside the basis"
-    assert info.value.witness == (1, 0)
+    assert str(info.value) == "leading exponent of (1, 1) is (1, 2), outside the basis"
+    assert info.value.witness == (1, 1)
 
 
 # (table, message, witness): a generator above the bound leaves mu undetermined

@@ -8,6 +8,7 @@ from nseries import (
     MonoidCtx,
     NotAUnitError,
     NotContractingError,
+    NotUnitalEndomorphismError,
     NotDecomposableError,
     OpTable,
     decompose_vaut,
@@ -49,7 +50,7 @@ SITES = {
                         "derivation is not contracting at basis pair ((1,), (1,))", T),
     "push-image": (lambda: push_morphism(lambda d: d + IDENT, ZERO), NotContractingError,
                    "morphism image is not contracting at basis pair ((0,), (0,))", ORIGIN),
-    "fractional_iterate": (lambda: fractional_iterate(IDENT + BUMP, 1), NotContractingError,
+    "fractional_iterate": (lambda: fractional_iterate(IDENT + BUMP, 1), NotUnitalEndomorphismError,
                            "fractional iteration needs a unital endomorphism; failed at ((1,), (1,))", T),
     "op_evaluate": (lambda: op_evaluate(bch_product(2), (ZERO, IDENT)), NotContractingError,
                     "argument 1 is not contracting at basis pair ((0,), (0,))", (1, ORIGIN)),

@@ -15,14 +15,16 @@ It adds three failing matrix checks: `vaut compose` on factor JSON whose mu is
 [[2]] on lex:1 or the swap on lex:2, and `vaut decompose` on the lex:1 table
 t -> t^2, whose leads have det 2.
 In the same contexts it runs `exp-der`, `log-aut` and `op eval` on files written
-in every spelling the grammar has always accepted (see `respell`).
+in every spelling the grammar has always accepted (see `respell`).  Last, it runs
+`op check --contracting`, as text and with `--json`, and `exp-der` on a lex:2
+N=3 table file whose image t^(1,0) -> t^(3,-1) lies outside the truncation.
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
 The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, vaut, verify, op eval,
-bch/series, order, op check, failures, spellings), so two checkouts whose digests differ can be told
-apart by group.
+bch/series, order, op check, failures, spellings, truncation), so two checkouts
+whose digests differ can be told apart by group.
 
     python3 tools/output_digest.py
 """
@@ -55,6 +57,11 @@ ORDER_ARGV = (
     ["minimal", "1,0", "0,1", "1,1", "2,0", "0,2"],
     ["antichain", "1,0", "0,1", "1,1", "2,0", "0,2", "2,-1"],
     ["closure", "0,0", "1,0", "--offsets", "1,0", "0,1", "--depth", "3"],
+)
+# lex:2 N=3 in basis order; t^(3,-1) has weight 2 and a negative entry.
+OUT_OF_TRUNCATION = (
+    "ctx=lex:2 N=3\nt^(0,0) -> 0\nt^(0,1) -> 0\nt^(1,0) -> t^(3,-1)\nt^(0,2) -> 0\n"
+    "t^(1,1) -> 0\nt^(2,0) -> 0\nt^(0,3) -> 0\nt^(1,2) -> 0\nt^(2,1) -> 0\nt^(3,0) -> 0\n"
 )
 
 
@@ -101,7 +108,7 @@ def main() -> None:
     h = hashlib.sha256()
     groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series",
                                                    "order", "op check", "failures",
-                                                   "spellings")}
+                                                   "spellings", "truncation")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
@@ -190,6 +197,13 @@ def main() -> None:
             for argv in (["exp-der", path["der"]], ["log-aut", path["aut"]],
                          ["op", "eval", "-P", str(P), "-f", path["der"], path["con"]]):
                 feed((h, groups["spellings"]), argv, strip=tmp + "/")
+    with tempfile.TemporaryDirectory() as tmp:
+        stray = Path(tmp, "stray.tbl")
+        stray.write_text(OUT_OF_TRUNCATION)
+        for argv in (["op", "check", str(stray), "--contracting"],
+                     ["op", "check", str(stray), "--contracting", "--json"],
+                     ["exp-der", str(stray)]):
+            feed((h, groups["truncation"]), argv, strip=tmp + "/")
     for name, group in groups.items():
         print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
