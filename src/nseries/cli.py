@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NSeriesError, ValueError) as exc:
+    except NSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

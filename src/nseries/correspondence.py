@@ -108,8 +108,11 @@ def fractional_iterate(s: OpTable, c) -> OpTable:
 class DerAutPair:
     """A contracting derivation together with its exponential.
 
-    Construction validates both directions of the correspondence, so a held
-    pair always satisfies exp(derivation) = automorphism and log back.
+    Construction checks exp(derivation) = automorphism, else
+    NotContractingError, and that the automorphism is a unital endomorphism,
+    else NotUnitalEndomorphismError.  For a contracting d, exp(d) is one
+    exactly when d is a derivation, and log(exp d) = d at the truncation, so
+    a held pair is a derivation, its exponential and its logarithm back.
     """
 
     derivation: OpTable
@@ -118,8 +121,9 @@ class DerAutPair:
     def __post_init__(self):
         if op_exp(self.derivation) != self.automorphism:
             raise NotContractingError("automorphism is not the exponential of the derivation")
-        if op_log(self.automorphism) != self.derivation:
-            raise NotContractingError("derivation is not the logarithm of the automorphism")
+        op_is_unital_endomorphism(self.automorphism).require(
+            NotUnitalEndomorphismError, "automorphism is not a unital endomorphism; failed at {}"
+        )
 
     @classmethod
     def from_derivation(cls, d: OpTable) -> "DerAutPair":

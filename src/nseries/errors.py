@@ -1,10 +1,22 @@
-"""Exception hierarchy shared by all nseries modules."""
+"""Exception hierarchy shared by all nseries modules.
+
+Every value rejection of the package is an `NSeriesError`, which is itself a
+`ValueError`: a caller that catches `ValueError` keeps working, and each
+boundary (the command line, the table and context parsers, `decompose_vaut`)
+catches this one class.  A value of the wrong type (a float coefficient, a
+non-integral exponent, an operand of the wrong class) is a `TypeError`
+instead, never an `NSeriesError`.
+"""
 
 from __future__ import annotations
 
 
-class NSeriesError(Exception):
-    """Base class for every error raised by this package."""
+class NSeriesError(ValueError):
+    """Base class of every value rejection raised by this package.
+
+    A subclass names the failure where one fits; a rejection that none names
+    (a bound below 0, an unknown suite, a matrix that is no order
+    automorphism) raises this class itself.  Wrong types are `TypeError`s."""
 
 
 class DimensionMismatchError(NSeriesError):
@@ -16,8 +28,8 @@ class NotInIdealError(NSeriesError):
 
 
 class WeightBoundError(NSeriesError):
-    """A series term lies outside the truncation at N: an entry is negative or
-    the weight exceeds N."""
+    """A series term lies outside the truncation at N: a free word longer than
+    N, or a Hahn exponent with a negative entry or a weight above N."""
 
 
 class IncompleteTableError(NSeriesError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NotAUnitError
+from .errors import DimensionMismatchError, NotAUnitError, NSeriesError, WeightBoundError
 from .sparse import SparseSeries
 
 Word = tuple[int, ...]
@@ -65,9 +65,9 @@ class FreeSeries(SparseSeries):
         object.__setattr__(self, "alphabet_size", operator.index(self.alphabet_size))
         object.__setattr__(self, "grade", operator.index(self.grade))
         if self.alphabet_size < 0:
-            raise ValueError("alphabet size must be >= 0")
+            raise NSeriesError("alphabet size must be >= 0")
         if self.grade < 0:
-            raise ValueError("grade bound must be >= 0")
+            raise NSeriesError("grade bound must be >= 0")
         self._canonicalise()
 
     def _space(self) -> tuple[int, int]:
@@ -76,7 +76,7 @@ class FreeSeries(SparseSeries):
     def _check_key(self, word) -> Word:
         word = tuple(map(operator.index, word))
         if len(word) > self.grade:
-            raise ValueError(f"word {word} exceeds the grade bound {self.grade}")
+            raise WeightBoundError(f"word {word} exceeds the grade bound {self.grade}")
         if any(i < 0 or i >= self.alphabet_size for i in word):
             raise DimensionMismatchError(
                 f"word {word} uses letters outside alphabet of size {self.alphabet_size}"
@@ -113,13 +113,13 @@ class FreeSeries(SparseSeries):
     def support_slice(self, n: int) -> set[Word]:
         """Words of length exactly n carrying a nonzero coefficient."""
         if n > self.grade:
-            raise ValueError(f"slice degree {n} exceeds grade bound {self.grade}")
+            raise NSeriesError(f"slice degree {n} exceeds grade bound {self.grade}")
         return {w for w in self.terms if len(w) == n}
 
     def grade_slice(self, n: int) -> "FreeSeries":
         """The homogeneous degree-n part, as a series."""
         if n > self.grade:
-            raise ValueError(f"slice degree {n} exceeds grade bound {self.grade}")
+            raise NSeriesError(f"slice degree {n} exceeds grade bound {self.grade}")
         return FreeSeries(
             self.alphabet_size,
             self.grade,

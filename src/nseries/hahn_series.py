@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import WeightBoundError
+from .errors import NSeriesError, WeightBoundError
 from .sparse import SparseSeries
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_add
 
@@ -31,7 +31,7 @@ class HahnPoly(SparseSeries):
     def __post_init__(self):
         object.__setattr__(self, "bound", operator.index(self.bound))
         if self.bound < 0:
-            raise ValueError("weight bound must be >= 0")
+            raise NSeriesError("weight bound must be >= 0")
         self._canonicalise()
 
     def _space(self) -> tuple[MonoidCtx, int]:

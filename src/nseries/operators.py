@@ -117,9 +117,6 @@ class OpTable(Linear):
     def _space(self) -> tuple[MonoidCtx, int]:
         return self.ctx, self.bound
 
-    def __call__(self, a: HahnPoly) -> HahnPoly:
-        return op_apply(self, a)
-
     def lin_comb(self, pairs) -> "OpTable":
         """The sum of c*t over the (c, t) pairs: one `HahnPoly.lin_comb` per basis
         image, over the basis of `self`, built unchecked."""
@@ -154,7 +151,7 @@ def op_compose(f: OpTable, g: OpTable) -> OpTable:
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:
     """Pointwise sum of a nonempty finite family of tables."""
     if not tables:
-        raise ValueError("lin_sum needs at least one table to fix the context")
+        raise DimensionMismatchError("lin_sum needs at least one table to fix the context")
     return tables[0].lin_comb((1, t) for t in tables)
 
 

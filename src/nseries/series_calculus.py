@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .errors import DimensionMismatchError, NotInIdealError
+from .errors import DimensionMismatchError, NotInIdealError, NSeriesError
 from .free_algebra import FreeSeries, Word, evaluate_words, nilpotent_sum
 
 
@@ -76,7 +76,7 @@ def bch_term(n: int, order: int) -> FreeSeries:
     (exp X0 . exp X1 - 1), truncated at the grade bound.
     """
     if n < 1:
-        raise ValueError("block count must be >= 1 (the linear part sits in the n=1 term)")
+        raise NSeriesError("block count must be >= 1 (the linear part sits in the n=1 term)")
     return _block_sum(order).power(n)
 
 
@@ -153,7 +153,7 @@ def dynkin_project(P: FreeSeries, n: int) -> FreeSeries:
     projection returns n*Q.
     """
     if n < 1:
-        raise ValueError("projection degree must be >= 1")
+        raise NSeriesError("projection degree must be >= 1")
     slice_terms = P.grade_slice(n).terms
     acc: dict[Word, Fraction] = {}
     for word, coeff in slice_terms.items():

@@ -26,7 +26,8 @@ once, as Fraction(n, D).  The keys and coefficients of such a result are
 canonical already, so `Linear._trusted` builds it without `__post_init__`;
 the public constructors keep every check.  `exact` is the one
 exact-coefficient check: a float or any other non-rational number is a
-`TypeError`, never a binary fraction.
+`TypeError`, never a binary fraction, and a string that is no rational is an
+`NSeriesError`.
 """
 
 from __future__ import annotations
@@ -36,18 +37,22 @@ from math import lcm
 from numbers import Rational
 from typing import Callable, Iterable
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NSeriesError
 
 _ZERO = Fraction(0)
 
 
 def exact(value) -> Fraction:
     """`value` as a Fraction: an int, a Fraction or another rational, or a string
-    that `Fraction` parses.  A float or any other number raises TypeError."""
+    that `Fraction` parses.  A string it cannot read, or one with a zero
+    denominator, raises NSeriesError; a float or any other number, TypeError."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, str, Rational)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise NSeriesError(f"not an exact rational: {value!r}") from None
     raise TypeError(
         f"{value!r} is not an exact rational; use an int, a Fraction or a string such as '1/3'"
     )
@@ -173,7 +178,7 @@ class SparseSeries(Linear):
 
     def power(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined here")
+            raise NSeriesError("negative powers are not defined here")
         acc = self.one(*self._space())
         for _ in range(n):
             acc = acc * self

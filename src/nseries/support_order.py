@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatchError, ExtensivityError, ResourceLimitError
+from .errors import DimensionMismatchError, ExtensivityError, NSeriesError, ResourceLimitError
 
 ExpVec = tuple[int, ...]
 
@@ -59,14 +59,14 @@ class MonoidCtx:
     def __post_init__(self):
         object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 1:
-            raise ValueError("context dimension must be >= 1")
+            raise NSeriesError("context dimension must be >= 1")
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
+            raise NSeriesError(f"unknown order kind {self.kind!r}")
         object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
         if len(self.weights) != self.dim:
             raise DimensionMismatchError("weight vector length must match dimension")
         if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive integers")
+            raise NSeriesError("weights must be positive integers")
 
     @classmethod
     def lex(cls, dim: int) -> "MonoidCtx":
@@ -118,12 +118,6 @@ class MonoidCtx:
             return Cmp.GREATER
         return Cmp.INCOMPARABLE
 
-    def lt(self, a: ExpVec, b: ExpVec) -> bool:
-        return self.cmp(a, b) is Cmp.LESS
-
-    def leq(self, a: ExpVec, b: ExpVec) -> bool:
-        return self.cmp(a, b) in (Cmp.LESS, Cmp.EQUAL)
-
 
 def cmp(ctx: MonoidCtx, a: ExpVec, b: ExpVec) -> Cmp:
     return ctx.cmp(a, b)
@@ -147,7 +141,7 @@ def minimal_elements(frag: FinitePosetFragment) -> set[ExpVec]:
     ctx = frag.ctx
     out = set()
     for e in frag.elements:
-        if not any(ctx.lt(other, e) for other in frag.elements if other != e):
+        if not any(ctx.cmp(other, e) is Cmp.LESS for other in frag.elements if other != e):
             out.add(e)
     return out
 
@@ -204,7 +198,7 @@ def find_good_pair(ctx: MonoidCtx, seq: Sequence[Sequence[int]]) -> tuple[int, i
     vecs = [ctx.check_vec(v) for v in seq]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if ctx.leq(vecs[i], vecs[j]):
+            if ctx.cmp(vecs[i], vecs[j]) in (Cmp.LESS, Cmp.EQUAL):
                 return (i, j)
     return None
 
@@ -223,7 +217,7 @@ def choice_closure(
     of p with not(p < q) aborts the expansion.
     """
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise NSeriesError("depth must be >= 0")
     words: list[tuple[ExpVec, ...]] = []
     frontier = [(ctx.check_vec(p),) for p in sorted(ctx.check_vec(q) for q in start)]
     level = 1
@@ -264,7 +258,7 @@ def weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
 @functools.cache
 def _weight_universe(ctx: MonoidCtx, bound: int) -> tuple[ExpVec, ...]:
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise NSeriesError("bound must be >= 0")
     ranges = [range(0, bound // w + 1) for w in ctx.weights]
     cone = [v for v in itertools.product(*ranges) if ctx.in_truncation(v, bound)]
     return tuple(sorted(cone, key=lambda e: (ctx.weight(e), e)))

@@ -86,7 +86,7 @@ def parse_ctx(text: str) -> MonoidCtx:
         raise ParseError(f"context descriptor {descr!r} takes one dimension")
     try:
         return _CTX_KINDS[head](*numbers)
-    except ValueError as exc:
+    except NSeriesError as exc:
         raise ParseError(f"context descriptor {descr!r}: {exc}") from None
 
 
@@ -252,6 +252,6 @@ def parse_op_table(text: str) -> OpTable:
             if exp in images:
                 raise ParseError(f"duplicate basis line for {left}")
             images[exp] = parse_hahn(right.strip(), ctx, bound)
-    except (NSeriesError, ValueError) as exc:
+    except NSeriesError as exc:
         raise ParseError(f"line {n}: {exc}") from None
     return OpTable(ctx, bound, images)

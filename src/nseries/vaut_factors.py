@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentExponentialError,
     NotDecomposableError,
+    NSeriesError,
     TruncationOverflowError,
 )
 from .hahn_series import HahnPoly
@@ -156,7 +157,7 @@ class CharacterX(_LatticeChar):
     def __post_init__(self):
         super().__post_init__()
         if any(v == 0 for v in self.values):
-            raise ValueError("character values must be nonzero")
+            raise NSeriesError("character values must be nonzero")
 
     @classmethod
     def trivial(cls, ctx: MonoidCtx) -> "CharacterX":
@@ -190,16 +191,16 @@ class ExponentAut:
         object.__setattr__(self, "matrix", mat)
         det = mat_det(mat)
         if det not in (1, -1):
-            raise ValueError(f"exponent automorphism must be unimodular, det = {det}")
+            raise NSeriesError(f"exponent automorphism must be unimodular, det = {det}")
         if self.ctx.kind == WEIGHTED:  # the weight leads the order, so it must be kept
             for gen, w in zip(self.ctx.generators(), self.ctx.weights):
                 if (moved := self.ctx.weight(mat_vec(mat, gen))) != w:
-                    raise ValueError(
+                    raise NSeriesError(
                         f"matrix changes the weight of generator {gen} from {w} to {moved}"
                     )
         for m in (mat, mat_inverse(mat)):
             if bad := _order_violation(self.ctx, m, _probe_vectors(self.ctx.dim)):
-                raise ValueError(
+                raise NSeriesError(
                     f"matrix does not preserve the order on probe pair {bad[0]} < {bad[1]}"
                 )
 
@@ -282,9 +283,9 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
     matrix = mu.matrix if isinstance(mu, ExponentAut) else _as_matrix(mu)
     if not isinstance(mu, ExponentAut):
         if mat_det(matrix) == 0:
-            raise ValueError("relabeling matrix must be injective")
+            raise NSeriesError("relabeling matrix must be injective")
         if bad := _order_violation(a.ctx, matrix, sorted(a.terms)):
-            raise ValueError(
+            raise NSeriesError(
                 f"relabeling does not preserve the order on support pair {bad[0]} < {bad[1]}"
             )
     out = {}
@@ -420,7 +421,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
     matrix = tuple(zip(*leads))
     try:
         mu = ExponentAut(ctx, matrix)
-    except (ValueError, NotDecomposableError) as exc:
+    except NSeriesError as exc:
         raise NotDecomposableError(
             f"leading exponents do not form an order automorphism: {exc}", witness=matrix
         ) from exc

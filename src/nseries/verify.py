@@ -55,7 +55,7 @@ from .support_order import (
     minimal_elements,
     vec_add,
 )
-from .errors import InconsistentExponentialError
+from .errors import InconsistentExponentialError, NSeriesError
 from .vaut_factors import (
     ExponentAut,
     FactorAut,
@@ -475,9 +475,9 @@ SUITES = (*_SUITE_FUNCS, "all")
 
 def run_suite(name: str, order: int, trials: int, seed: int) -> list[StepResult]:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(SUITES)}")
+        raise NSeriesError(f"unknown suite {name!r}; pick one of {', '.join(SUITES)}")
     if trials < 1 or order < 1:
-        raise ValueError(f"trials and order must be at least 1, got {trials} and {order}")
+        raise NSeriesError(f"trials and order must be at least 1, got {trials} and {order}")
     rng = random.Random(seed)
     keys = _SUITE_FUNCS if name == "all" else (name,)
     return [r for key in keys for r in _SUITE_FUNCS[key](order, trials, rng)]

@@ -41,6 +41,7 @@ from nseries import (
     HahnPoly,
     IncompleteTableError,
     NotDecomposableError,
+    NSeriesError,
     OpTable,
     apply_gexp,
     apply_oaut,
@@ -271,7 +272,7 @@ def rechecked_decompose(sigma) -> FactorAut:
     matrix = tuple(tuple(lead[g][i] for g in gens) for i in range(ctx.dim))
     try:
         mu = ExponentAut(ctx, matrix)
-    except (ValueError, NotDecomposableError) as exc:
+    except NSeriesError as exc:
         raise NotDecomposableError(
             f"leading exponents do not form an order automorphism: {exc}", witness=matrix
         ) from exc

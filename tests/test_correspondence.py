@@ -294,6 +294,22 @@ def test_der_aut_pair_validates():
         DerAutPair(d, OpTable.identity(LEX1, 5))
 
 
+def test_der_aut_pair_rejects_a_contracting_table_that_is_no_derivation():
+    from nseries import DerAutPair
+
+    prod2 = MonoidCtx.product(2)
+    t = random_contracting_table(random.Random(3), prod2, 4)
+    assert not op_is_derivation(t)
+    # Both pairs satisfy exp(derivation) = automorphism, so only the
+    # endomorphism check can reject them.
+    for make in (lambda: DerAutPair.from_derivation(t),
+                 lambda: DerAutPair.from_automorphism(OpTable.identity(prod2, 4) + t)):
+        with pytest.raises(NotUnitalEndomorphismError) as info:
+            make()
+        assert str(info.value) == "automorphism is not a unital endomorphism; failed at unit"
+        assert info.value.witness == "unit"
+
+
 def test_push_morphism_identity():
     rng = random.Random(29)
     d = random_contracting_derivation(rng, LEX1, 5)
