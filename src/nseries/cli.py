@@ -1,10 +1,18 @@
 """Command-line front end.
 
 Subcommands: bch, series, order, op, exp-der, log-aut, star, iterate, vaut,
-verify.  Each handler computes its result once and hands a JSON payload and
-its text lines to one writer, `_report`, which prints either the payload as
-versioned, byte-stable JSON (under --json, and always for `vaut decompose`) or
-the lines.  Table results go through `_write_table` in the table grammar.
+verify.  The work runs in three steps:
+
+1. Parse once: `PARSER` is built at import, and `main` parses with it.
+2. Compute purely: each handler reads its input files and returns its
+   result without writing.  A result is an `OpTable`, or `(payload, lines,
+   passed)`: a JSON payload, its text lines, and whether the checks passed.
+3. Write once: `main` is the one writer.  It prints a table in the table
+   grammar; else, under --json (always for `vaut decompose`), the payload
+   with the schema as one sorted, byte-stable JSON line, or else the lines.
+   The exit code is 0 if the result passed, 1 if not, and 2 on an
+   `NSeriesError`, printed as one `error:` line on stderr.
+
 Text output follows the published grammars, and vectors are written by
 `textio.format_vec`.  Pass/fail markers are colored exactly when stdout is a
 terminal.
@@ -17,10 +25,11 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import NSeriesError, ParseError
+from .errors import NotDecomposableError, NSeriesError, ParseError
 from .correspondence import fractional_iterate, op_exp, op_log, star
 from .free_algebra import free_to_json
 from .operators import (
+    OpTable,
     op_evaluate,
     op_is_contracting,
     op_is_derivation,
@@ -44,22 +53,11 @@ from .vaut_factors import (
     FactorAut,
     compose_factors,
     decompose_vaut,
+    one_aut_check,
 )
 from .verify import SUITES, run_suite
 
 SCHEMA = 1
-
-
-def _report(args, payload: dict, lines, passed: bool = True) -> int:
-    """The one writer of command results: under `args.json`, `payload` with the
-    schema as one sorted JSON line, else the text `lines`.  Exit code 0 if
-    `passed`, else 1."""
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, separators=(", ", ": ")))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if passed else 1
 
 
 def _mark(passed: bool, what: str) -> str:
@@ -71,7 +69,9 @@ def _mark(passed: bool, what: str) -> str:
 
 
 def _read_factors(text: str) -> FactorAut:
-    """The factor JSON that `vaut decompose` writes; a ParseError names the bad field."""
+    """The factor JSON that `vaut decompose` writes; a ParseError names the bad
+    field, and a residual that is no near-identity automorphism is a
+    NotDecomposableError with its witness."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,6 +98,10 @@ def _read_factors(text: str) -> FactorAut:
         residual = parse_op_table(data["residual"])
     except ParseError as exc:
         raise ParseError(f"factor field 'residual': {exc}") from None
+    one_aut_check(residual).require(
+        NotDecomposableError,
+        "factor field 'residual' is not a near-identity automorphism; witness {}",
+    )
     ctx = residual.ctx
     return FactorAut(
         ExponentAut(ctx, tuple(tuple(row) for row in mu)),
@@ -121,15 +125,9 @@ def _table(path: str):
     return parse_op_table(_read(path))
 
 
-def _write_table(table) -> int:
-    """Print a table result in the table grammar; exit code 0."""
-    print(format_op_table(table), end="")
-    return 0
+# -- subcommand handlers: each returns an OpTable or (payload, lines, passed) --
 
-
-# -- subcommand handlers ------------------------------------------------------
-
-def _cmd_bch(args) -> int:
+def _cmd_bch(args):
     series = bch_product(args.order)
     payload, lines, agrees = {"series": free_to_json(series)}, [format_free(series)], True
     if args.oracle:
@@ -138,15 +136,15 @@ def _cmd_bch(args) -> int:
         payload.update(oracle=free_to_json(oracle), agrees=agrees)
         lines += [f"oracle: {format_free(oracle)}",
                   _mark(agrees, "commutator-formula oracle agreement")]
-    return _report(args, payload, lines, agrees)
+    return payload, lines, agrees
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     series = (series_E0 if args.which == "exp" else series_L0)(args.order)
-    return _report(args, {"series": free_to_json(series)}, [format_free(series)])
+    return {"series": free_to_json(series)}, [format_free(series)], True
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     ctx = parse_ctx(args.ctx)
     if args.action == "closure":
         offsets = [parse_vec(v) for v in args.offsets]
@@ -156,19 +154,19 @@ def _cmd_order(args) -> int:
         payload = {"words": [[list(v) for v in w] for w in words],
                    "good_pair": list(good) if good else None}
         lines = [" -> ".join(map(format_vec, w)) for w in words]
-        return _report(args, payload, [*lines, f"good pair on last letters: {good}"])
+        return payload, [*lines, f"good pair on last letters: {good}"], True
     if args.action == "cmp" and len(args.vectors) != 2:
         raise NSeriesError("cmp needs exactly two exponents")
     vecs = [parse_vec(v) for v in args.vectors]
     if args.action == "cmp":
         result = ctx.cmp(*vecs).value
-        return _report(args, {"cmp": result}, [result])
+        return {"cmp": result}, [result], True
     frag = FinitePosetFragment.of(ctx, vecs)
     found = sorted(minimal_elements(frag) if args.action == "minimal" else max_antichain(frag))
-    return _report(args, {args.action: [list(v) for v in found]}, [" ".join(map(format_vec, found))])
+    return {args.action: [list(v) for v in found]}, [" ".join(map(format_vec, found))], True
 
 
-def _cmd_op(args) -> int:
+def _cmd_op(args):
     table = _table(args.table)
     checks = {
         "contracting": op_is_contracting,
@@ -184,52 +182,34 @@ def _cmd_op(args) -> int:
     lines = [_mark(res.ok, name if res.ok else f"{name}  witness: {res.witness}")
              for name, res in results]
     passed = all(res.ok for _, res in results)
-    return _report(args, {"checks": rows, "passed": passed}, lines, passed)
+    return {"checks": rows, "passed": passed}, lines, passed
 
 
-def _cmd_op_eval(args) -> int:
+def _cmd_op_eval(args):
     tables = [_table(path) for path in args.table_files]
-    P = parse_free(
-        _read(args.series), alphabet_size=len(tables), grade=tables[0].bound
-    )
-    return _write_table(op_evaluate(P, tuple(tables)))
+    P = parse_free(_read(args.series), alphabet_size=len(tables), grade=tables[0].bound)
+    return op_evaluate(P, tuple(tables))
 
 
-def _cmd_exp_der(args) -> int:
-    return _write_table(op_exp(_table(args.table)))
-
-
-def _cmd_log_aut(args) -> int:
-    return _write_table(op_log(_table(args.table)))
-
-
-def _cmd_star(args) -> int:
-    return _write_table(star(_table(args.left), _table(args.right)))
-
-
-def _cmd_iterate(args) -> int:
-    return _write_table(fractional_iterate(_table(args.table), parse_rational(args.c)))
-
-
-def _cmd_vaut(args) -> int:
+def _cmd_vaut(args):
     if args.action == "compose":
-        return _write_table(compose_factors(_read_factors(_read(args.path))))
+        return compose_factors(_read_factors(_read(args.path)))
     split = decompose_vaut(_table(args.path))
     payload = {
         "mu": [list(row) for row in split.mu.matrix],
         "chi": [str(v) for v in split.chi.values],
         "residual": format_op_table(split.residual),
     }
-    return _report(args, payload, [])
+    return payload, [], True
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = run_suite(args.suite, args.order, args.trials, args.seed)
     passed = all(r.passed for r in results)
     payload = {"suite": args.suite, "order": args.order, "trials": args.trials,
                "seed": args.seed, "results": [asdict(r) for r in results], "passed": passed}
     lines = [_mark(r.passed, r.name if r.passed else f"{r.name}  ({r.detail})") for r in results]
-    return _report(args, payload, [*lines, _mark(passed, f"suite {args.suite}")], passed)
+    return payload, [*lines, _mark(passed, f"suite {args.suite}")], passed
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -278,21 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exp-der", help="exponential of a contracting derivation table")
     p.add_argument("table")
-    p.set_defaults(func=_cmd_exp_der)
+    p.set_defaults(func=lambda args: op_exp(_table(args.table)))
 
     p = sub.add_parser("log-aut", help="logarithm of a near-identity automorphism table")
     p.add_argument("table")
-    p.set_defaults(func=_cmd_log_aut)
+    p.set_defaults(func=lambda args: op_log(_table(args.table)))
 
     p = sub.add_parser("star", help="group law on two contracting derivation tables")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_star)
+    p.set_defaults(func=lambda args: star(_table(args.left), _table(args.right)))
 
     p = sub.add_parser("iterate", help="fractional iterate of an automorphism table")
     p.add_argument("table")
     p.add_argument("--c", required=True, help="exact rational exponent p/q")
-    p.set_defaults(func=_cmd_iterate)
+    p.set_defaults(
+        func=lambda args: fractional_iterate(_table(args.table), parse_rational(args.c))
+    )
 
     p = sub.add_parser("vaut", help="decompose or recompose automorphism factors")
     p.add_argument("action", choices=("decompose", "compose"))
@@ -309,14 +291,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
     except NSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, OpTable):
+        print(format_op_table(result), end="")
+        return 0
+    payload, lines, passed = result
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, separators=(", ", ": ")))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from nseries import (
     MonoidCtx,
     OpTable,
     compose_factors,
+    gexp_table,
     op_exp,
 )
 from nseries.cli import main
@@ -40,6 +42,20 @@ def flow_table(bound):
         return HahnPoly.monomial(LEX1, bound, (m[0] + 1,), m[0])
 
     return OpTable.from_function(LEX1, bound, image)
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run(capsys, "series", "exp", "--order", "2")[0] == 0
+    assert run(capsys, "bch", "--order", "2", "--json")[0] == 0
+    assert added == []
 
 
 def test_bch_command(capsys):
@@ -348,6 +364,18 @@ def _factors(**fields) -> str:
     return json.dumps({"mu": [[1]], "chi": ["1"], "residual": RESIDUAL, **fields})
 
 
+# Residuals that are no near-identity automorphism: the zero table; the
+# character rescale t -> 2t, multiplicative but not near the identity; and Id
+# plus the contracting non-derivation t^2 -> t^3, which breaks t * t.
+ZERO_RESIDUAL = _factors(mu=[[1, 0], [0, 1]], chi=["1", "1"],
+                         residual=format_op_table(OpTable.zero(MonoidCtx.product(2), 2)))
+RESCALE_RESIDUAL = _factors(residual=format_op_table(gexp_table(CharacterX(LEX1, (2,)), 2)))
+SHIFTED_RESIDUAL = _factors(
+    residual="ctx=lex:1 N=3\nt^(0) -> 1\nt^(1) -> t^(1)\nt^(2) -> t^(2) + t^(3)\nt^(3) -> t^(3)\n"
+)
+NOT_NEAR_IDENTITY = "factor field 'residual' is not a near-identity automorphism; witness "
+
+
 @pytest.mark.parametrize(
     "argv, files, message",
     [
@@ -378,12 +406,15 @@ def _factors(**fields) -> str:
         (["op", "check", "{t}", "--contracting", "--json"], {"t": OUT_OF_TRUNCATION},
          OUTSIDE_MESSAGE),
         (["exp-der", "{t}"], {"t": OUT_OF_TRUNCATION}, OUTSIDE_MESSAGE),
+        (["vaut", "compose", "{f}"], {"f": ZERO_RESIDUAL}, NOT_NEAR_IDENTITY + "unit\n"),
+        (["vaut", "compose", "{f}"], {"f": RESCALE_RESIDUAL}, NOT_NEAR_IDENTITY + "((1,), (1,))\n"),
+        (["vaut", "compose", "{f}"], {"f": SHIFTED_RESIDUAL}, NOT_NEAR_IDENTITY + "((1,), (1,))\n"),
     ],
     ids=[
         "empty-series", "missing-monomial", "bare-exponent", "bad-basis", "stray-open",
         "stray-close", "bad-letter", "float-chi", "zero-denominator-chi", "residual-type",
         "residual-text", "no-predicate", "one-vector", "outside-check", "outside-check-json",
-        "outside-exp-der",
+        "outside-exp-der", "zero-residual", "rescale-residual", "shifted-residual",
     ],
 )
 def test_each_rejection_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):

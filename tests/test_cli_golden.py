@@ -1,8 +1,11 @@
-"""Exact stdout and exit code of every reported (non-table) CLI output.
+"""Exact stdout and exit code of every reported (non-table) CLI output, and
+of `--help` on every command path.
 
 Each case pins the bytes a command writes, as text and as `--json`, so a
 change to how results are written shows here first.  Table results are
-pinned by the round trips in `test_cli.py`.
+pinned by the round trips in `test_cli.py`.  The `--help` texts, rendered at
+80 columns, pin the command-line surface: every argument name, its order,
+its choices and its help text.
 """
 
 import sys
@@ -103,3 +106,178 @@ def test_reported_output_is_pinned(tmp_path, capsys, monkeypatch, argv, table, t
     got = main([a.format(t=path) for a in argv])
     out = capsys.readouterr()
     assert (got, out.out, out.err) == (code, stdout, "")
+
+
+# `--help` at COLUMNS=80 per command path (space-separated, "" the top level).
+HELP = {
+    "": (
+        "usage: nseries [-h]\n"
+        "               {bch,series,order,op,exp-der,log-aut,star,iterate,vaut,verify}\n"
+        "               ...\n"
+        "\n"
+        "Exact truncated series, operator exp/log and automorphism factors.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {bch,series,order,op,exp-der,log-aut,star,iterate,vaut,verify}\n"
+        "    bch                 print the two-variable group-law series\n"
+        "    series              print the exponential or logarithm series\n"
+        "    order               order utilities on exponent fragments\n"
+        "    op                  operator table checks and evaluation\n"
+        "    exp-der             exponential of a contracting derivation table\n"
+        "    log-aut             logarithm of a near-identity automorphism table\n"
+        "    star                group law on two contracting derivation tables\n"
+        "    iterate             fractional iterate of an automorphism table\n"
+        "    vaut                decompose or recompose automorphism factors\n"
+        "    verify              run an invariant suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "bch": (
+        "usage: nseries bch [-h] --order ORDER [--oracle] [--json]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --order ORDER\n"
+        "  --oracle       compare with the commutator formula\n"
+        "  --json\n"
+    ),
+    "series": (
+        "usage: nseries series [-h] --order ORDER [--json] {exp,log}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {exp,log}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --order ORDER\n"
+        "  --json\n"
+    ),
+    "order": (
+        "usage: nseries order [-h] --ctx CTX [--offsets [OFFSETS ...]] [--depth DEPTH]\n"
+        "                     [--json]\n"
+        "                     {cmp,minimal,antichain,closure} [vectors ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  {cmp,minimal,antichain,closure}\n"
+        "  vectors               exponents as comma-separated integers\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ctx CTX             lex:d | prod:d | weighted:w1,w2,...\n"
+        "  --offsets [OFFSETS ...]\n"
+        "                        closure step offsets\n"
+        "  --depth DEPTH\n"
+        "  --json\n"
+    ),
+    "op": (
+        "usage: nseries op [-h] {check,eval} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,eval}\n"
+        "    check       predicate checks on a table file\n"
+        "    eval        evaluate a free series at operator tables\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+    ),
+    "op check": (
+        "usage: nseries op check [-h] [--contracting] [--derivation] [--endo] [--json]\n"
+        "                        table\n"
+        "\n"
+        "positional arguments:\n"
+        "  table          operator table file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --contracting\n"
+        "  --derivation\n"
+        "  --endo\n"
+        "  --json\n"
+    ),
+    "op eval": (
+        "usage: nseries op eval [-h] -P SERIES -f TABLE_FILES [TABLE_FILES ...]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  -P SERIES, --series SERIES\n"
+        "                        free series file\n"
+        "  -f TABLE_FILES [TABLE_FILES ...], --table-files TABLE_FILES [TABLE_FILES ...]\n"
+    ),
+    "exp-der": (
+        "usage: nseries exp-der [-h] table\n"
+        "\n"
+        "positional arguments:\n"
+        "  table\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "log-aut": (
+        "usage: nseries log-aut [-h] table\n"
+        "\n"
+        "positional arguments:\n"
+        "  table\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "star": (
+        "usage: nseries star [-h] left right\n"
+        "\n"
+        "positional arguments:\n"
+        "  left\n"
+        "  right\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    "iterate": (
+        "usage: nseries iterate [-h] --c C table\n"
+        "\n"
+        "positional arguments:\n"
+        "  table\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --c C       exact rational exponent p/q\n"
+    ),
+    "vaut": (
+        "usage: nseries vaut [-h] {decompose,compose} path\n"
+        "\n"
+        "positional arguments:\n"
+        "  {decompose,compose}\n"
+        "  path                 table file (decompose) or factor JSON file (compose)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+    ),
+    "verify": (
+        "usage: nseries verify [-h] [--order ORDER] [--trials TRIALS] [--seed SEED]\n"
+        "                      [--json]\n"
+        "                      {free,bch,hahn,order,operator,correspondence,vaut,all}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {free,bch,hahn,order,operator,correspondence,vaut,all}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --order ORDER\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"
+        "  --json\n"
+    ),
+}
+
+
+# argparse lays help out differently across Python minor versions (3.13
+# writes `-P, --series SERIES`), so the texts above hold on the version they
+# were taken with.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help text taken on Python 3.11")
+@pytest.mark.parametrize("path, text", HELP.items(), ids=[k or "nseries" for k in HELP])
+def test_help_is_pinned(capsys, monkeypatch, path, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([*path.split(), "--help"])
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.out, out.err) == (0, text, "")

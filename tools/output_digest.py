@@ -13,7 +13,9 @@ contexts it makes one failing call per check the command line reaches:
 `log-aut` on the zero table and `iterate` on Id plus a seeded contracting table.
 It adds three failing matrix checks: `vaut compose` on factor JSON whose mu is
 [[2]] on lex:1 or the swap on lex:2, and `vaut decompose` on the lex:1 table
-t -> t^2, whose leads have det 2.
+t -> t^2, whose leads have det 2.  It adds three residuals that are no
+near-identity automorphism to `vaut compose`: the zero table on prod:2, the
+character rescale t -> 2t on lex:1, and Id plus t^2 -> t^3 on lex:1.
 In the same contexts it runs `exp-der`, `log-aut` and `op eval` on files written
 in every spelling the grammar has always accepted (see `respell`).  Last, it runs
 `op check --contracting`, as text and with `--json`, and `exp-der` on a lex:2
@@ -44,7 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
-from nseries import MonoidCtx, OpTable, cli, op_exp, samples, textio  # noqa: E402
+from nseries import (  # noqa: E402
+    CharacterX, MonoidCtx, OpTable, cli, gexp_table, op_exp, samples, textio,
+)
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -62,6 +66,10 @@ ORDER_ARGV = (
 OUT_OF_TRUNCATION = (
     "ctx=lex:2 N=3\nt^(0,0) -> 0\nt^(0,1) -> 0\nt^(1,0) -> t^(3,-1)\nt^(0,2) -> 0\n"
     "t^(1,1) -> 0\nt^(2,0) -> 0\nt^(0,3) -> 0\nt^(1,2) -> 0\nt^(2,1) -> 0\nt^(3,0) -> 0\n"
+)
+# Id plus the contracting non-derivation t^2 -> t^3: it fixes 1 and breaks t * t.
+SHIFTED_RESIDUAL = (
+    "ctx=lex:1 N=3\nt^(0) -> 1\nt^(1) -> t^(1)\nt^(2) -> t^(2) + t^(3)\nt^(3) -> t^(3)\n"
 )
 
 
@@ -170,10 +178,16 @@ def main() -> None:
                          ["op", "eval", "-P", str(P), "-f", path["con"], path["id"]],
                          ["iterate", path["id+con"], "--c", "1/2"]):
                 feed((h, groups["failures"]), argv, strip=tmp + "/")
+    lex1, lex2, prod2 = MonoidCtx.lex(1), MonoidCtx.lex(2), MonoidCtx.product(2)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, dim, mu in (("det2", 1, [[2]]), ("swap", 2, [[0, 1], [1, 0]])):
-            residual = textio.format_op_table(OpTable.identity(MonoidCtx.lex(dim), 2))
-            factors = {"mu": mu, "chi": ["1"] * dim, "residual": residual}
+        for name, mu, residual in (
+            ("det2", [[2]], textio.format_op_table(OpTable.identity(lex1, 2))),
+            ("swap", [[0, 1], [1, 0]], textio.format_op_table(OpTable.identity(lex2, 2))),
+            ("zero", [[1, 0], [0, 1]], textio.format_op_table(OpTable.zero(prod2, 2))),
+            ("rescale", [[1]], textio.format_op_table(gexp_table(CharacterX(lex1, (2,)), 2))),
+            ("shifted", [[1]], SHIFTED_RESIDUAL),
+        ):
+            factors = {"mu": mu, "chi": ["1"] * len(mu), "residual": residual}
             Path(tmp, name + ".json").write_text(json.dumps(factors))
             feed((h, groups["failures"]), ["vaut", "compose", str(Path(tmp, name + ".json"))],
                  strip=tmp + "/")
