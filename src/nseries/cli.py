@@ -14,8 +14,9 @@ verify.  The work runs in three steps:
    `NSeriesError`, printed as one `error:` line on stderr.
 
 Text output follows the published grammars, and vectors are written by
-`textio.format_vec`.  Pass/fail markers are colored exactly when stdout is a
-terminal.
+`textio.format_vec`.  A handler's pass/fail lines start with a plain `PASS `
+or `FAIL ` marker, and no other text line starts so; `main` colors the
+marker exactly when stdout is a terminal, so no handler reads the stream.
 """
 
 from __future__ import annotations
@@ -58,14 +59,19 @@ from .vaut_factors import (
 from .verify import SUITES, run_suite
 
 SCHEMA = 1
+_MARK_COLORS = {"PASS": 32, "FAIL": 31}  # ANSI green and red
 
 
 def _mark(passed: bool, what: str) -> str:
-    """`PASS what` or `FAIL what`, the marker colored when stdout is a terminal."""
-    word = "PASS" if passed else "FAIL"
-    if sys.stdout.isatty():
-        word = f"\x1b[{32 if passed else 31}m{word}\x1b[0m"
-    return f"{word} {what}"
+    """`PASS what` or `FAIL what`."""
+    return f"{'PASS' if passed else 'FAIL'} {what}"
+
+
+def _colored(line: str) -> str:
+    """`line` with its leading PASS or FAIL marker, if any, in terminal color."""
+    word, sep, rest = line.partition(" ")
+    color = _MARK_COLORS.get(word)
+    return f"\x1b[{color}m{word}\x1b[0m{sep}{rest}" if color and sep else line
 
 
 def _read_factors(text: str) -> FactorAut:
@@ -308,8 +314,9 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, separators=(", ", ": ")))
     else:
+        tty = sys.stdout.isatty()
         for line in lines:
-            print(line)
+            print(_colored(line) if tty else line)
     return 0 if passed else 1
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
-from .sparse import Linear
+from .sparse import Linear, _integral, exact
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
 
@@ -103,7 +104,12 @@ class OpTable(Linear):
 
     @classmethod
     def identity(cls, ctx: MonoidCtx, bound: int) -> "OpTable":
-        return cls.from_function(ctx, bound, lambda m: HahnPoly.monomial(ctx, bound, m))
+        """t^m -> t^m on the basis, built unchecked: each image is one basis
+        monomial with coefficient 1, canonical by construction."""
+        space, one = (ctx, bound), Fraction(1)
+        return cls._trusted(space, {
+            m: HahnPoly._trusted(space, {m: one}) for m in weight_universe(ctx, bound)
+        })
 
     @classmethod
     def zero(cls, ctx: MonoidCtx, bound: int) -> "OpTable":
@@ -118,13 +124,16 @@ class OpTable(Linear):
         return self.ctx, self.bound
 
     def lin_comb(self, pairs) -> "OpTable":
-        """The sum of c*t over the (c, t) pairs: one `HahnPoly.lin_comb` per basis
-        image, over the basis of `self`, built unchecked."""
-        pairs = list(pairs)
-        for _, t in pairs:
+        """The sum of c*t over the (c, t) pairs, built unchecked.  Each t's space
+        and each c are checked once per table; then one unchecked
+        `HahnPoly._combine` per basis image of `self` sums the images."""
+        checked = []
+        for c, t in pairs:
             self._require_same(t)
+            checked.append((exact(c), t.images))
         return OpTable._trusted(self._space(), {
-            m: img.lin_comb((c, t.images[m]) for c, t in pairs) for m, img in self.images.items()
+            m: img._combine([(c, *_integral(images[m].terms)) for c, images in checked])
+            for m, img in self.images.items()
         })
 
     def is_zero(self) -> bool:
@@ -133,19 +142,25 @@ class OpTable(Linear):
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
     """Apply by linear extension over the support of `a`: the combination of
-    the images of its exponents with its coefficients, one `lin_comb`.  Every
-    exponent of `a` lies in the truncation of its space, which is the table's
-    basis, so each has an image."""
+    the images of its exponents with its coefficients, one unchecked
+    `_combine`.  Every exponent of `a` lies in the truncation of its space,
+    which is the table's basis, so each has an image in that space."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    return a.lin_comb((coeff, table.images[exp]) for exp, coeff in a.terms.items())
+    return a._combine([(c, *_integral(table.images[exp].terms)) for exp, c in a.terms.items()])
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
     """(f o g): images are f applied to the images of g, over the basis of g,
-    so the table is complete by construction and is built unchecked."""
+    so the table is complete by construction and is built unchecked.  Each
+    image of f is put over its denominator (`_integral`) once per composition,
+    and each image of g is one `_combine` of those forms."""
     f._require_same(g)
-    return OpTable._trusted(f._space(), {m: op_apply(f, img) for m, img in g.images.items()})
+    forms = {m: _integral(img.terms) for m, img in f.images.items()}
+    return OpTable._trusted(f._space(), {
+        m: img._combine([(c, *forms[exp]) for exp, c in img.terms.items()])
+        for m, img in g.images.items()
+    })
 
 
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:

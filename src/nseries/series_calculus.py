@@ -12,7 +12,7 @@ oracle and the Dynkin-Specht-Wever projection used to certify Lie elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from .errors import DimensionMismatchError, NotInIdealError, NSeriesError
@@ -110,40 +110,55 @@ def _left_normed_bracket(word: Word) -> dict[Word, int]:
     return {w: sign * c for w, c in _right_nested_bracket(word[::-1]).items()}
 
 
+def _block_tuples(order: int):
+    """Every tuple of blocks ((r_1,s_1),..,(r_n,s_n)), each r+s >= 1, of total
+    degree at most `order`, each tuple before its extensions."""
+
+    def expand(blocks: list[tuple[int, int]], used: int):
+        if blocks:
+            yield tuple(blocks)
+        for r in range(order - used + 1):
+            for s in range(order - used - r + 1):
+                if r + s:
+                    blocks.append((r, s))
+                    yield from expand(blocks, used + r + s)
+                    blocks.pop()
+
+    return expand([], 0)
+
+
+def _dynkin_denominator(order: int) -> int:
+    """lcm(1..order)^2 * order!, a common denominator of every `dynkin_bch` term.
+
+    A tuple of n blocks and total degree T <= order has n <= T, so n and T
+    each divide lcm(1..order); prod r_i! s_i! divides T!, a multinomial
+    denominator, and T! divides order!.
+    """
+    return lcm(*range(1, order + 1)) ** 2 * factorial(order)
+
+
 def dynkin_bch(order: int) -> FreeSeries:
     """BCH series by the classical commutator formula; independent oracle.
 
     Sums, over block tuples ((r_1,s_1),..,(r_n,s_n)) with each r+s >= 1 and
     total degree T <= order, the right-nested bracket of the block word with
-    coefficient (-1)^(n-1) / (n T prod r_i! s_i!).
+    coefficient (-1)^(n-1) / (n T prod r_i! s_i!).  The sums are integers over
+    `_dynkin_denominator(order)`, divided once at the end.
     """
-    acc: dict[Word, Fraction] = {}
-
-    def emit(blocks: list[tuple[int, int]]):
+    common = _dynkin_denominator(order)
+    acc: dict[Word, int] = {}
+    for blocks in _block_tuples(order):
         n = len(blocks)
         total = sum(r + s for r, s in blocks)
         word: Word = ()
-        denom = 1
+        denom = n * total
         for r, s in blocks:
             word = word + (0,) * r + (1,) * s
             denom *= factorial(r) * factorial(s)
-        coeff = Fraction((-1) ** (n - 1), n * total * denom)
+        coeff = (-1) ** (n - 1) * (common // denom)
         for w, c in _right_nested_bracket(word).items():
-            acc[w] = acc.get(w, Fraction(0)) + coeff * c
-
-    def expand(blocks: list[tuple[int, int]], used: int):
-        if blocks:
-            emit(blocks)
-        for r in range(order - used + 1):
-            for s in range(order - used - r + 1):
-                if r + s == 0:
-                    continue
-                blocks.append((r, s))
-                expand(blocks, used + r + s)
-                blocks.pop()
-
-    expand([], 0)
-    return FreeSeries(2, order, acc)
+            acc[w] = acc.get(w, 0) + coeff * c
+    return FreeSeries(2, order, {w: Fraction(v, common) for w, v in acc.items()})
 
 
 def dynkin_project(P: FreeSeries, n: int) -> FreeSeries:

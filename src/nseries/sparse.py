@@ -1,15 +1,16 @@
 """The sparse graded kernel shared by the free algebra and the Hahn series.
 
 A series maps keys to nonzero exact rationals, each key of grade at most the
-bound.  The grade is nonnegative and additive under the key product, so
-dropping the pairs whose grades sum past the bound keeps the product exact
-modulo the ideal of keys above the bound.
+bound.  The grade is nonnegative and additive under the key product, so the
+product never visits the pairs whose grades sum past the bound, and stays
+exact modulo the ideal of keys above the bound.
 
-`SparseSeries.lin_comb` is the one loop that sums the terms of several
-series.  `+`, `-`, negation and scaling are one call each through `Linear`,
-which also holds the one space check; operator tables share both.  A table
-combines its images with `lin_comb`, and the evaluators of
-`nseries.free_algebra` sum their products with one call.
+`SparseSeries.lin_comb` is the one checked entry that sums the terms of
+several series, and `_combine` its unchecked integer loop.  `+`, `-`,
+negation and scaling are one call each through `Linear`, which also holds the
+one space check; operator tables share both.  A table combines its images
+with `_combine` once its coefficients and spaces are checked, and the
+evaluators of `nseries.free_algebra` sum their products with one call.
 
 A subclass is a frozen dataclass whose last field is `terms`.  It supplies
 `_space()` (the fields before `terms`, the bound last), `_check_key`,
@@ -20,12 +21,12 @@ come with the base class.
 
 Both loops sum plain integers over one common denominator.  `_integral`
 writes an operand as (D, numerators), D the least common denominator of its
-coefficients.  `lin_comb` sums over the lcm of c.denominator * D across its
-(c, s) pairs, `_product` over D_a * D_b, and each surviving key is reduced
-once, as Fraction(n, D).  The keys and coefficients of such a result are
-canonical already, so `Linear._trusted` builds it without `__post_init__`;
-the public constructors keep every check.  `exact` is the one
-exact-coefficient check: a float or any other non-rational number is a
+coefficients.  `_combine` sums over the lcm of c.denominator * D across its
+(c, D, numerators) parts, `_product` over D_a * D_b, and each surviving key
+is reduced once, as Fraction(n, D).  The keys and coefficients of such a
+result are canonical already, so `Linear._trusted` builds it without
+`__post_init__`; the public constructors keep every check.  `exact` is the
+one exact-coefficient check: a float or any other non-rational number is a
 `TypeError`, never a binary fraction, and a string that is no rational is an
 `NSeriesError`.
 """
@@ -132,21 +133,25 @@ class SparseSeries(Linear):
     # -- arithmetic ---------------------------------------------------
 
     def lin_comb(self, pairs):
-        """The sum of c*s over the (c, s) pairs, in the space of `self`, built once.
-
-        Every term lands in one dict, as an integer over the lcm of the pairs'
-        denominators.  A key that cancels leaves it at once, so a later term
-        re-enters the key last, as a fold of `+` would place it."""
+        """The sum of c*s over the (c, s) pairs, in the space of `self`: each s is
+        checked against that space and each c by `exact`, then `_combine` sums."""
         parts = []
         for c, s in pairs:
             self._require_same(s)
-            c = exact(c)
-            den, nums = _integral(s.terms)
-            parts.append((c.numerator, c.denominator * den, nums))
-        common = lcm(*[den for _, den, _ in parts])
+            parts.append((exact(c), *_integral(s.terms)))
+        return self._combine(parts)
+
+    def _combine(self, parts):
+        """The sum of c/D * n over the (c, D, [(key, n)]) parts, in the space of
+        `self`, unchecked: c a Fraction and (D, [(key, n)]) an `_integral` form.
+
+        Every term lands in one dict, as an integer over the lcm of the parts'
+        denominators.  A key that cancels leaves it at once, so a later term
+        re-enters the key last, as a fold of `+` would place it."""
+        common = lcm(*[c.denominator * den for c, den, _ in parts])
         out: dict = {}
-        for p, den, nums in parts:
-            p *= common // den
+        for c, den, nums in parts:
+            p = c.numerator * (common // (c.denominator * den))
             for key, n in nums:
                 total = out.get(key, 0) + p * n
                 if total:
@@ -157,20 +162,24 @@ class SparseSeries(Linear):
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
-        terms whose grades sum to at most the bound; the other pairs are dropped.
-        The sums run over D_a * D_b, and a key whose sum is zero is dropped."""
+        terms whose grades sum to at most the bound, and no other pair is
+        visited.  The right terms that fit a left term's room (the bound minus
+        its grade) are listed once per distinct room, in term order.  The sums
+        run over D_a * D_b, and a key whose sum is zero is dropped."""
         self._require_same(other)
         space = self._space()
         grade = self._grade
         den_a, left = _integral(self.terms)
         den_b, right = _integral(other.terms)
-        right = [(key, n, grade(key)) for key, n in right]
+        graded = [(grade(term[0]), term) for term in right]
+        fitting: dict = {}
         out: dict = {}
         for ka, na in left:
             room = space[-1] - grade(ka)
-            for kb, nb, gb in right:
-                if gb > room:
-                    continue
+            row = fitting.get(room)
+            if row is None:
+                row = fitting[room] = [term for gb, term in graded if gb <= room]
+            for kb, nb in row:
                 key = key_mul(ka, kb)
                 out[key] = out.get(key, 0) + na * nb
         den = den_a * den_b

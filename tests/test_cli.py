@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from nseries import (
     gexp_table,
     op_exp,
 )
-from nseries.cli import main
+from nseries.cli import PARSER, main
 from nseries.samples import random_contracting_derivation
 from nseries.textio import format_op_table, parse_op_table
 from nseries.verify import SUITES
@@ -56,6 +57,28 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     assert run(capsys, "series", "exp", "--order", "2")[0] == 0
     assert run(capsys, "bch", "--order", "2", "--json")[0] == 0
     assert added == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bch", "--order", "3", "--oracle"],
+        ["op", "check", "{t}", "--contracting", "--derivation", "--endo"],
+        ["verify", "order", "--order", "3", "--trials", "2"],
+    ],
+    ids=("bch", "op-check", "verify"),
+)
+def test_a_handler_result_does_not_depend_on_the_terminal(tmp_path, monkeypatch, argv):
+    path = tmp_path / "t.table"
+    path.write_text(format_op_table(flow_table(2)))
+    args = PARSER.parse_args([a.format(t=path) for a in argv])
+    results = []
+    for tty in (False, True):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda tty=tty: tty)
+        results.append(args.func(args))
+    assert results[0] == results[1]
+    assert all("\x1b" not in line for line in results[0][1])
+    assert any(line.startswith(("PASS ", "FAIL ")) for line in results[0][1])
 
 
 def test_bch_command(capsys):

@@ -19,7 +19,7 @@ from nseries import (
     series_L0,
 )
 from nseries.samples import random_free_series
-from nseries.series_calculus import _left_normed_bracket
+from nseries.series_calculus import _block_tuples, _dynkin_denominator, _left_normed_bracket
 from pairwise_oracles import left_normed_bracket_loop
 
 
@@ -141,9 +141,29 @@ def test_dynkin_bch_low_orders():
     assert dynkin_bch(1) == FreeSeries(2, 1, {(0,): 1, (1,): 1})
 
 
-@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("order", range(1, 8))
 def test_oracle_agreement(order):
     assert bch_product(order) == dynkin_bch(order)
+
+
+def test_every_dynkin_term_divides_the_common_denominator():
+    # A tuple of total degree T divides the denominator at T, which divides
+    # the denominator at every order from T on.
+    denominators = [_dynkin_denominator(order) for order in range(11)]
+    assert all(denominators[k + 1] % denominators[k] == 0 for k in range(10))
+    count = 0
+    for blocks in _block_tuples(10):
+        total = sum(r + s for r, s in blocks)
+        term = len(blocks) * total
+        for r, s in blocks:
+            term *= factorial(r) * factorial(s)
+        assert denominators[total] % term == 0, blocks
+        count += 1
+    # a(T) = sum_{k=1..T} (k+1) a(T-k), a(0) = 1: the tuples of total T.
+    tuples = [1]
+    for t in range(1, 11):
+        tuples.append(sum((k + 1) * tuples[t - k] for k in range(1, t + 1)))
+    assert count == sum(tuples[1:])
 
 
 def test_dynkin_project_examples():

@@ -30,6 +30,7 @@ from nseries.errors import DimensionMismatchError, IncompleteTableError, WeightB
 from nseries.free_algebra import free_from_json
 from nseries.hahn_series import hahn_from_json
 from nseries.samples import random_contracting_table, random_free_series, random_hahn
+from nseries.support_order import vec_add
 from nseries.vaut_factors import middle_correspond
 from pairwise_oracles import reference_product, reference_sum
 
@@ -223,6 +224,34 @@ def test_every_table_result_equals_its_checked_rebuild(seed, c):
         assert _with_order(x) == _with_order(_rebuilt(x))
 
 
+@pytest.mark.parametrize(
+    "a, b, key_mul",
+    [
+        # Both operands list a high-grade term before their low-grade ones.
+        (FreeSeries(2, 3, {(0, 1, 1): 1, (1,): 2, (): 3, (0, 0): Fraction(1, 2)}),
+         FreeSeries(2, 3, {(1, 1): 1, (): -1, (1, 0, 1): 5, (0,): BIG[0]}), operator.add),
+        (HahnPoly(W12, 4, {(0, 2): 1, (1, 0): 3, (0, 0): -1, (1, 1): BIG[1]}),
+         HahnPoly(W12, 4, {(2, 1): 1, (0, 0): 2, (1, 1): 1, (0, 1): 7}), vec_add),
+    ],
+    ids=("free", "hahn"),
+)
+def test_the_product_visits_only_fitting_pairs(a, b, key_mul):
+    visited = []
+
+    def counting(ka, kb):
+        visited.append((ka, kb))
+        return key_mul(ka, kb)
+
+    grade, bound = a._grade, a._space()[-1]
+    for x, y in ((a, b), (b, a)):
+        visited.clear()
+        product = x._product(y, counting)
+        fitting = [(ka, kb) for ka in x.terms for kb in y.terms if grade(ka) + grade(kb) <= bound]
+        assert 0 < len(fitting) < len(x.terms) * len(y.terms)
+        assert visited == fitting
+        assert _with_order(product) == _with_order(reference_product(x, y))
+
+
 def test_cancelled_keys_leave_products_and_sums():
     a = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): 1})
     b = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): -1})
@@ -277,7 +306,7 @@ def test_kernel_builders_run_no_post_init(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counting)
     results = [a * b, a + b, a.scale(3), p * q, p - q, -p, f + g, f.scale(2),
-               op_compose(f, g), op_apply(f, a)]
+               op_compose(f, g), op_apply(f, a), OpTable.identity(PROD2, 3)]
     assert counts == {}
     # The checked constructors still run it.
     FreeSeries(2, 3, {}), HahnPoly(PROD2, 3, {}), OpTable.zero(PROD2, 3)

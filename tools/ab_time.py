@@ -1,0 +1,128 @@
+"""Time one benchmark workload's jobs on two checkouts in one process, A/B interleaved.
+
+    python3 tools/ab_time.py TREE_A TREE_B --workload verify [--seed 1] [--repeat 5] [--jobs N]
+
+Each tree's `src/nseries` is imported under its own package name (`nseries_a`,
+`nseries_b`), so both live in this process and no bytecode is written into
+either tree.  The job list comes from `nsbench/workloads.py` of this checkout,
+which is only imported: both trees set the workload up from the seed, their
+input digests must agree, and both then run on tree A's input files.  The
+first `--jobs` jobs run (default: the workload's traced pass, which covers
+every job kind; 0 runs them all).  Each job runs `--repeat` times per tree,
+A then B in the first round, B then A in the second and so on, and a job's
+time is its minimum over the rounds, so load that drifts during the run hits
+both trees alike.
+Separate benchmark runs on a loaded two-core machine swing by about 30%;
+the ratios printed here come from interleaved minima and move far less.
+
+Stdout gets one line per job kind and a total: jobs, summed minimum
+milliseconds of A and of B, and B/A.  The exit code is 1 if any run of a
+job gives another (exit code, stdout) than its first run, on either tree,
+else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "nsbench"))
+sys.dont_write_bytecode = True
+
+import workloads  # noqa: E402
+
+
+def import_tree(tree: Path, name: str):
+    """`tree`'s src/nseries imported as package `name`: (cli module, the
+    modules `workloads.load_modules` gives, under the same attribute names)."""
+    init = tree / "src" / "nseries" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no nseries sources under {tree / 'src'}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+
+    def sub(module):
+        return importlib.import_module(f"{name}.{module}")
+
+    ns = SimpleNamespace(
+        corr=sub("correspondence"), hahn=sub("hahn_series"), ops=sub("operators"),
+        samples=sub("samples"), order=sub("support_order"), textio=sub("textio"),
+        vaut=sub("vaut_factors"),
+    )
+    return sub("cli"), ns
+
+
+def run_job(cli, argv: list[str]) -> tuple[float, tuple[int, str]]:
+    """(seconds, (exit code, stdout)) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        start = perf_counter()
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        elapsed = perf_counter() - start
+    return elapsed, (rc, out.getvalue())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.SETUPS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--jobs", type=int, default=None)
+    args = parser.parse_args(argv)
+    trees = {"A": import_tree(args.tree_a, "nseries_a"),
+             "B": import_tree(args.tree_b, "nseries_b")}
+    set_up = workloads.SETUPS[args.workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        setups = {side: set_up(ns, args.seed, Path(tmp, side)) for side, (_, ns) in trees.items()}
+        if setups["A"].digest != setups["B"].digest:
+            print("error: the trees draw different inputs for this workload and seed",
+                  file=sys.stderr)
+            return 1
+        jobs = setups["A"].jobs
+        limit = setups["A"].trace_jobs if args.jobs is None else args.jobs or len(jobs)
+        jobs = jobs[:limit]
+        best = {side: [float("inf")] * len(jobs) for side in trees}
+        first = [None] * len(jobs)
+        for rnd in range(args.repeat):
+            for i, job in enumerate(jobs):
+                for side in ("AB" if rnd % 2 == 0 else "BA"):
+                    elapsed, result = run_job(trees[side][0], job.argv)
+                    best[side][i] = min(best[side][i], elapsed)
+                    if first[i] is None:
+                        first[i] = result
+                    elif result != first[i]:
+                        print(f"error: tree {side} gives another (exit code, stdout) on {job.argv}",
+                              file=sys.stderr)
+                        return 1
+    kinds: dict[str, list[int]] = {}
+    for i, job in enumerate(jobs):
+        kinds.setdefault(job.kind, []).append(i)
+    print(f"{args.workload} seed={args.seed}: {len(jobs)} jobs, min of {args.repeat}, "
+          f"A={args.tree_a} B={args.tree_b}")
+    for kind, idx in [*kinds.items(), ("total", range(len(jobs)))]:
+        a = sum(best["A"][i] for i in idx) * 1000
+        b = sum(best["B"][i] for i in idx) * 1000
+        print(f"{kind:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
