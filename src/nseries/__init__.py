@@ -41,6 +41,7 @@ from .series_calculus import (
     dynkin_project,
     fs_substitute,
     is_lie_slice,
+    series_binomial,
     series_E0,
     series_L0,
 )

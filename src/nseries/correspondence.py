@@ -5,12 +5,16 @@ endomorphism close to the identity; conversely log(s) = sum (-1)^(n+1)/n
 (s - Id)^[n] recovers a contracting derivation, and the two maps invert one
 another exactly at the truncation.  The induced group law on derivations is
 computed as star(d1, d2) = log(exp d1 o exp d2); evaluating the BCH series at
-(d1, d2) is its oracle in `verify` and the tests.
+(d1, d2) is its oracle in `verify` and the tests.  The fractional iterate
+s^c = (1 + eps)^c, eps = s - Id, is the binomial series evaluated at eps,
+which equals exp(c log s) at the truncation.  Every one of these is one
+one-variable series summed at a nilpotent table by
+`free_algebra.nilpotent_sum`, with the table's own identity and composition.
 
 Each public entry checks its inputs once.  The unchecked bodies `_exp` and
-`_log` then run on the tables that are contracting by construction: scalar
-multiples of a log, and exp d1 o exp d2 - Id.  `push_morphism` checks d and
-phi(d), since phi is caller code.
+`_log` then run on the tables that are contracting by construction, such as
+exp d1 o exp d2 - Id.  `push_morphism` checks d and phi(d), since phi is
+caller code.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from .free_algebra import nilpotent_sum
 from .operators import (
     OpTable,
     op_bracket,
-    op_compose,
     op_evaluate,
     op_geometric_inverse,
     op_is_contracting,
     op_is_unital_endomorphism,
 )
-from .series_calculus import series_E0, series_L0
+from .series_calculus import series_binomial, series_E0, series_L0
 
 
 def _require_contracting(table: OpTable, role: str) -> None:
@@ -40,7 +43,7 @@ def _require_contracting(table: OpTable, role: str) -> None:
 
 def _exp(d: OpTable) -> OpTable:
     """The Taylor sum of `op_exp`, for a table its caller has checked is contracting."""
-    return nilpotent_sum(series_E0(d.bound), d, OpTable.identity(d.ctx, d.bound), op_compose)
+    return nilpotent_sum(series_E0(d.bound), d)
 
 
 def op_exp(d: OpTable) -> OpTable:
@@ -56,8 +59,7 @@ def op_exp_via_series(d: OpTable) -> OpTable:
 
 def _log(eps: OpTable) -> OpTable:
     """The Taylor sum of `op_log` at Id + eps, for an eps its caller has checked is contracting."""
-    ident = OpTable.identity(eps.ctx, eps.bound)
-    return nilpotent_sum(series_L0(eps.bound), eps, ident, op_compose)
+    return nilpotent_sum(series_L0(eps.bound), eps)
 
 
 def op_log(s: OpTable) -> OpTable:
@@ -86,22 +88,25 @@ def star(d1: OpTable, d2: OpTable) -> OpTable:
     d1._require_same(d2)
     _require_contracting(d1, "left star argument")
     _require_contracting(d2, "right star argument")
-    return _log(op_compose(_exp(d1), _exp(d2)) - OpTable.identity(d1.ctx, d1.bound))
+    return _log(_exp(d1) * _exp(d2) - OpTable.identity(d1.ctx, d1.bound))
 
 
 def fractional_iterate(s: OpTable, c) -> OpTable:
-    """The iterate exp(c log s) for any exact rational exponent c.
+    """The iterate s^c = exp(c log s) for any exact rational exponent c.
 
     Requires s to be a unital endomorphism, else NotUnitalEndomorphismError,
     with s - Id contracting, else NotContractingError; iterates compose
-    additively in c and commute with s.  c log s is contracting by
-    construction, so only s is checked.
+    additively in c and commute with s.  Evaluated as the binomial series
+    (1 + X0)^c at eps = s - Id: exp(c log(1 + X0)) = (1 + X0)^c in Q[[X0]],
+    and eps^(N+1) = 0 at the truncation, so the sum is exact.
     """
     op_is_unital_endomorphism(s).require(
         NotUnitalEndomorphismError,
         "fractional iteration needs a unital endomorphism; failed at {}",
     )
-    return _exp(op_log(s).scale(c))
+    eps = s - OpTable.identity(s.ctx, s.bound)
+    _require_contracting(eps, "iterate argument minus identity")
+    return nilpotent_sum(series_binomial(c, s.bound), eps)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ class DerAutPair:
 def conjugation_morphism(rho: OpTable) -> Callable[[OpTable], OpTable]:
     """The Lie-algebra morphism d -> rho o d o rho^(-1)."""
     rho_inv = op_geometric_inverse(rho)
-    return lambda d: op_compose(op_compose(rho, d), rho_inv)
+    return lambda d: rho * d * rho_inv
 
 
 def lie_morphism_defect(

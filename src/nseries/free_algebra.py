@@ -9,10 +9,14 @@ length as grade and concatenation as key product.
 
 Two routes evaluate a series at elements of another algebra.  `nilpotent_sum`
 is the production route: a one-variable series at a nilpotent element, as in
-exp, log and `unit_inverse`, the geometric inverse of series and tables alike.
-`evaluate_words` evaluates any series word by word; `fs_substitute` and
-`op_evaluate` run it, and through them it is the oracle of the production route.
-Both collect (coefficient, product) pairs and sum them with one `lin_comb`.
+exp, log, fractional iteration and `unit_inverse`, the geometric inverse of
+series and tables alike.  `evaluate_words` evaluates any series word by word;
+`fs_substitute` and `op_evaluate` run it, and through them it is the oracle of
+the production route.  Both collect (coefficient, product) pairs and sum them
+with one `lin_comb`.  Neither takes a unit, a product or a bound: the
+algebra's elements carry them, as free series, Hahn series and operator
+tables all do, with the unit `x.one(*x._space())`, the product `*` and the
+bound `x._space()[-1]`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotAUnitError, NSeriesError, WeightBoundError
 from .sparse import SparseSeries
@@ -138,40 +142,44 @@ class FreeSeries(SparseSeries):
         c = self.constant_term
         if c == 0:
             raise NotAUnitError("series with zero constant term lies in the augmentation ideal")
-        one = FreeSeries.one(self.alphabet_size, self.grade)
-        return unit_inverse(c, self - one.scale(c), one, FreeSeries.__mul__, self.grade)
+        return unit_inverse(c, self - FreeSeries.constant(c, self.alphabet_size, self.grade))
 
 
-def nilpotent_sum(P: FreeSeries, x, one, mul: Callable):
+def nilpotent_sum(P: FreeSeries, x):
     """The one-variable series P at a nilpotent x: sum of P(X0^n) x^n, n <= P.grade.
 
-    Powers run forward, x^n = mul(x, x^(n-1)) from x^0 = one, and stop at the
-    first zero power; `one.lin_comb` sums the (P(X0^n), x^n) pairs once.  `one`
-    needs `lin_comb`, and the powers `is_zero`."""
+    Powers run forward, x^n = x * x^(n-1) from x^0 = x.one(*x._space()), and
+    stop at the first zero power; the unit's `lin_comb` sums the (P(X0^n),
+    x^n) pairs once.  `x` needs `one`, `_space`, `*`, `lin_comb` and `is_zero`."""
+    one = x.one(*x._space())
     pairs, pw = [(P.constant_term, one)], one
     for n in range(1, P.grade + 1):
-        pw = mul(x, pw)
+        pw = x * pw
         if pw.is_zero():
             break
         pairs.append((P.coefficient((0,) * n), pw))
     return one.lin_comb(pairs)
 
 
-def unit_inverse(c, eps, one, mul: Callable, order: int):
+def unit_inverse(c, eps):
     """(c + eps)^(-1) for c != 0 and nilpotent eps: the series
-    sum_{n <= order} (-1)^n c^-(n+1) X0^n evaluated at eps itself."""
+    sum_{n <= N} (-1)^n c^-(n+1) X0^n evaluated at eps itself, N the bound of eps."""
+    order = eps._space()[-1]
     geom = FreeSeries(1, order, {(0,) * n: (-1) ** n / c ** (n + 1) for n in range(order + 1)})
-    return nilpotent_sum(geom, eps, one, mul)
+    return nilpotent_sum(geom, eps)
 
 
-def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int):
-    """The sum of P(w) args[w1]...args[wn] over the words w of P of length <= bound.
+def evaluate_words(P: FreeSeries, args: Sequence):
+    """The sum of P(w) args[w1]...args[wn] over the words w of P of length at
+    most the bound of the nonempty `args`, which share one space.
 
     Each word's product is its prefix's product times args[wn], computed once
-    per prefix, and a zero prefix ends the word; `one.lin_comb` sums the
+    per prefix, and a zero prefix ends the word; the unit's `lin_comb` sums the
     (P(w), product) pairs once.  Its word walk shares no code with
-    `nilpotent_sum`, which it checks.  `one` needs `lin_comb`, and the
-    products `is_zero`."""
+    `nilpotent_sum`, which it checks.  The arguments need `one`, `_space`,
+    `*`, `lin_comb` and `is_zero`."""
+    space = args[0]._space()
+    one, bound = args[0].one(*space), space[-1]
     products = {(i,): a for i, a in enumerate(args)}
     pairs = [(P.constant_term, one)]
     for word, coeff in P.sorted_terms():
@@ -182,7 +190,7 @@ def evaluate_words(P: FreeSeries, args: Sequence, one, mul: Callable, bound: int
             known -= 1
         for n in range(known, len(word)):
             prefix = products[word[:n]]
-            products[word[:n + 1]] = prefix if prefix.is_zero() else mul(prefix, args[word[n]])
+            products[word[:n + 1]] = prefix if prefix.is_zero() else prefix * args[word[n]]
         pairs.append((coeff, products[word]))
     return one.lin_comb(pairs)
 

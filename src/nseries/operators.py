@@ -6,7 +6,10 @@ series by linear extension over its finite support.  Contracting tables
 (every image supported strictly above its basis exponent, with weight raised
 by at least one) are the operators for which evaluation of formal power
 series terminates at the truncation bound; `in_contracting_cone` decides it
-for one exponent pair.  `op_geometric_inverse` evaluates through
+for one exponent pair.  A table is a member of the algebra protocol of the
+series: `OpTable.one` is the identity and `*` is `op_compose`, so the
+evaluators of `free_algebra` read the unit, the product and the bound off
+the table itself.  `op_geometric_inverse` evaluates through
 `free_algebra.unit_inverse`, and `op_evaluate` through
 `free_algebra.evaluate_words`, which takes any word.
 
@@ -111,6 +114,8 @@ class OpTable(Linear):
             m: HahnPoly._trusted(space, {m: one}) for m in weight_universe(ctx, bound)
         })
 
+    one = identity
+
     @classmethod
     def zero(cls, ctx: MonoidCtx, bound: int) -> "OpTable":
         return cls.from_function(ctx, bound, lambda m: HahnPoly.zero(ctx, bound))
@@ -122,6 +127,10 @@ class OpTable(Linear):
 
     def _space(self) -> tuple[MonoidCtx, int]:
         return self.ctx, self.bound
+
+    def __mul__(self, other: "OpTable") -> "OpTable":
+        """Composition, `op_compose(self, other)`."""
+        return op_compose(self, other)
 
     def lin_comb(self, pairs) -> "OpTable":
         """The sum of c*t over the (c, t) pairs, built unchecked.  Each t's space
@@ -171,7 +180,7 @@ def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:
 
 
 def op_bracket(f: OpTable, g: OpTable) -> OpTable:
-    return op_compose(f, g) - op_compose(g, f)
+    return f * g - g * f
 
 
 def multiplication_table(a: HahnPoly) -> OpTable:
@@ -317,8 +326,7 @@ def op_evaluate(P: FreeSeries, args: Sequence[OpTable]) -> OpTable:
         CheckResult(chk.ok, (i, chk.witness)).require(
             NotContractingError, "argument {0[0]} is not contracting at basis pair {0[1]}"
         )
-    one = OpTable.identity(first.ctx, first.bound)
-    return evaluate_words(P, args, one, op_compose, first.bound)
+    return evaluate_words(P, args)
 
 
 def op_geometric_inverse(table: OpTable) -> OpTable:
@@ -332,9 +340,8 @@ def op_geometric_inverse(table: OpTable) -> OpTable:
     c = table.images[zero_exp].coefficient(zero_exp)
     if c == 0:
         raise NotAUnitError("table has no scalar part on the weight-zero monomial")
-    ident = OpTable.identity(ctx, bound)
-    eps = table - ident.scale(c)
+    eps = table - OpTable.identity(ctx, bound).scale(c)
     op_is_contracting(eps).require(
         NotAUnitError, "table is not of the form c*Id + contracting; offending pair {}"
     )
-    return unit_inverse(c, eps, ident, op_compose, bound)
+    return unit_inverse(c, eps)

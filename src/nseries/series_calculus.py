@@ -1,12 +1,16 @@
 """Named exponential/logarithm series, formal substitution and BCH machinery.
 
-Everything lives in the truncated free algebra: the one-variable series
+Everything lives in the truncated free algebra: the named one-variable series
 
     E0 = sum_{n>=0} X0^n / n!        L0 = sum_{n>=1} (-1)^(n+1) X0^n / n
+    B_c = (1 + X0)^c = sum_{n>=0} binom(c, n) X0^n, c an exact rational
 
-and, in two noncommuting variables, the group-law series X0 * X1 assembled
-from the block sums K_n, together with an independent commutator-formula
-oracle and the Dynkin-Specht-Wever projection used to certify Lie elements.
+(`series_E0`, `series_L0` and `series_binomial`), and, in two noncommuting
+variables, the group-law series X0 * X1 assembled from the block sums K_n,
+together with an independent commutator-formula oracle and the
+Dynkin-Specht-Wever projection used to certify Lie elements.  The
+one-variable series are evaluated at nilpotent elements by
+`free_algebra.nilpotent_sum`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatchError, NotInIdealError, NSeriesError
 from .free_algebra import FreeSeries, Word, evaluate_words, nilpotent_sum
+from .sparse import exact
 
 
 def series_E0(order: int) -> FreeSeries:
@@ -28,6 +33,15 @@ def series_E0(order: int) -> FreeSeries:
 def series_L0(order: int) -> FreeSeries:
     """The logarithm series sum_{1<=n<=order} (-1)^(n+1) X0^n / n."""
     terms = {(0,) * n: Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)}
+    return FreeSeries(1, order, terms)
+
+
+def series_binomial(c, order: int) -> FreeSeries:
+    """The binomial series sum_{n<=order} binom(c, n) X0^n, which is (1 + X0)^c
+    and E0(c L0) in Q[[X0]]; c must be an exact rational (`exact`)."""
+    c, coeff, terms = exact(c), Fraction(1), {}
+    for n in range(order + 1):
+        terms[(0,) * n], coeff = coeff, coeff * (c - n) / (n + 1)
     return FreeSeries(1, order, terms)
 
 
@@ -53,8 +67,7 @@ def fs_substitute(P: FreeSeries, args: Mapping[int, FreeSeries]) -> FreeSeries:
             raise NotInIdealError(
                 f"substitution for variable {i} has nonzero constant term {g.constant_term}"
             )
-    one = FreeSeries.one(first.alphabet_size, first.grade)
-    return evaluate_words(P, picked, one, FreeSeries.__mul__, first.grade)
+    return evaluate_words(P, picked)
 
 
 def _block_sum(order: int) -> FreeSeries:
@@ -82,8 +95,7 @@ def bch_term(n: int, order: int) -> FreeSeries:
 
 def bch_product(order: int) -> FreeSeries:
     """The group-law series X0 * X1 = sum_{n>=1} (-1)^(n+1)/n K_n = L0(K_1), truncated."""
-    one = FreeSeries.one(2, order)
-    return nilpotent_sum(series_L0(order), _block_sum(order), one, FreeSeries.__mul__)
+    return nilpotent_sum(series_L0(order), _block_sum(order))
 
 
 def _right_nested_bracket(word: Word) -> dict[Word, int]:

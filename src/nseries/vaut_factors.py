@@ -40,7 +40,6 @@ from .hahn_series import HahnPoly
 from .operators import (
     CheckResult,
     OpTable,
-    op_compose,
     op_is_contracting,
     op_is_unital_endomorphism,
 )
@@ -324,7 +323,7 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
     """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1)."""
     fwd = oaut_table(mu, bound)
     back = oaut_table(mu.inverse(), bound)
-    return lambda d: op_compose(op_compose(fwd, d), back)
+    return lambda d: fwd * d * back
 
 
 # -- middle correspondence ---------------------------------------------------
@@ -374,7 +373,7 @@ def compose_factors(f: FactorAut) -> OpTable:
     ctx, bound = f.residual.ctx, f.residual.bound
     if f.mu.ctx != ctx or f.chi.ctx != ctx:
         raise DimensionMismatchError("factor components live over different contexts")
-    return op_compose(f.residual, op_compose(gexp_table(f.chi, bound), oaut_table(f.mu, bound)))
+    return f.residual * (gexp_table(f.chi, bound) * oaut_table(f.mu, bound))
 
 
 def decompose_vaut(sigma: OpTable) -> FactorAut:

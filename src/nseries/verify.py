@@ -43,6 +43,7 @@ from .series_calculus import (
     dynkin_bch,
     fs_substitute,
     is_lie_slice,
+    series_binomial,
     series_E0,
     series_L0,
 )
@@ -321,9 +322,7 @@ def suite_operator(order: int, trials: int, rng: random.Random) -> Iterator[Step
         yield lhs == rhs, "evaluation associativity failed"
     yield _check("operator.evaluation-associativity", bound, trials, trial)
 
-    geom = FreeSeries(
-        1, bound, {(0,) * n: Fraction((-1) ** n) for n in range(bound + 1)}
-    )
+    geom = series_binomial(-1, bound)
 
     def trial(_):
         eps = samples.random_contracting_table(rng, ctx, bound)

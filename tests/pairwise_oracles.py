@@ -24,7 +24,8 @@ the split off the generator images alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.  The `Fraction` Gauss-Jordan elimination
 on [mat | I] checks `mat_det` and `mat_inverse`, which eliminate fraction-free
-over the integers.
+over the integers.  The exp-log iterate evaluates two series, exp(c log s),
+where `fractional_iterate` evaluates the binomial series (1 + X0)^c once.
 """
 
 from dataclasses import replace
@@ -52,7 +53,9 @@ from nseries import (
     one_aut_check,
     op_apply,
     op_compose,
+    op_exp,
     op_is_unital_endomorphism,
+    op_log,
     word_concat,
 )
 from nseries.support_order import vec_add, vec_sub
@@ -328,6 +331,12 @@ def folded_power_sum(P, x, one, mul):
             power = mul(x, power)
         pairs.append((P.coefficient((0,) * n), power))
     return reference_sum(one, pairs)
+
+
+def exp_log_iterate(s, c) -> OpTable:
+    """The iterate of s to the power c as exp(c log s), with both series checked
+    and evaluated in turn."""
+    return op_exp(op_log(s).scale(c))
 
 
 def left_normed_bracket_loop(word):

@@ -1,5 +1,6 @@
 """The word evaluator behind op_evaluate and fs_substitute against the naive
-word sum, and the power evaluator `nilpotent_sum` against the old fold."""
+word sum, the power evaluator `nilpotent_sum` against the old fold, and the
+binomial-series iterate against exp(c log s)."""
 
 import random
 from fractions import Fraction
@@ -7,10 +8,24 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nseries import FreeSeries, MonoidCtx, OpTable, fs_substitute, op_compose, op_evaluate
+from nseries import (
+    FreeSeries,
+    MonoidCtx,
+    OpTable,
+    fractional_iterate,
+    fs_substitute,
+    op_compose,
+    op_evaluate,
+    op_exp,
+)
 from nseries.free_algebra import nilpotent_sum
-from nseries.samples import random_contracting_table, random_free_series
-from pairwise_oracles import folded_power_sum, naive_word_sum
+from nseries.samples import (
+    random_contracting_derivation,
+    random_contracting_table,
+    random_free_series,
+    random_substitution_automorphism,
+)
+from pairwise_oracles import exp_log_iterate, folded_power_sum, naive_word_sum
 
 CONTEXTS = ((MonoidCtx.lex(1), 5), (MonoidCtx.product(2), 3), (MonoidCtx.weighted(1, 2), 4))
 
@@ -62,7 +77,8 @@ def test_fs_substitute_matches_naive_word_sum(case):
 @st.composite
 def power_cases(draw):
     """A one-variable series and a nilpotent x: a contracting table or a free
-    series without constant term, with its `one` and product."""
+    series without constant term, with the `one` and product that the oracle
+    takes and that `nilpotent_sum` reads off x itself."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         ctx, top = draw(st.sampled_from(CONTEXTS))
@@ -85,4 +101,26 @@ def _with_order(x):
 @PROPERTY
 @given(power_cases())
 def test_nilpotent_sum_matches_the_old_fold(case):
-    assert _with_order(nilpotent_sum(*case)) == _with_order(folded_power_sum(*case))
+    P, x, one, mul = case
+    assert _with_order(nilpotent_sum(P, x)) == _with_order(folded_power_sum(P, x, one, mul))
+
+
+@st.composite
+def iterate_cases(draw):
+    """A near-identity automorphism, drawn directly or as the exponential of a
+    contracting derivation, and an exponent c in [-3, 3]."""
+    ctx, top = draw(st.sampled_from(CONTEXTS))
+    bound = draw(st.integers(1, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        s = random_substitution_automorphism(rng, ctx, bound)
+    else:
+        s = op_exp(random_contracting_derivation(rng, ctx, bound))
+    return s, draw(st.fractions(-3, 3, max_denominator=6))
+
+
+@PROPERTY
+@given(iterate_cases())
+def test_fractional_iterate_matches_exp_of_c_log(case):
+    s, c = case
+    assert fractional_iterate(s, c) == exp_log_iterate(s, c)

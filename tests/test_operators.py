@@ -77,6 +77,22 @@ def test_compose_examples():
         assert op_compose(op_compose(f, g), h) == op_compose(f, op_compose(g, h))
 
 
+def test_tables_join_the_algebra_protocol():
+    """`*` is op_compose and `OpTable.one` the identity, as the evaluators of
+    free_algebra read them off a table; `*` keeps op_compose's checks."""
+    rng = random.Random(11)
+    for ctx, bound in ((LEX1, 5), (MonoidCtx.product(2), 3), (MonoidCtx.weighted(1, 2), 4)):
+        f, g = random_contracting_table(rng, ctx, bound), random_contracting_table(rng, ctx, bound)
+        ident = OpTable.identity(ctx, bound)
+        assert OpTable.one(ctx, bound) == ident
+        for a, b in ((f, g), (g, f), (ident + f, g), (f, ident)):
+            assert a * b == op_compose(a, b)
+        with pytest.raises(TypeError, match="expected OpTable, got HahnPoly"):
+            f * HahnPoly.one(ctx, bound)
+    with pytest.raises(DimensionMismatchError, match="different contexts or bounds"):
+        OpTable.identity(LEX1, 3) * OpTable.identity(LEX1, 4)
+
+
 def test_lin_sum():
     sh = shift_table(LEX1, 4)
     assert op_lin_sum([sh, -sh]).is_zero()

@@ -15,6 +15,7 @@ from nseries import (
     dynkin_project,
     fs_substitute,
     is_lie_slice,
+    series_binomial,
     series_E0,
     series_L0,
 )
@@ -45,6 +46,34 @@ def test_series_L0_values():
     )
     assert series_L0(1) == FreeSeries(1, 1, {(0,): 1})
     assert series_L0(0) == FreeSeries.zero(1, 0)
+
+
+def test_series_binomial_values():
+    assert series_binomial(-1, 3) == FreeSeries(1, 3, {(): 1, (0,): -1, (0, 0): 1, (0, 0, 0): -1})
+    assert series_binomial(F(1, 2), 3) == FreeSeries(
+        1, 3, {(): 1, (0,): F(1, 2), (0, 0): F(-1, 8), (0, 0, 0): F(1, 16)}
+    )
+    assert series_binomial(5, 0) == FreeSeries.one(1, 0)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2, F(1, 2), F(-2, 3)])
+@pytest.mark.parametrize("order", range(9))
+def test_series_binomial_is_exp_of_c_log(c, order):
+    want = fs_substitute(series_E0(order), {0: series_L0(order).scale(c)})
+    assert series_binomial(c, order) == want
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_series_binomial_at_an_integer_is_a_power(k):
+    for order in range(1, 7):
+        one_plus_x = FreeSeries.one(1, order) + FreeSeries.variable(0, 1, order)
+        assert series_binomial(k, order) == one_plus_x.power(k)
+
+
+def test_series_binomial_takes_only_an_exact_exponent():
+    assert series_binomial("-2/3", 4) == series_binomial(F(-2, 3), 4)
+    with pytest.raises(TypeError, match="0.5 is not an exact rational"):
+        series_binomial(0.5, 4)
 
 
 @pytest.mark.parametrize("order", range(1, 11))

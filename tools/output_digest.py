@@ -1,7 +1,10 @@
 """Print one sha256 over the outputs of a fixed set of nseries command lines.
 
 The set is every corr and vaut job of the benchmark at seeds 1-3, with the
-inputs drawn by `nsbench/workloads.py`, and `verify <suite> --json` for every
+inputs drawn by `nsbench/workloads.py`; `iterate` at the exponents
+0, -1, 2, -2/3 and 5/3 (spelled `--c=-2/3`, since argparse reads a bare
+`-2/3` as an option) on every automorphism table that the seed-1 corr jobs
+iterate, beside their own 1/2; and `verify <suite> --json` for every
 suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
 `op eval` of a seeded free series at two seeded contracting tables in three
 contexts at seeds 1-3, `bch --order 8 --json`, `bch --order 6 --oracle` with
@@ -24,7 +27,7 @@ Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
 The one line on stdout is the digest over every command.  Stderr gets one
-`<group> <digest>` line per command group (corr, vaut, verify, op eval,
+`<group> <digest>` line per command group (corr, iterate, vaut, verify, op eval,
 bch/series, order, op check, failures, spellings, truncation), so two checkouts
 whose digests differ can be told apart by group.
 
@@ -52,6 +55,7 @@ from nseries import (  # noqa: E402
 from nseries.verify import SUITES  # noqa: E402
 
 SEEDS = (1, 2, 3)
+ITERATE_EXPONENTS = ("0", "-1", "2", "-2/3", "5/3")
 VERIFY_CONFIGS = ((6, 10, 1), (8, 5, 7))
 EVAL_CONTEXTS = (("lex:1", 5), ("prod:2", 3), ("weighted:1,2", 4))
 ORDER_CONTEXTS = ("lex:2", "prod:2", "weighted:1,2")
@@ -114,8 +118,8 @@ def feed(hashes, argv: list[str], strip: str = "") -> None:
 
 def main() -> None:
     h = hashlib.sha256()
-    groups = {name: hashlib.sha256() for name in ("corr", "vaut", "verify", "op eval", "bch/series",
-                                                   "order", "op check", "failures",
+    groups = {name: hashlib.sha256() for name in ("corr", "iterate", "vaut", "verify", "op eval",
+                                                   "bch/series", "order", "op check", "failures",
                                                    "spellings", "truncation")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
@@ -124,6 +128,12 @@ def main() -> None:
                 setup = workloads.SETUPS[name](ns, seed, Path(tmp))
                 for job in setup.jobs:
                     feed((h, groups[name]), job.argv, strip=tmp + "/")
+                if name == "corr" and seed == 1:
+                    for job in setup.jobs:
+                        if job.kind == "iterate":
+                            for c in ITERATE_EXPONENTS:
+                                feed((h, groups["iterate"]), ["iterate", job.argv[1], f"--c={c}"],
+                                     strip=tmp + "/")
     for order, trials, seed in VERIFY_CONFIGS:
         for suite in SUITES:
             argv = ["verify", suite, "--order", str(order), "--trials", str(trials),
