@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -278,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="fractional iterate of an automorphism table")
     p.add_argument("table")
     p.add_argument("--c", required=True, help="exact rational exponent p/q")
+    # Read "-2/3" as a value, not an option, as argparse itself does from Python
+    # 3.13 on; before that it takes only "-1" or "-0.5" for a negative number.
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(
         func=lambda args: fractional_iterate(_table(args.table), parse_rational(args.c))
     )

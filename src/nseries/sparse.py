@@ -45,15 +45,19 @@ _ZERO = Fraction(0)
 
 def exact(value) -> Fraction:
     """`value` as a Fraction: an int, a Fraction or another rational, or a string
-    that `Fraction` parses.  A string it cannot read, or one with a zero
-    denominator, raises NSeriesError; a float or any other number, TypeError."""
+    `p`, `p/q` or a decimal in ASCII digits, without `_` separators.  Any other
+    string, or one with a zero denominator, raises NSeriesError; a float or any
+    other number, TypeError.  This is the one rule for rational strings: the
+    text formats read their coefficients through it too."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, str, Rational)):
         try:
-            return Fraction(value)
+            if not isinstance(value, str) or value.isascii() and "_" not in value:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise NSeriesError(f"not an exact rational: {value!r}") from None
+            pass
+        raise NSeriesError(f"not an exact rational: {value!r}")
     raise TypeError(
         f"{value!r} is not an exact rational; use an int, a Fraction or a string such as '1/3'"
     )

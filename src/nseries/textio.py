@@ -21,6 +21,7 @@ from .errors import DimensionMismatchError, NSeriesError, ParseError
 from .free_algebra import FreeSeries
 from .hahn_series import HahnPoly
 from .operators import OpTable
+from .sparse import exact
 from .support_order import LEX, WEIGHTED, MonoidCtx
 
 _INT = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -30,14 +31,12 @@ _TERM = re.compile(r"\s*([+-]?)((?:[^+\-()]|\([^()]*\))*)")
 
 
 def parse_rational(text: str, position: int = 0) -> Fraction:
-    """`p`, `p/q` or a decimal in ASCII digits, without `_` separators."""
-    token = text.strip()
+    """The rational `exact` reads from the stripped text, `p`, `p/q` or a
+    decimal in ASCII digits; a ParseError at `position` if it reads none."""
     try:
-        if token.isascii() and "_" not in token:
-            return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ParseError(f"not an exact rational: {token!r}", position)
+        return exact(text.strip())
+    except NSeriesError as exc:
+        raise ParseError(str(exc), position) from None
 
 
 def format_ctx(ctx: MonoidCtx) -> str:

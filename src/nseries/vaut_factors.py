@@ -9,11 +9,18 @@ automorphism table factors as
     residual  o  character rescale  o  exponent relabeling
 
 with a near-identity residual, and the factorization round-trips exactly.
+Every factor table is one read of a table through a monomial map
+M(t^m) = c(q) t^q, q = matrix m (`_read_through`).  The rescale, the
+diagonal derivation and the relabeling are the identity read through (I, x),
+(I, alpha) and (mu, 1).  `compose_factors` reads the residual through
+(mu, chi), `pullback_morphism` reads d through mu^(-1) and relabels each
+image along mu, and the residual of `decompose_vaut` is sigma read through
+mu^(-1) and rescaled.  So no table is composed with a factor table; the
+chains that do so are oracles in `tests/pairwise_oracles.py`.
 `decompose_vaut` checks each input once and reads all three factors off the
-generator images and one pass of mu over the basis; `compose_factors`
-recomposes the three tables.  What holds by construction (the lead of every
-basis image, the residual's multiplicativity and the round trip) is
-re-checked only by the oracles: `rechecked_decompose` in
+generator images and one pass of mu over the basis.  What holds by
+construction (the lead of every basis image, the residual's multiplicativity
+and the round trip) is re-checked only by the oracles: `rechecked_decompose` in
 `tests/pairwise_oracles.py` and `verify`'s vaut.decompose-roundtrip step.
 Both character kinds share one base, which holds the values, the dimension
 check and the context check of the group law.  `_order_violation` is the one
@@ -188,7 +195,7 @@ class ExponentAut:
         if len(mat) != self.ctx.dim:
             raise DimensionMismatchError("matrix size must match the context dimension")
         object.__setattr__(self, "matrix", mat)
-        det = mat_det(mat)
+        det, adj = _bareiss(mat)
         if det not in (1, -1):
             raise NSeriesError(f"exponent automorphism must be unimodular, det = {det}")
         if self.ctx.kind == WEIGHTED:  # the weight leads the order, so it must be kept
@@ -197,7 +204,7 @@ class ExponentAut:
                     raise NSeriesError(
                         f"matrix changes the weight of generator {gen} from {w} to {moved}"
                     )
-        for m in (mat, mat_inverse(mat)):
+        for m in (mat, tuple(tuple(det * x for x in row) for row in adj)):
             if bad := _order_violation(self.ctx, m, _probe_vectors(self.ctx.dim)):
                 raise NSeriesError(
                     f"matrix does not preserve the order on probe pair {bad[0]} < {bad[1]}"
@@ -259,16 +266,21 @@ def _apply_diagonal(char, a: HahnPoly) -> HahnPoly:
     return HahnPoly(a.ctx, a.bound, {g: char.at(g) * c for g, c in a.terms.items()})
 
 
-def _diagonal_table(char, bound: int) -> OpTable:
-    """The table of t^m -> char.at(m) t^m."""
-    return OpTable.from_function(
-        char.ctx, bound, lambda m: HahnPoly.monomial(char.ctx, bound, m, char.at(m))
-    )
-
-
 def apply_gexp(x: CharacterX, a: HahnPoly) -> HahnPoly:
     """Rescale each coefficient a(g) by the character value x(g)."""
     return _apply_diagonal(x, a)
+
+
+def _relabeled(space, matrix: Matrix, g: ExpVec) -> ExpVec:
+    """matrix g, which must lie in the truncation of `space`, a series or a table."""
+    img = mat_vec(matrix, g)
+    if not space.ctx.in_truncation(img, space.bound):
+        raise TruncationOverflowError(
+            f"relabeled exponent {img} of {g} has weight {space.ctx.weight(img)} and lies"
+            f" outside the truncation at N={space.bound}: a negative entry, or a weight"
+            f" outside [0, {space.bound}]"
+        )
+    return img
 
 
 def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
@@ -287,17 +299,7 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
             raise NSeriesError(
                 f"relabeling does not preserve the order on support pair {bad[0]} < {bad[1]}"
             )
-    out = {}
-    for g, c in a.terms.items():
-        img = mat_vec(matrix, g)
-        if not a.ctx.in_truncation(img, a.bound):
-            raise TruncationOverflowError(
-                f"relabeled exponent {img} of {g} has weight {a.ctx.weight(img)} and lies"
-                f" outside the truncation at N={a.bound}: a negative entry, or a weight"
-                f" outside [0, {a.bound}]"
-            )
-        out[img] = c
-    return HahnPoly(a.ctx, a.bound, out)
+    return HahnPoly(a.ctx, a.bound, {_relabeled(a, matrix, g): c for g, c in a.terms.items()})
 
 
 def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
@@ -305,25 +307,41 @@ def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
     return _apply_diagonal(alpha, a)
 
 
+def _read_through(table: OpTable, matrix: Matrix, char=None) -> OpTable:
+    """table o M for the monomial map M(t^m) = char(q) t^q, q = matrix m: the
+    image of t^m is table(t^q) scaled by char(q), or unscaled without `char`.
+    A q outside the truncation raises TruncationOverflowError."""
+    def image(m):
+        q = _relabeled(table, matrix, m)
+        return table.images[q] if char is None else table.images[q].scale(char.at(q))
+
+    return OpTable.from_function(table.ctx, table.bound, image)
+
+
 def gexp_table(x: CharacterX, bound: int) -> OpTable:
-    return _diagonal_table(x, bound)
+    return _read_through(OpTable.identity(x.ctx, bound), x.ctx.generators(), x)
 
 
 def oaut_table(mu: ExponentAut, bound: int) -> OpTable:
-    return OpTable.from_function(
-        mu.ctx, bound, lambda m: apply_oaut(mu, HahnPoly.monomial(mu.ctx, bound, m))
-    )
+    return _read_through(OpTable.identity(mu.ctx, bound), mu.matrix)
 
 
 def gder_table(alpha: AdditiveChar, bound: int) -> OpTable:
-    return _diagonal_table(alpha, bound)
+    return _read_through(OpTable.identity(alpha.ctx, bound), alpha.ctx.generators(), alpha)
 
 
 def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTable]:
-    """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1)."""
-    fwd = oaut_table(mu, bound)
-    back = oaut_table(mu.inverse(), bound)
-    return lambda d: fwd * d * back
+    """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1), that is
+    d read through mu^(-1), each image relabeled along mu.  The relabeling
+    table is built here, so a mu that leaves the truncation raises now."""
+    fwd, back = oaut_table(mu, bound), mat_inverse(mu.matrix)
+
+    def conjugate(d: OpTable) -> OpTable:
+        fwd._require_same(d)
+        read = _read_through(d, back).images
+        return OpTable(mu.ctx, bound, {m: apply_oaut(mu, img) for m, img in read.items()})
+
+    return conjugate
 
 
 # -- middle correspondence ---------------------------------------------------
@@ -369,36 +387,24 @@ def one_aut_check(table: OpTable) -> CheckResult:
 
 
 def compose_factors(f: FactorAut) -> OpTable:
-    """Recompose residual o character-rescale o exponent-relabeling by composing their tables."""
-    ctx, bound = f.residual.ctx, f.residual.bound
-    if f.mu.ctx != ctx or f.chi.ctx != ctx:
+    """Recompose residual o character-rescale o exponent-relabeling: the
+    residual read through t^m -> chi(mu m) t^(mu m)."""
+    if not f.mu.ctx == f.chi.ctx == f.residual.ctx:
         raise DimensionMismatchError("factor components live over different contexts")
-    return f.residual * (gexp_table(f.chi, bound) * oaut_table(f.mu, bound))
+    return _read_through(f.residual, f.mu.matrix, f.chi)
 
 
 def decompose_vaut(sigma: OpTable) -> FactorAut:
-    """Split a valuation-compatible automorphism table into its three factors.
+    """Split a valuation-compatible automorphism table sigma into FactorAut(mu,
+    chi, residual) with `compose_factors` of it equal to sigma: the columns of
+    mu are the leads (unique minimal support exponents) of the generator
+    images, and residual - Id is contracting.
 
-    Each input is checked once, and the split is read off the generator
-    images.  sigma must be a unital endomorphism; every generator e_i must lie
-    in the basis, and sigma(t^e_i) must have a unique minimal support
-    exponent.  These leads are the columns of mu, which must be a unimodular
-    order automorphism sending every basis exponent into the basis, so that
-    it permutes the basis; both basis checks are `MonoidCtx.in_truncation`.
-    On lex an order automorphism can leave the nonnegative orthant, as the
-    shear (1, 0) -> (1, -1) does, and the truncation cannot hold it:
-    `oaut_table` raises TruncationOverflowError.  Leads lie in the basis, so
-    here mu keeps the generators in the orthant, and the basis check rejects
-    a mu that raises some basis exponent past the bound.  The lead of
-    sigma(t^m) is then mu m, by translation invariance along the generator
-    walk.  With base the character of the leading generator coefficients,
-    chi(e_i) = base(mu^(-1) e_i) and residual(t^(mu m)) = sigma(t^m) /
-    base(m).  Last, residual - Id must be contracting.  A permutation of the basis keeps weight, so the
-    residual sigma o O(mu^(-1)) o G(chi^(-1)) is a unital endomorphism, and
-    the recomposed factors are sigma term by term.  The re-checks of both
-    (the per-monomial lead scan, the residual's endomorphism scan and the
-    `compose_factors` round trip) are oracles in the tests and in `verify`'s
-    vaut.decompose-roundtrip step.  Any failure reports a witness.
+    Each failure raises NotDecomposableError with a witness: sigma is not a
+    unital endomorphism; a generator lies above the bound; a generator image
+    has no unique lead; the leads form no order automorphism of the lattice;
+    mu sends a basis exponent outside the basis; or residual - Id is not
+    contracting.
     """
     ctx, bound = sigma.ctx, sigma.bound
     op_is_unital_endomorphism(sigma).require(
@@ -424,19 +430,16 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
         raise NotDecomposableError(
             f"leading exponents do not form an order automorphism: {exc}", witness=matrix
         ) from exc
-    preimage = {}
     for m in sigma.basis():
         q = mat_vec(matrix, m)
         if not ctx.in_truncation(q, bound):
             raise NotDecomposableError(
                 f"leading exponent of {m} is {q}, outside the basis", witness=m
             )
-        preimage[q] = m
+    back = mat_inverse(matrix)
     base = CharacterX(ctx, tuple(sigma.images[g].coefficient(e) for g, e in zip(gens, leads)))
-    chi = CharacterX(ctx, tuple(base.at(preimage[g]) for g in gens))
-    residual = OpTable.from_function(
-        ctx, bound, lambda q: sigma.images[preimage[q]].scale(1 / base.at(preimage[q]))
-    )
+    chi = CharacterX(ctx, tuple(base.at(mat_vec(back, g)) for g in gens))
+    residual = _read_through(sigma, back, base.inverse())
     op_is_contracting(residual - OpTable.identity(ctx, bound)).require(
         NotDecomposableError, "residual fails the near-identity test; witness {}"
     )

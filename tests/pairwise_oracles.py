@@ -12,15 +12,20 @@ calls `lin_comb`, so the folded application and the word and power sums built
 on it stay independent of the kernel they check.  The reference product folds
 c_a c_b into a raw term dict one pair at a time in `Fraction` arithmetic and
 builds its result through the checked constructor, where the kernel sums
-integers over one denominator and builds its result unchecked.  The per-monomial
-recomposition applies the
-three factors to each basis monomial in turn, where `compose_factors`
-composes their tables.  The inverse chain composes sigma with the inverse
-relabeling and rescaling tables, where `decompose_vaut` reads the residual
-off sigma directly.  The rechecked decomposition scans the lead of every
-basis image, inverts mu by `Fraction` elimination, tests the residual's
-multiplicativity and recomposes the factors, where `decompose_vaut` reads
-the split off the generator images alone.  The left-normed bracket loop expands
+integers over one denominator and builds its result unchecked.  The
+per-monomial tabulations build the rescale, diagonal-derivation and
+relabeling tables one basis monomial at a time, where `nseries.vaut_factors`
+reads the identity table through a monomial map.  The per-monomial
+recomposition applies the three factors to each basis monomial in turn, and
+the table chains compose the residual with the tabulated rescale and
+relabeling, and conjugate d by the relabeling tables of mu and mu^(-1), where
+`compose_factors` and `pullback_morphism` read one table through a monomial
+map.  The inverse chain composes sigma with the inverse relabeling and
+rescaling tables, where `decompose_vaut` reads sigma through mu^(-1).  The
+rechecked decomposition scans the lead of every basis image, inverts mu by
+`Fraction` elimination, tests the residual's multiplicativity and recomposes
+the factors, where `decompose_vaut` reads the split off the generator images
+alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
 mirrors the right-nested expansion.  The `Fraction` Gauss-Jordan elimination
 on [mat | I] checks `mat_det` and `mat_inverse`, which eliminate fraction-free
@@ -47,9 +52,7 @@ from nseries import (
     apply_gexp,
     apply_oaut,
     compose_factors,
-    gexp_table,
     minimal_elements,
-    oaut_table,
     one_aut_check,
     op_apply,
     op_compose,
@@ -203,11 +206,43 @@ def per_monomial_compose_factors(f) -> OpTable:
     return OpTable.from_function(ctx, bound, image)
 
 
+def diagonal_table(char, bound) -> OpTable:
+    """t^m -> char(m) t^m, one basis monomial at a time."""
+    return OpTable.from_function(
+        char.ctx, bound, lambda m: HahnPoly.monomial(char.ctx, bound, m, char.at(m))
+    )
+
+
+def relabeling_table(mu, bound) -> OpTable:
+    """t^m -> t^(mu m), one `apply_oaut` per basis monomial."""
+    return OpTable.from_function(
+        mu.ctx, bound, lambda m: apply_oaut(mu, HahnPoly.monomial(mu.ctx, bound, m))
+    )
+
+
+def chain_compose_factors(f) -> OpTable:
+    """residual o (rescale by chi o relabel by mu), by composing tables."""
+    ctx, bound = f.residual.ctx, f.residual.bound
+    if f.mu.ctx != ctx or f.chi.ctx != ctx:
+        raise DimensionMismatchError("factor components live over different contexts")
+    return op_compose(
+        f.residual, op_compose(diagonal_table(f.chi, bound), relabeling_table(f.mu, bound))
+    )
+
+
+def chain_pullback(mu, bound):
+    """d -> (relabel by mu) o d o (relabel by mu^(-1)), by composing tables."""
+    fwd = relabeling_table(mu, bound)
+    back = relabeling_table(mu.inverse(), bound)
+    return lambda d: op_compose(op_compose(fwd, d), back)
+
+
 def inverse_chain_residual(sigma, mu, chi) -> OpTable:
     """sigma o (relabel by mu)^(-1) o (rescale by chi)^(-1), by composing tables."""
     bound = sigma.bound
     return op_compose(
-        op_compose(sigma, oaut_table(mu.inverse(), bound)), gexp_table(chi.inverse(), bound)
+        op_compose(sigma, relabeling_table(mu.inverse(), bound)),
+        diagonal_table(chi.inverse(), bound),
     )
 
 

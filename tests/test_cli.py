@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from nseries import (
     MonoidCtx,
     OpTable,
     compose_factors,
+    fractional_iterate,
     gexp_table,
     op_exp,
 )
@@ -350,6 +352,18 @@ def test_unreadable_input_file_is_a_parse_error(tmp_path, capsys, reason):
     code, out, err = run(capsys, "exp-der", str(path))
     assert code == 2 and out == ""
     assert err == f"error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("spelling, c", [
+    (["--c", "-2/3"], F(-2, 3)), (["--c=-2/3"], F(-2, 3)), (["--c", "-1"], F(-1)),
+], ids=("spaced-fraction", "joined-fraction", "spaced-integer"))
+def test_iterate_takes_a_negative_exponent_in_either_spelling(tmp_path, capsys, spelling, c):
+    sigma = op_exp(flow_table(3))
+    path = tmp_path / "s.table"
+    path.write_text(format_op_table(sigma))
+    code, out, err = run(capsys, "iterate", str(path), *spelling)
+    assert (code, err) == (0, "")
+    assert out == format_op_table(fractional_iterate(sigma, c))
 
 
 def test_iterate_rejects_zero_denominator(tmp_path, capsys):

@@ -3,7 +3,8 @@ wrong type is a `TypeError`: each site keeps its class and its message.
 
 The cases cover the rejections of out-of-range sizes, bounds and degrees, of
 matrices that are no order automorphism, of unknown names and of zero
-character values; the two strings `exact` cannot read; and each rejection
+character values; the strings `exact` cannot read, also where a JSON file, a
+character or the binomial series passes them in; and each rejection
 that no other test reaches (`tools/line_trace.py` lists the statements the
 suite never runs)."""
 
@@ -34,7 +35,15 @@ from nseries.errors import (
     WeightBoundError,
 )
 from nseries.operators import CheckResult, op_lin_sum
-from nseries.series_calculus import bch_product, bch_term, dynkin_project, fs_substitute
+from nseries.free_algebra import free_from_json
+from nseries.hahn_series import hahn_from_json
+from nseries.series_calculus import (
+    bch_product,
+    bch_term,
+    dynkin_project,
+    fs_substitute,
+    series_binomial,
+)
 from nseries.sparse import exact
 from nseries.support_order import choice_closure, weight_universe
 from nseries.vaut_factors import mat_vec, one_aut_check
@@ -44,6 +53,7 @@ LEX1, LEX2, PROD1 = MonoidCtx.lex(1), MonoidCtx.lex(2), MonoidCtx.product(1)
 W12 = MonoidCtx.weighted(1, 2)
 X0 = FreeSeries.variable(0, 2, 2)
 NOT_RATIONAL = "not an exact rational: "
+ARABIC_HALF = "\u0661/\u0662"  # 1/2 in Arabic-Indic digits
 
 # name -> (call, class, message)
 CASES = {
@@ -93,6 +103,22 @@ CASES = {
                        "trials and order must be at least 1, got 1 and 0"),
     "exact-zero-denominator": (lambda: exact("1/0"), NSeriesError, NOT_RATIONAL + "'1/0'"),
     "exact-not-a-number": (lambda: exact("abc"), NSeriesError, NOT_RATIONAL + "'abc'"),
+    # `Fraction` reads both strings; the text grammar and so `exact` take neither.
+    "exact-separator": (lambda: exact("1_0"), NSeriesError, NOT_RATIONAL + "'1_0'"),
+    "exact-non-ascii": (lambda: exact(ARABIC_HALF), NSeriesError,
+                        NOT_RATIONAL + repr(ARABIC_HALF)),
+    "free_from_json-separator": (
+        lambda: free_from_json({"alphabet": 1, "grade": 1,
+                                "terms": [{"word": [], "coeff": "1_0"}]}),
+        NSeriesError, NOT_RATIONAL + "'1_0'"),
+    "hahn_from_json-non-ascii": (
+        lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1, "weights": [1]}, "bound": 1,
+                                "terms": [{"exps": [0], "coeff": ARABIC_HALF}]}),
+        NSeriesError, NOT_RATIONAL + repr(ARABIC_HALF)),
+    "CharacterX-separator": (lambda: CharacterX(LEX1, ("1_0",)), NSeriesError,
+                             NOT_RATIONAL + "'1_0'"),
+    "series_binomial-non-ascii": (lambda: series_binomial(ARABIC_HALF, 2), NSeriesError,
+                                  NOT_RATIONAL + repr(ARABIC_HALF)),
     "OpTable-image-type": (lambda: OpTable(LEX1, 0, {(0,): Fraction(1)}), TypeError,
                            "table images must be HahnPoly values"),
     "op_apply-space": (lambda: op_apply(OpTable.identity(LEX1, 2), HahnPoly.one(LEX1, 3)),

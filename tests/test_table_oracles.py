@@ -1,11 +1,12 @@
 """Table application and factor recomposition against their slow routes: the
-one-dict `op_apply` against the folded sum of scaled images, the table
-chain of `compose_factors` against the per-monomial recomposition, the
-residual `decompose_vaut` reads off sigma against the inverse chain of table
-compositions, `decompose_vaut` as a whole against the decomposition that
-re-checks every by-construction fact, and the fraction-free `mat_det` and
-`mat_inverse` against `Fraction` Gauss-Jordan elimination.  Results, term
-order and error messages or classes must agree."""
+one-dict `op_apply` against the folded sum of scaled images, `compose_factors`
+against the per-monomial recomposition and the table chain, the factor tables
+and `pullback_morphism` against the per-monomial tabulations and the
+conjugation chain, the residual `decompose_vaut` reads off sigma against the
+inverse chain of table compositions, `decompose_vaut` as a whole against the
+decomposition that re-checks every by-construction fact, and the
+fraction-free `mat_det` and `mat_inverse` against `Fraction` Gauss-Jordan
+elimination.  Results, term order and error messages or classes must agree."""
 
 import random
 
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nseries import (
+    CharacterX,
     Cmp,
+    DimensionMismatchError,
     ExponentAut,
     FactorAut,
     HahnPoly,
@@ -22,15 +25,21 @@ from nseries import (
     NotDecomposableError,
     NSeriesError,
     OpTable,
+    TruncationOverflowError,
     WeightBoundError,
     compose_factors,
     decompose_vaut,
+    gder_table,
+    gexp_table,
+    oaut_table,
     one_aut_check,
     op_apply,
     op_exp,
+    pullback_morphism,
 )
 from nseries.samples import (
     nonzero_fraction,
+    random_additive_char,
     random_character,
     random_contracting_derivation,
     random_hahn,
@@ -39,12 +48,16 @@ from nseries.samples import (
 )
 from nseries.vaut_factors import mat_det, mat_inverse, mat_mul
 from pairwise_oracles import (
+    chain_compose_factors,
+    chain_pullback,
+    diagonal_table,
     folded_apply,
     gauss_jordan,
     gauss_jordan_inverse,
     inverse_chain_residual,
     per_monomial_compose_factors,
     rechecked_decompose,
+    relabeling_table,
 )
 
 LEX1, PROD2, W12 = MonoidCtx.lex(1), MonoidCtx.product(2), MonoidCtx.weighted(1, 2)
@@ -130,6 +143,104 @@ def test_compose_factors_matches_the_per_monomial_recomposition(f):
     assert _outcome(compose_factors, f) == _outcome(per_monomial_compose_factors, f)
 
 
+LEX2, PROD3 = MonoidCtx.lex(2), MonoidCtx.product(3)
+LEX2_SHEAR = ((1, 0), (-1, 1))  # (1, 0) -> (1, -1): order-preserving, outside the orthant
+# (context, largest bound, exponent maps): the identity and a permutation or shears
+MONOMIAL_CONTEXTS = (
+    (PROD2, 4, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+    (PROD3, 3, (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))),
+    (W12, 4, (((1, 0), (0, 1)), ((3, 4), (-1, -1)))),
+    (LEX2, 3, (((1, 0), (0, 1)), LEX2_SHEAR, ((1, 0), (1, 1)))),
+)
+PULLBACK_ARGUMENTS = ("derivation", "any table", "another bound", "not a table")
+
+
+@st.composite
+def monomial_cases(draw):
+    """(context, bound, rng, mu) on one of `MONOMIAL_CONTEXTS`."""
+    ctx, top, mats = draw(st.sampled_from(MONOMIAL_CONTEXTS))
+    bound = draw(st.integers(0, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ctx, bound, rng, ExponentAut(ctx, draw(st.sampled_from(mats)))
+
+
+def _outcome_or_type_error(f, *args):
+    """`_outcome`, or the class and message of a TypeError."""
+    try:
+        return _outcome(f, *args)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@PROPERTY
+@given(monomial_cases())
+def test_factor_tables_match_their_per_monomial_tabulations(case):
+    ctx, bound, rng, mu = case
+    chi, alpha = random_character(rng, ctx), random_additive_char(rng, ctx)
+    assert _outcome(gexp_table, chi, bound) == _outcome(diagonal_table, chi, bound)
+    assert _outcome(gder_table, alpha, bound) == _outcome(diagonal_table, alpha, bound)
+    assert _outcome(oaut_table, mu, bound) == _outcome(relabeling_table, mu, bound)
+
+
+@PROPERTY
+@given(monomial_cases(), st.booleans())
+def test_compose_factors_matches_the_table_chain(case, near_identity):
+    ctx, bound, rng, mu = case
+    if near_identity:
+        residual = op_exp(random_contracting_derivation(rng, ctx, bound))
+    else:
+        residual = _any_table(rng, ctx, bound)
+    f = FactorAut(mu, random_character(rng, ctx), residual)
+    assert _outcome(compose_factors, f) == _outcome(chain_compose_factors, f)
+
+
+def _pullback_argument(kind, rng, ctx, bound):
+    if kind == "derivation":
+        return random_contracting_derivation(rng, ctx, bound)
+    if kind == "any table":
+        return _any_table(rng, ctx, bound)
+    if kind == "another bound":
+        return OpTable.identity(ctx, bound + 1)
+    return random_hahn(rng, ctx, bound)
+
+
+@PROPERTY
+@given(monomial_cases(), st.sampled_from(PULLBACK_ARGUMENTS))
+def test_pullback_matches_the_conjugation_chain(case, kind):
+    ctx, bound, rng, mu = case
+    d = _pullback_argument(kind, rng, ctx, bound)
+    assert _outcome_or_type_error(lambda: pullback_morphism(mu, bound)(d)) == (
+        _outcome_or_type_error(lambda: chain_pullback(mu, bound)(d))
+    )
+
+
+SWAP = ExponentAut(PROD2, ((0, 1), (1, 0)))
+# name -> (call with the route pair (compose, pullback), class both routes raise)
+MONOMIAL_FAILURES = {
+    "compose lex:2 shear": (
+        lambda compose, _: compose(FactorAut(
+            ExponentAut(LEX2, LEX2_SHEAR), CharacterX.trivial(LEX2), OpTable.identity(LEX2, 2)
+        )),
+        TruncationOverflowError),
+    "pullback lex:2 shear": (
+        lambda _, pullback: pullback(ExponentAut(LEX2, LEX2_SHEAR), 2),
+        TruncationOverflowError),
+    "pullback another bound": (
+        lambda _, pullback: pullback(SWAP, 2)(OpTable.identity(PROD2, 3)),
+        DimensionMismatchError),
+    "pullback not a table": (
+        lambda _, pullback: pullback(SWAP, 2)(HahnPoly.one(PROD2, 2)), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", MONOMIAL_FAILURES)
+def test_monomial_factor_failures_match_the_chains(name):
+    call, error = MONOMIAL_FAILURES[name]
+    got = _outcome_or_type_error(call, compose_factors, pullback_morphism)
+    assert got == _outcome_or_type_error(call, chain_compose_factors, chain_pullback)
+    assert got[0] is error
+
+
 @st.composite
 def decompose_cases(draw):
     ctx, top, mus = draw(st.sampled_from(DECOMPOSE_CONTEXTS))
@@ -151,9 +262,6 @@ def test_decompose_residual_matches_the_inverse_chain(f):
     assert (split.mu.matrix, split.chi) == (f.mu.matrix, f.chi)
     oracle = inverse_chain_residual(sigma, split.mu, split.chi)
     assert _outcome(lambda: split.residual) == _outcome(lambda: oracle)
-
-
-LEX2 = MonoidCtx.lex(2)
 
 
 def lead_outside(bound):

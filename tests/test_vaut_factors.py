@@ -333,12 +333,14 @@ def test_decompose_reads_the_split_off_the_generator_images(monkeypatch):
 
         monkeypatch.setattr(vf, name, counted)
 
-    for name in ("minimal_elements", "mat_inverse", "compose_factors", "one_aut_check",
-                 "op_is_unital_endomorphism"):
+    for name in ("minimal_elements", "_bareiss", "mat_inverse", "compose_factors",
+                 "one_aut_check", "op_is_unital_endomorphism"):
         count(name)
     assert decompose_vaut(sigma) == FactorAut(mu, chi, residual)
     assert len(calls["minimal_elements"]) == prod3.dim  # one per generator image
-    assert [caller for caller, _ in calls["mat_inverse"]] == ["__post_init__"]  # mu's own check
+    # Two eliminations of mu: its own check, and the inverse the residual is read through.
+    assert calls["_bareiss"] == [("__post_init__", (mu.matrix,)), ("mat_inverse", (mu.matrix,))]
+    assert calls["mat_inverse"] == [("decompose_vaut", (mu.matrix,))]
     assert "compose_factors" not in calls and "one_aut_check" not in calls
     assert calls["op_is_unital_endomorphism"] == [("decompose_vaut", (sigma,))]
 

@@ -2,8 +2,8 @@
 
 The set is every corr and vaut job of the benchmark at seeds 1-3, with the
 inputs drawn by `nsbench/workloads.py`; `iterate` at the exponents
-0, -1, 2, -2/3 and 5/3 (spelled `--c=-2/3`, since argparse reads a bare
-`-2/3` as an option) on every automorphism table that the seed-1 corr jobs
+0, -1, 2, -2/3 and 5/3 (spelled `--c=-2/3`, which older checkouts also
+accept) on every automorphism table that the seed-1 corr jobs
 iterate, beside their own 1/2; and `verify <suite> --json` for every
 suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
 `op eval` of a seeded free series at two seeded contracting tables in three
@@ -26,10 +26,16 @@ N=3 table file whose image t^(1,0) -> t^(3,-1) lies outside the truncation.
 Each command runs in this process against the package in `src/` of this
 checkout; its exit code, stdout and stderr enter the digest, with the
 temporary input directory stripped.  Equal digests on two checkouts mean byte-identical outputs.
+No command reaches the factor tables alone, so last, in the contexts prod:2,
+prod:3, weighted:1,2 and lex:2 and for each exponent map of `FACTOR_CONTEXTS`,
+it digests the formatted tables, or the error lines, of `gexp_table`,
+`gder_table` and `oaut_table` on a seeded character, `compose_factors` with a
+seeded near-identity residual, and `pullback_morphism` of a seeded
+contracting derivation, of a table at another bound and of a series.
 The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, iterate, vaut, verify, op eval,
-bch/series, order, op check, failures, spellings, truncation), so two checkouts
-whose digests differ can be told apart by group.
+bch/series, order, op check, failures, spellings, truncation, factors), so two
+checkouts whose digests differ can be told apart by group.
 
     python3 tools/output_digest.py
 """
@@ -50,7 +56,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
 from nseries import (  # noqa: E402
-    CharacterX, MonoidCtx, OpTable, cli, gexp_table, op_exp, samples, textio,
+    CharacterX, ExponentAut, FactorAut, MonoidCtx, NSeriesError, OpTable, cli, compose_factors,
+    gder_table, gexp_table, oaut_table, op_exp, pullback_morphism, samples, textio,
 )
 from nseries.verify import SUITES  # noqa: E402
 
@@ -70,6 +77,14 @@ ORDER_ARGV = (
 OUT_OF_TRUNCATION = (
     "ctx=lex:2 N=3\nt^(0,0) -> 0\nt^(0,1) -> 0\nt^(1,0) -> t^(3,-1)\nt^(0,2) -> 0\n"
     "t^(1,1) -> 0\nt^(2,0) -> 0\nt^(0,3) -> 0\nt^(1,2) -> 0\nt^(2,1) -> 0\nt^(3,0) -> 0\n"
+)
+# (context, bound, exponent maps): the identity, then a permutation or shears,
+# some of which leave the truncation.
+FACTOR_CONTEXTS = (
+    ("prod:2", 4, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+    ("prod:3", 3, (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))),
+    ("weighted:1,2", 4, (((1, 0), (0, 1)), ((3, 4), (-1, -1)))),
+    ("lex:2", 3, (((1, 0), (0, 1)), ((1, 0), (-1, 1)), ((1, 0), (1, 1)))),
 )
 # Id plus the contracting non-derivation t^2 -> t^3: it fixes 1 and breaks t * t.
 SHIFTED_RESIDUAL = (
@@ -116,11 +131,21 @@ def feed(hashes, argv: list[str], strip: str = "") -> None:
             h.update(part.replace(strip, "").encode() + b"\0")
 
 
+def feed_table(hashes, call) -> None:
+    """Add the formatted table `call()` returns, or its error line, to each of `hashes`."""
+    try:
+        text = textio.format_op_table(call())
+    except (NSeriesError, TypeError) as exc:
+        text = f"error: {type(exc).__name__}: {exc}\n"
+    for h in hashes:
+        h.update(text.encode() + b"\0")
+
+
 def main() -> None:
     h = hashlib.sha256()
     groups = {name: hashlib.sha256() for name in ("corr", "iterate", "vaut", "verify", "op eval",
                                                    "bch/series", "order", "op check", "failures",
-                                                   "spellings", "truncation")}
+                                                   "spellings", "truncation", "factors")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
@@ -228,6 +253,21 @@ def main() -> None:
                      ["op", "check", str(stray), "--contracting", "--json"],
                      ["exp-der", str(stray)]):
             feed((h, groups["truncation"]), argv, strip=tmp + "/")
+    hashes = (h, groups["factors"])
+    for seed, (descr, bound, mats) in enumerate(FACTOR_CONTEXTS, start=1):
+        ctx = textio.parse_ctx(descr)
+        rng = random.Random(seed)
+        for mat in mats:
+            mu, chi = ExponentAut(ctx, mat), samples.random_character(rng, ctx)
+            alpha = samples.random_additive_char(rng, ctx)
+            residual = op_exp(samples.random_contracting_derivation(rng, ctx, bound))
+            d = samples.random_contracting_derivation(rng, ctx, bound)
+            feed_table(hashes, lambda: gexp_table(chi, bound))
+            feed_table(hashes, lambda: gder_table(alpha, bound))
+            feed_table(hashes, lambda: oaut_table(mu, bound))
+            feed_table(hashes, lambda: compose_factors(FactorAut(mu, chi, residual)))
+            for arg in (d, OpTable.identity(ctx, bound + 1), samples.random_hahn(rng, ctx, bound)):
+                feed_table(hashes, lambda: pullback_morphism(mu, bound)(arg))
     for name, group in groups.items():
         print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
