@@ -134,16 +134,19 @@ class OpTable(Linear):
 
     def lin_comb(self, pairs) -> "OpTable":
         """The sum of c*t over the (c, t) pairs, built unchecked.  Each t's space
-        and each c are checked once per table; then one unchecked
-        `HahnPoly._combine` per basis image of `self` sums the images."""
+        and each c are checked once per table.  Each basis image is then one
+        unchecked `HahnPoly._combine` of the nonzero images at its exponent;
+        with none, it is one zero series shared by the table."""
         checked = []
         for c, t in pairs:
             self._require_same(t)
             checked.append((exact(c), t.images))
-        return OpTable._trusted(self._space(), {
-            m: img._combine([(c, *_integral(images[m].terms)) for c, images in checked])
-            for m, img in self.images.items()
-        })
+        zero = HahnPoly._trusted(self._space(), {})
+        out = {}
+        for m, img in self.images.items():
+            parts = [(c, _integral(images[m])) for c, images in checked if images[m].terms]
+            out[m] = img._combine(parts) if parts else zero
+        return OpTable._trusted(self._space(), out)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -151,25 +154,32 @@ class OpTable(Linear):
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
     """Apply by linear extension over the support of `a`: the combination of
-    the images of its exponents with its coefficients, one unchecked
+    the nonzero images of its exponents with its coefficients, one unchecked
     `_combine`.  Every exponent of `a` lies in the truncation of its space,
     which is the table's basis, so each has an image in that space."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    return a._combine([(c, *_integral(table.images[exp].terms)) for exp, c in a.terms.items()])
+    images = table.images
+    return a._combine([
+        (c, _integral(images[exp])) for exp, c in a.terms.items() if images[exp].terms
+    ])
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
     """(f o g): images are f applied to the images of g, over the basis of g,
-    so the table is complete by construction and is built unchecked.  Each
-    image of f is put over its denominator (`_integral`) once per composition,
-    and each image of g is one `_combine` of those forms."""
+    so the table is complete by construction and is built unchecked.  Only the
+    nonzero images of f take part, each through its kept integer form
+    (`_integral`), and each image of g is one `_combine` of the forms at its
+    exponents whose f-image is nonzero.  An image of g with no such exponent
+    maps to one zero series shared by the table."""
     f._require_same(g)
-    forms = {m: _integral(img.terms) for m, img in f.images.items()}
-    return OpTable._trusted(f._space(), {
-        m: img._combine([(c, *forms[exp]) for exp, c in img.terms.items()])
-        for m, img in g.images.items()
-    })
+    forms = {m: _integral(img) for m, img in f.images.items() if img.terms}
+    zero = HahnPoly._trusted(f._space(), {})
+    out = {}
+    for m, img in g.images.items():
+        parts = [(c, forms[exp]) for exp, c in img.terms.items() if exp in forms]
+        out[m] = img._combine(parts) if parts else zero
+    return OpTable._trusted(f._space(), out)
 
 
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:

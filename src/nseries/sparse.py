@@ -20,21 +20,24 @@ space and calls `_canonicalise`.  `lin_comb` and the arithmetic of `Linear`
 come with the base class.
 
 Both loops sum plain integers over one common denominator.  `_integral`
-writes an operand as (D, numerators), D the least common denominator of its
-coefficients.  `_combine` sums over the lcm of c.denominator * D across its
-(c, D, numerators) parts, `_product` over D_a * D_b, and each surviving key
-is reduced once, as Fraction(n, D).  The keys and coefficients of such a
-result are canonical already, so `Linear._trusted` builds it without
-`__post_init__`; the public constructors keep every check.  `exact` is the
-one exact-coefficient check: a float or any other non-rational number is a
-`TypeError`, never a binary fraction, and a string that is no rational is an
-`NSeriesError`.
+gives an operand's form (D, numerators), D the least common denominator of
+its coefficients.  `_combine` sums over the lcm of c.denominator * D across
+its (c, form) parts, `_product` over D_a * D_b.  Each then divides its sums
+and that denominator by their one gcd, which makes the denominator the least
+common one of the reduced coefficients, and keeps the result's form beside
+its canonical Fraction `terms`: the next loop reads it, never re-derives it.
+A series from a public constructor computes its form at first use and keeps
+it.  The keys and coefficients of a kernel result are canonical already, so
+`Linear._trusted` builds it without `__post_init__`; the public constructors
+keep every check.  `exact` is the one exact-coefficient check: a float or
+any other non-rational number is a `TypeError`, never a binary fraction, and
+a string that is no rational is an `NSeriesError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Iterable
 
@@ -63,11 +66,18 @@ def exact(value) -> Fraction:
     )
 
 
-def _integral(terms: dict) -> tuple[int, list]:
-    """(D, [(key, n)]): D the least common denominator of the coefficients of
-    `terms`, and n each coefficient times D, in term order."""
-    den = lcm(*[v.denominator for v in terms.values()])
-    return den, [(key, v.numerator * (den // v.denominator)) for key, v in terms.items()]
+def _integral(series) -> tuple[int, list]:
+    """The form (D, [(key, n)]) of `series`: D the least common denominator of
+    its coefficients, and n each coefficient times D, in term order.  A kernel
+    result carries it from its loop; any other series computes it here once
+    and keeps it."""
+    form = series._form
+    if form is None:
+        terms = series.terms
+        den = lcm(*[v.denominator for v in terms.values()])
+        form = den, [(key, v.numerator * (den // v.denominator)) for key, v in terms.items()]
+        object.__setattr__(series, "_form", form)
+    return form
 
 
 class Linear:
@@ -106,6 +116,8 @@ class Linear:
 class SparseSeries(Linear):
     """Base of `FreeSeries` and `HahnPoly`: their shared arithmetic."""
 
+    _form = None  # the `_integral` form, once known; not a dataclass field
+
     def _canonicalise(self) -> None:
         """Check every key, make every coefficient a Fraction and drop the zeros."""
         canon = {}
@@ -142,19 +154,21 @@ class SparseSeries(Linear):
         parts = []
         for c, s in pairs:
             self._require_same(s)
-            parts.append((exact(c), *_integral(s.terms)))
+            parts.append((exact(c), _integral(s)))
         return self._combine(parts)
 
     def _combine(self, parts):
-        """The sum of c/D * n over the (c, D, [(key, n)]) parts, in the space of
+        """The sum of c/D * n over the (c, (D, [(key, n)])) parts, in the space of
         `self`, unchecked: c a Fraction and (D, [(key, n)]) an `_integral` form.
 
         Every term lands in one dict, as an integer over the lcm of the parts'
         denominators.  A key that cancels leaves it at once, so a later term
-        re-enters the key last, as a fold of `+` would place it."""
-        common = lcm(*[c.denominator * den for c, den, _ in parts])
+        re-enters the key last, as a fold of `+` would place it.  `_reduced`
+        divides the sums and their denominator by one gcd, so the result keeps
+        its form over the least common denominator."""
+        common = lcm(*[c.denominator * den for c, (den, _) in parts])
         out: dict = {}
-        for c, den, nums in parts:
+        for c, (den, nums) in parts:
             p = c.numerator * (common // (c.denominator * den))
             for key, n in nums:
                 total = out.get(key, 0) + p * n
@@ -162,32 +176,46 @@ class SparseSeries(Linear):
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return self._trusted(self._space(), {key: Fraction(n, common) for key, n in out.items()})
+        return self._reduced(common, list(out.items()))
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
         terms whose grades sum to at most the bound, and no other pair is
         visited.  The right terms that fit a left term's room (the bound minus
         its grade) are listed once per distinct room, in term order.  The sums
-        run over D_a * D_b, and a key whose sum is zero is dropped."""
+        run over D_a * D_b and a key whose sum is zero is dropped.  `_reduced`
+        divides the sums and D_a * D_b by one gcd, so the result keeps its form
+        over the least common denominator."""
         self._require_same(other)
-        space = self._space()
-        grade = self._grade
-        den_a, left = _integral(self.terms)
-        den_b, right = _integral(other.terms)
+        grade, bound = self._grade, self._space()[-1]
+        den_a, left = _integral(self)
+        den_b, right = _integral(other)
         graded = [(grade(term[0]), term) for term in right]
         fitting: dict = {}
         out: dict = {}
         for ka, na in left:
-            room = space[-1] - grade(ka)
+            room = bound - grade(ka)
             row = fitting.get(room)
             if row is None:
                 row = fitting[room] = [term for gb, term in graded if gb <= room]
             for kb, nb in row:
                 key = key_mul(ka, kb)
                 out[key] = out.get(key, 0) + na * nb
-        den = den_a * den_b
-        return self._trusted(space, {key: Fraction(n, den) for key, n in out.items() if n})
+        return self._reduced(den_a * den_b, [(key, n) for key, n in out.items() if n])
+
+    def _reduced(self, common: int, nums: list):
+        """The series sum of n/common t^key over the (key, n) pairs, n nonzero and
+        keys distinct, in the space of `self`, with its form kept.  One gcd g of
+        common and every n gives the form (common/g, [(key, n/g)]): its
+        denominator is the least common one of the reduced coefficients, since
+        for every prime p of common/g some n/g is prime to p."""
+        g = gcd(common, *[n for _, n in nums])
+        if g > 1:
+            common //= g
+            nums = [(key, n // g) for key, n in nums]
+        result = self._trusted(self._space(), {key: Fraction(n, common) for key, n in nums})
+        object.__setattr__(result, "_form", (common, nums))
+        return result
 
     def power(self, n: int):
         if n < 0:

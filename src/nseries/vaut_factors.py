@@ -51,7 +51,9 @@ from .operators import (
     op_is_unital_endomorphism,
 )
 from .sparse import exact
-from .support_order import WEIGHTED, Cmp, ExpVec, FinitePosetFragment, MonoidCtx, minimal_elements
+from .support_order import (
+    WEIGHTED, Cmp, ExpVec, FinitePosetFragment, MonoidCtx, minimal_elements, weight_universe,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -271,14 +273,14 @@ def apply_gexp(x: CharacterX, a: HahnPoly) -> HahnPoly:
     return _apply_diagonal(x, a)
 
 
-def _relabeled(space, matrix: Matrix, g: ExpVec) -> ExpVec:
-    """matrix g, which must lie in the truncation of `space`, a series or a table."""
+def _relabeled(ctx: MonoidCtx, bound: int, matrix: Matrix, g: ExpVec) -> ExpVec:
+    """matrix g, which must lie in the truncation of `ctx` at `bound`."""
     img = mat_vec(matrix, g)
-    if not space.ctx.in_truncation(img, space.bound):
+    if not ctx.in_truncation(img, bound):
         raise TruncationOverflowError(
-            f"relabeled exponent {img} of {g} has weight {space.ctx.weight(img)} and lies"
-            f" outside the truncation at N={space.bound}: a negative entry, or a weight"
-            f" outside [0, {space.bound}]"
+            f"relabeled exponent {img} of {g} has weight {ctx.weight(img)} and lies"
+            f" outside the truncation at N={bound}: a negative entry, or a weight"
+            f" outside [0, {bound}]"
         )
     return img
 
@@ -299,7 +301,8 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
             raise NSeriesError(
                 f"relabeling does not preserve the order on support pair {bad[0]} < {bad[1]}"
             )
-    return HahnPoly(a.ctx, a.bound, {_relabeled(a, matrix, g): c for g, c in a.terms.items()})
+    terms = {_relabeled(a.ctx, a.bound, matrix, g): c for g, c in a.terms.items()}
+    return HahnPoly(a.ctx, a.bound, terms)
 
 
 def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
@@ -312,7 +315,7 @@ def _read_through(table: OpTable, matrix: Matrix, char=None) -> OpTable:
     image of t^m is table(t^q) scaled by char(q), or unscaled without `char`.
     A q outside the truncation raises TruncationOverflowError."""
     def image(m):
-        q = _relabeled(table, matrix, m)
+        q = _relabeled(table.ctx, table.bound, matrix, m)
         return table.images[q] if char is None else table.images[q].scale(char.at(q))
 
     return OpTable.from_function(table.ctx, table.bound, image)
@@ -332,14 +335,21 @@ def gder_table(alpha: AdditiveChar, bound: int) -> OpTable:
 
 def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTable]:
     """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1), that is
-    d read through mu^(-1), each image relabeled along mu.  The relabeling
-    table is built here, so a mu that leaves the truncation raises now."""
-    fwd, back = oaut_table(mu, bound), mat_inverse(mu.matrix)
+    d read through mu^(-1), each image relabeled along mu.  mu relabels every
+    basis exponent here, so a mu that leaves the truncation raises now; the
+    relabeling table itself is never built."""
+    ctx, matrix = mu.ctx, mu.matrix
+    for m in weight_universe(ctx, bound):
+        _relabeled(ctx, bound, matrix, m)
+    space, back = (ctx, operator.index(bound)), mat_inverse(matrix)
 
     def conjugate(d: OpTable) -> OpTable:
-        fwd._require_same(d)
+        if not isinstance(d, OpTable):
+            raise TypeError(f"expected OpTable, got {type(d).__name__}")
+        if d._space() != space:
+            raise DimensionMismatchError(OpTable._MISMATCH)
         read = _read_through(d, back).images
-        return OpTable(mu.ctx, bound, {m: apply_oaut(mu, img) for m, img in read.items()})
+        return OpTable(ctx, bound, {m: apply_oaut(mu, img) for m, img in read.items()})
 
     return conjugate
 

@@ -12,7 +12,12 @@ calls `lin_comb`, so the folded application and the word and power sums built
 on it stay independent of the kernel they check.  The reference product folds
 c_a c_b into a raw term dict one pair at a time in `Fraction` arithmetic and
 builds its result through the checked constructor, where the kernel sums
-integers over one denominator and builds its result unchecked.  The
+integers over one denominator and builds its result unchecked.  The folded
+composition applies f to each image of g by the folded application, so the
+reference sum of tables, the folded application and the folded composition
+work image by image and term by term in `Fraction` arithmetic, zero images
+included, where `op_compose`, `OpTable.lin_comb` and `op_apply` skip the
+zero images and sum integer forms.  The
 per-monomial tabulations build the rescale, diagonal-derivation and
 relabeling tables one basis monomial at a time, where `nseries.vaut_factors`
 reads the identity table through a monomial map.  The per-monomial
@@ -191,6 +196,13 @@ def folded_apply(table, a) -> HahnPoly:
             raise IncompleteTableError(f"no tabulated image for basis exponent {exp}")
         pairs.append((coeff, img))
     return reference_sum(a, pairs)
+
+
+def folded_compose(f, g) -> OpTable:
+    """f o g, image by image: `folded_apply` of f to each image of g, every
+    image of f taking part, zero or not."""
+    f._require_same(g)
+    return replace(g, images={m: folded_apply(f, img) for m, img in g.images.items()})
 
 
 def per_monomial_compose_factors(f) -> OpTable:

@@ -2,14 +2,15 @@
 space, and `lin_comb`, behind every sum of series and of tables, agrees with
 the reference fold over raw term dicts, term order included.  The product
 agrees with the reference product, every kernel result equals the same terms
-rebuilt through the checked constructor, and a coefficient that is not an
-exact rational is a TypeError."""
+rebuilt through the checked constructor and keeps the integer form of its
+terms, and a coefficient that is not an exact rational is a TypeError."""
 
 import operator
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from nseries.errors import DimensionMismatchError, IncompleteTableError, WeightB
 from nseries.free_algebra import free_from_json
 from nseries.hahn_series import hahn_from_json
 from nseries.samples import random_contracting_table, random_free_series, random_hahn
+from nseries.sparse import _integral
 from nseries.support_order import vec_add
 from nseries.vaut_factors import middle_correspond
 from pairwise_oracles import reference_product, reference_sum
@@ -212,6 +214,43 @@ def test_every_kernel_result_equals_its_checked_rebuild(case):
     for x in _series_results(*case):
         assert _with_order(x) == _with_order(_rebuilt(x))
         assert all(type(v) is Fraction and v != 0 for v in x.terms.values())
+
+
+INTEGER_COEFFS = (-6, -2, -1, 1, 2, 3, 4)
+# Denominators that the products and sums cancel against the integers above.
+MIXED_COEFFS = INTEGER_COEFFS + (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5, 6))
+
+
+@st.composite
+def form_operands(draw):
+    """Two series of one space, either of which may be zero, and a nonzero
+    scalar, all with integer coefficients or all with mixed denominators."""
+    coeffs = draw(st.sampled_from((INTEGER_COEFFS, MIXED_COEFFS)))
+    cls, space, keys = draw(st.sampled_from(SPACES))
+
+    def series():
+        return cls(*space, draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(coeffs),
+                                                max_size=5)))
+
+    return series(), series(), draw(st.sampled_from(coeffs))
+
+
+def _form_of_terms(x):
+    """(D, [(key, n)]) recomputed from the terms: D the lcm of the denominators."""
+    den = lcm(*[v.denominator for v in x.terms.values()])
+    return den, [(key, v.numerator * den // v.denominator) for key, v in x.terms.items()]
+
+
+@PROPERTY
+@given(form_operands())
+@example((FreeSeries(1, 2, {(): Fraction(1, 2)}), FreeSeries(1, 2, {(0,): 2}), Fraction(2, 3)))
+def test_every_kernel_result_keeps_the_form_of_its_terms(case):
+    a, b, c = case
+    assert "_form" not in vars(a) and _integral(a) == _form_of_terms(a)
+    assert _integral(a) is _integral(a)
+    inv = 1 / Fraction(c)
+    for x in _series_results(a, b, c) + [a.scale(c) * b.scale(inv), a.scale(inv) * a]:
+        assert vars(x)["_form"] == _form_of_terms(x)
 
 
 @settings(max_examples=40)

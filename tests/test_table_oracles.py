@@ -1,5 +1,7 @@
 """Table application and factor recomposition against their slow routes: the
-one-dict `op_apply` against the folded sum of scaled images, `compose_factors`
+one-dict `op_apply` against the folded sum of scaled images, `op_compose`,
+`OpTable.lin_comb` and `op_apply`, which skip zero images, against the folds
+that take every image, `compose_factors`
 against the per-monomial recomposition and the table chain, the factor tables
 and `pullback_morphism` against the per-monomial tabulations and the
 conjugation chain, the residual `decompose_vaut` reads off sigma against the
@@ -9,6 +11,7 @@ fraction-free `mat_det` and `mat_inverse` against `Fraction` Gauss-Jordan
 elimination.  Results, term order and error messages or classes must agree."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,14 +37,17 @@ from nseries import (
     oaut_table,
     one_aut_check,
     op_apply,
+    op_compose,
     op_exp,
     pullback_morphism,
+    weight_universe,
 )
 from nseries.samples import (
     nonzero_fraction,
     random_additive_char,
     random_character,
     random_contracting_derivation,
+    random_contracting_table,
     random_hahn,
     random_substitution_automorphism,
     substitution_endomorphism,
@@ -52,11 +58,13 @@ from pairwise_oracles import (
     chain_pullback,
     diagonal_table,
     folded_apply,
+    folded_compose,
     gauss_jordan,
     gauss_jordan_inverse,
     inverse_chain_residual,
     per_monomial_compose_factors,
     rechecked_decompose,
+    reference_sum,
     relabeling_table,
 )
 
@@ -137,13 +145,48 @@ def test_op_apply_matches_the_folded_sum(case):
     assert _outcome(op_apply, *case) == _outcome(folded_apply, *case)
 
 
+LEX2, PROD3 = MonoidCtx.lex(2), MonoidCtx.product(3)
+# (context, largest bound) of the zero-image property
+ZERO_IMAGE_CONTEXTS = ((PROD2, 4), (PROD3, 3), (W12, 4), (LEX2, 3))
+
+
+@st.composite
+def zero_image_cases(draw):
+    """A contracting table, a table with one zero image and a series, of one space."""
+    ctx, top = draw(st.sampled_from(ZERO_IMAGE_CONTEXTS))
+    bound = draw(st.integers(0, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    images = dict(_any_table(rng, ctx, bound).images)
+    images[draw(st.sampled_from(weight_universe(ctx, bound)))] = HahnPoly.zero(ctx, bound)
+    a = random_hahn(rng, ctx, bound, terms=draw(st.integers(0, 6)))
+    return random_contracting_table(rng, ctx, bound), OpTable(ctx, bound, images), a
+
+
+@PROPERTY
+@given(zero_image_cases())
+def test_zero_images_match_the_folds(case):
+    """Every power of t up to two past the bound, where t^(bound + 1) = 0, the
+    zero table and the table with one zero image: their compositions with t and
+    with that table, their sums and their application, against the folds."""
+    t, one_zero, a = case
+    powers = [OpTable.identity(t.ctx, t.bound)]
+    while len(powers) < t.bound + 3:
+        powers.append(op_compose(t, powers[-1]))
+    assert powers[-1].is_zero() and powers[-2].is_zero()
+    for x in (*powers, OpTable.zero(t.ctx, t.bound), one_zero):
+        for f, g in ((t, x), (x, t), (one_zero, x), (x, one_zero)):
+            assert _outcome(op_compose, f, g) == _outcome(folded_compose, f, g)
+        pairs = [(1, x), (2, one_zero), (-1, x), (Fraction(1, 3), powers[-1]), (0, t)]
+        assert _outcome(x.lin_comb, pairs) == _outcome(reference_sum, x, pairs)
+        assert _outcome(op_apply, x, a) == _outcome(folded_apply, x, a)
+
+
 @PROPERTY
 @given(factor_cases())
 def test_compose_factors_matches_the_per_monomial_recomposition(f):
     assert _outcome(compose_factors, f) == _outcome(per_monomial_compose_factors, f)
 
 
-LEX2, PROD3 = MonoidCtx.lex(2), MonoidCtx.product(3)
 LEX2_SHEAR = ((1, 0), (-1, 1))  # (1, 0) -> (1, -1): order-preserving, outside the orthant
 # (context, largest bound, exponent maps): the identity and a permutation or shears
 MONOMIAL_CONTEXTS = (

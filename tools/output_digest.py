@@ -32,10 +32,16 @@ it digests the formatted tables, or the error lines, of `gexp_table`,
 `gder_table` and `oaut_table` on a seeded character, `compose_factors` with a
 seeded near-identity residual, and `pullback_morphism` of a seeded
 contracting derivation, of a table at another bound and of a series.
+No command reaches zero images alone either, so in the same four contexts it
+takes a seeded contracting table t, a seeded near-identity table with one
+image set to zero, and a seeded series a.  For each power of t up to two past
+the bound (t^(N+1) = 0), the zero table and that near-identity table, it
+digests the formatted compositions with t and with the near-identity table on
+either side, one sum that cancels, and the application to a.
 The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, iterate, vaut, verify, op eval,
-bch/series, order, op check, failures, spellings, truncation, factors), so two
-checkouts whose digests differ can be told apart by group.
+bch/series, order, op check, failures, spellings, truncation, factors, kernel),
+so two checkouts whose digests differ can be told apart by group.
 
     python3 tools/output_digest.py
 """
@@ -49,6 +55,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,8 +63,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "nsbench")]
 
 import workloads  # noqa: E402
 from nseries import (  # noqa: E402
-    CharacterX, ExponentAut, FactorAut, MonoidCtx, NSeriesError, OpTable, cli, compose_factors,
-    gder_table, gexp_table, oaut_table, op_exp, pullback_morphism, samples, textio,
+    CharacterX, ExponentAut, FactorAut, HahnPoly, MonoidCtx, NSeriesError, OpTable, cli,
+    compose_factors, gder_table, gexp_table, oaut_table, op_apply, op_compose, op_exp,
+    pullback_morphism, samples, textio,
 )
 from nseries.verify import SUITES  # noqa: E402
 
@@ -132,9 +140,12 @@ def feed(hashes, argv: list[str], strip: str = "") -> None:
 
 
 def feed_table(hashes, call) -> None:
-    """Add the formatted table `call()` returns, or its error line, to each of `hashes`."""
+    """Add the formatted table or series `call()` returns, or its error line, to
+    each of `hashes`."""
     try:
-        text = textio.format_op_table(call())
+        result = call()
+        write = textio.format_hahn if isinstance(result, HahnPoly) else textio.format_op_table
+        text = write(result)
     except (NSeriesError, TypeError) as exc:
         text = f"error: {type(exc).__name__}: {exc}\n"
     for h in hashes:
@@ -145,7 +156,8 @@ def main() -> None:
     h = hashlib.sha256()
     groups = {name: hashlib.sha256() for name in ("corr", "iterate", "vaut", "verify", "op eval",
                                                    "bch/series", "order", "op check", "failures",
-                                                   "spellings", "truncation", "factors")}
+                                                   "spellings", "truncation", "factors",
+                                                   "kernel")}
     ns = workloads.load_modules()
     for name in ("corr", "vaut"):
         for seed in SEEDS:
@@ -268,6 +280,23 @@ def main() -> None:
             feed_table(hashes, lambda: compose_factors(FactorAut(mu, chi, residual)))
             for arg in (d, OpTable.identity(ctx, bound + 1), samples.random_hahn(rng, ctx, bound)):
                 feed_table(hashes, lambda: pullback_morphism(mu, bound)(arg))
+    hashes = (h, groups["kernel"])
+    for seed, (descr, bound, _) in enumerate(FACTOR_CONTEXTS, start=1):
+        ctx = textio.parse_ctx(descr)
+        rng = random.Random(seed)
+        t = samples.random_contracting_table(rng, ctx, bound)
+        images = dict((OpTable.identity(ctx, bound) + t.scale(rng.randint(1, 3))).images)
+        images[rng.choice(t.basis())] = HahnPoly.zero(ctx, bound)
+        one_zero, a = OpTable(ctx, bound, images), samples.random_hahn(rng, ctx, bound)
+        powers = [OpTable.identity(ctx, bound)]
+        while len(powers) < bound + 3:
+            powers.append(op_compose(t, powers[-1]))
+        for x in (*powers, OpTable.zero(ctx, bound), one_zero):
+            for f, g in ((t, x), (x, t), (one_zero, x), (x, one_zero)):
+                feed_table(hashes, lambda: op_compose(f, g))
+            feed_table(hashes, lambda: x.lin_comb([(1, x), (2, one_zero), (-1, x), (-2, one_zero),
+                                                   (Fraction(1, 3), t)]))
+            feed_table(hashes, lambda: op_apply(x, a))
     for name, group in groups.items():
         print(f"{name} {group.hexdigest()}", file=sys.stderr)
     print(h.hexdigest())
