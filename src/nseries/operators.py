@@ -2,14 +2,19 @@
 
 An operator is stored as the family of images of every basis monomial t^m
 with m in the truncation at N (`MonoidCtx.in_truncation`), and acts on a
-series by linear extension over its finite support.  Contracting tables
-(every image supported strictly above its basis exponent, with weight raised
-by at least one) are the operators for which evaluation of formal power
-series terminates at the truncation bound; `in_contracting_cone` decides it
-for one exponent pair.  A table is a member of the algebra protocol of the
-series: `OpTable.one` is the identity and `*` is `op_compose`, so the
-evaluators of `free_algebra` read the unit, the product and the bound off
-the table itself.  `op_geometric_inverse` evaluates through
+series by linear extension over its finite support.  Tables reach image
+arithmetic only through the kernel of `nseries.sparse`: a sum of tables is
+`Linear.lin_comb`, one `_combine` of the images at each basis exponent, and
+application and composition are calls of the kernel's linear extension
+`_apply`, so this module never reads a series' integer form.
+
+Contracting tables (every image supported strictly above its basis exponent,
+with weight raised by at least one) are the operators for which evaluation
+of formal power series terminates at the truncation bound;
+`in_contracting_cone` decides it for one exponent pair.  A table is a member
+of the algebra protocol of the series: `OpTable.one` is the identity and `*`
+is `op_compose`, so the evaluators of `free_algebra` read the unit, the
+product and the bound off the table itself.  `op_geometric_inverse` evaluates through
 `free_algebra.unit_inverse`, and `op_evaluate` through
 `free_algebra.evaluate_words`, which takes any word.
 
@@ -37,7 +42,7 @@ from .errors import (
 )
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
-from .sparse import Linear, _integral, exact
+from .sparse import Linear
 from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
 
 
@@ -108,8 +113,9 @@ class OpTable(Linear):
     @classmethod
     def identity(cls, ctx: MonoidCtx, bound: int) -> "OpTable":
         """t^m -> t^m on the basis, built unchecked: each image is one basis
-        monomial with coefficient 1, canonical by construction."""
-        space, one = (ctx, bound), Fraction(1)
+        monomial with coefficient 1, canonical by construction.  The bound is
+        an `operator.index`, as in the checked constructor."""
+        space, one = (ctx, operator.index(bound)), Fraction(1)
         return cls._trusted(space, {
             m: HahnPoly._trusted(space, {m: one}) for m in weight_universe(ctx, bound)
         })
@@ -132,20 +138,15 @@ class OpTable(Linear):
         """Composition, `op_compose(self, other)`."""
         return op_compose(self, other)
 
-    def lin_comb(self, pairs) -> "OpTable":
-        """The sum of c*t over the (c, t) pairs, built unchecked.  Each t's space
-        and each c are checked once per table.  Each basis image is then one
-        unchecked `HahnPoly._combine` of the nonzero images at its exponent;
-        with none, it is one zero series shared by the table."""
-        checked = []
-        for c, t in pairs:
-            self._require_same(t)
-            checked.append((exact(c), t.images))
+    def _combine(self, parts) -> "OpTable":
+        """The sum of c*t over the (c, t) parts, unchecked: each basis image is
+        one `HahnPoly._combine` of the nonzero images at its exponent; with
+        none, it is one zero series shared by the table."""
         zero = HahnPoly._trusted(self._space(), {})
         out = {}
         for m, img in self.images.items():
-            parts = [(c, _integral(images[m])) for c, images in checked if images[m].terms]
-            out[m] = img._combine(parts) if parts else zero
+            nonzero = [(c, x) for c, t in parts if (x := t.images[m]).terms]
+            out[m] = img._combine(nonzero) if nonzero else zero
         return OpTable._trusted(self._space(), out)
 
     def is_zero(self) -> bool:
@@ -153,33 +154,24 @@ class OpTable(Linear):
 
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
-    """Apply by linear extension over the support of `a`: the combination of
-    the nonzero images of its exponents with its coefficients, one unchecked
-    `_combine`.  Every exponent of `a` lies in the truncation of its space,
-    which is the table's basis, so each has an image in that space."""
+    """Apply by linear extension over the support of `a`: one `a._apply` of
+    the table's images.  Every exponent of `a` lies in the truncation of its
+    space, which is the table's basis, so each has an image in that space."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    images = table.images
-    return a._combine([
-        (c, _integral(images[exp])) for exp, c in a.terms.items() if images[exp].terms
-    ])
+    return a._apply(table.images, HahnPoly._trusted(a._space(), {}))
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
-    """(f o g): images are f applied to the images of g, over the basis of g,
-    so the table is complete by construction and is built unchecked.  Only the
-    nonzero images of f take part, each through its kept integer form
-    (`_integral`), and each image of g is one `_combine` of the forms at its
-    exponents whose f-image is nonzero.  An image of g with no such exponent
-    maps to one zero series shared by the table."""
+    """(f o g): each image of g is applied through f, one `_apply` of the
+    images of f, over the basis of g, so the table is complete by construction
+    and is built unchecked.  The images of g that f sends to zero share one
+    zero series."""
     f._require_same(g)
-    forms = {m: _integral(img) for m, img in f.images.items() if img.terms}
     zero = HahnPoly._trusted(f._space(), {})
-    out = {}
-    for m, img in g.images.items():
-        parts = [(c, forms[exp]) for exp, c in img.terms.items() if exp in forms]
-        out[m] = img._combine(parts) if parts else zero
-    return OpTable._trusted(f._space(), out)
+    return OpTable._trusted(f._space(), {
+        m: img._apply(f.images, zero) for m, img in g.images.items()
+    })
 
 
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:

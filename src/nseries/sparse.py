@@ -5,33 +5,41 @@ bound.  The grade is nonnegative and additive under the key product, so the
 product never visits the pairs whose grades sum past the bound, and stays
 exact modulo the ideal of keys above the bound.
 
-`SparseSeries.lin_comb` is the one checked entry that sums the terms of
-several series, and `_combine` its unchecked integer loop.  `+`, `-`,
-negation and scaling are one call each through `Linear`, which also holds the
-one space check; operator tables share both.  A table combines its images
-with `_combine` once its coefficients and spaces are checked, and the
-evaluators of `nseries.free_algebra` sum their products with one call.
+`Linear.lin_comb` is the one checked entry that sums several series, or
+several operator tables: it checks each operand's space and each coefficient,
+then calls the class's unchecked `_combine`.  `+`, `-`, negation and scaling
+are one `lin_comb` call each.  `SparseSeries._combine` is the integer loop
+behind every sum, and `SparseSeries._apply(images, zero)` the one linear
+extension: the sum of c*images[key] over the terms (key, c) of a series.
+Operator tables reach image arithmetic only through these two: a table's
+`_combine` is one `_combine` of the images at each basis exponent, and
+application and composition are `_apply` calls.  The evaluators of
+`nseries.free_algebra` sum their products with one `lin_comb`.
 
-A subclass is a frozen dataclass whose last field is `terms`.  It supplies
-`_space()` (the fields before `terms`, the bound last), `_check_key`,
-`_grade`, `one(*space)`, the mismatch message `_MISMATCH` and a `__mul__`
-that passes its key product to `_product`; its `__post_init__` checks the
-space and calls `_canonicalise`.  `lin_comb` and the arithmetic of `Linear`
-come with the base class.
+A subclass of `Linear` supplies `_combine(parts)`, the sum of c*x over its
+(c, x) parts, c a Fraction, `_space()` and the mismatch message `_MISMATCH`.
+A subclass of `SparseSeries` is a frozen dataclass whose last field is
+`terms`.  It supplies `_space()` (the fields before `terms`, the bound last),
+`_check_key`, `_grade`, `one(*space)`, `_MISMATCH` and a `__mul__` that
+passes its key product to `_product`; its `__post_init__` checks the space
+and calls `_canonicalise`.  `_combine` and `_apply` come with the base class.
 
-Both loops sum plain integers over one common denominator.  `_integral`
-gives an operand's form (D, numerators), D the least common denominator of
-its coefficients.  `_combine` sums over the lcm of c.denominator * D across
-its (c, form) parts, `_product` over D_a * D_b.  Each then divides its sums
-and that denominator by their one gcd, which makes the denominator the least
-common one of the reduced coefficients, and keeps the result's form beside
-its canonical Fraction `terms`: the next loop reads it, never re-derives it.
-A series from a public constructor computes its form at first use and keeps
-it.  The keys and coefficients of a kernel result are canonical already, so
-`Linear._trusted` builds it without `__post_init__`; the public constructors
-keep every check.  `exact` is the one exact-coefficient check: a float or
-any other non-rational number is a `TypeError`, never a binary fraction, and
-a string that is no rational is an `NSeriesError`.
+Both loops sum plain integers over one common denominator, and only this
+module reads or writes that integer form.  `_integral` gives a series' form
+(D, numerators), D the least common denominator of its coefficients.
+`_combine` sums over the lcm of c.denominator * D across its (c, series)
+parts, `_apply` passes it the numerators of its own form as the
+coefficients, and `_product` sums over D_a * D_b.  Each then divides its
+sums and that denominator by their one gcd, which makes the denominator the
+least common one of the reduced coefficients, and keeps the result's form
+beside its canonical Fraction `terms`: the next loop reads it, never
+re-derives it.  A series from a public constructor computes its form at
+first use and keeps it.  The keys and coefficients of a kernel result are
+canonical already, so `Linear._trusted` builds it without `__post_init__`;
+the public constructors keep every check.  `exact` is the one
+exact-coefficient check: a float or any other non-rational number is a
+`TypeError`, never a binary fraction, and a string that is no rational is an
+`NSeriesError`.
 """
 
 from __future__ import annotations
@@ -81,9 +89,10 @@ def _integral(series) -> tuple[int, list]:
 
 
 class Linear:
-    """`+`, `-`, negation and scaling, each one `lin_comb` call, and the one
-    space check; a subclass supplies `lin_comb(pairs)`, the sum of c*x over
-    its (c, x) pairs, `_space()` and the mismatch message `_MISMATCH`."""
+    """`lin_comb`, the one checked sum, and `+`, `-`, negation and scaling, each
+    one `lin_comb` call; a subclass supplies `_combine(parts)`, the unchecked
+    sum of c*x over (c, x) parts, `_space()` and the mismatch message
+    `_MISMATCH`."""
 
     @classmethod
     def _trusted(cls, space, body):
@@ -99,6 +108,15 @@ class Linear:
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self._space() != other._space():
             raise DimensionMismatchError(self._MISMATCH.format(self, other))
+
+    def lin_comb(self, pairs):
+        """The sum of c*x over the (c, x) pairs, in the space of `self`: each x is
+        checked against that space and each c by `exact`, then `_combine` sums."""
+        parts = []
+        for c, x in pairs:
+            self._require_same(x)
+            parts.append((exact(c), x))
+        return self._combine(parts)
 
     def __add__(self, other):
         return self.lin_comb(((1, self), (1, other)))
@@ -148,35 +166,40 @@ class SparseSeries(Linear):
 
     # -- arithmetic ---------------------------------------------------
 
-    def lin_comb(self, pairs):
-        """The sum of c*s over the (c, s) pairs, in the space of `self`: each s is
-        checked against that space and each c by `exact`, then `_combine` sums."""
-        parts = []
-        for c, s in pairs:
-            self._require_same(s)
-            parts.append((exact(c), _integral(s)))
-        return self._combine(parts)
+    def _combine(self, parts, den=1):
+        """The sum of c*s over the (c, s) parts, divided by `den`, in the space of
+        `self`, unchecked: c a Fraction or an int, and s a series of that space.
 
-    def _combine(self, parts):
-        """The sum of c/D * n over the (c, (D, [(key, n)])) parts, in the space of
-        `self`, unchecked: c a Fraction and (D, [(key, n)]) an `_integral` form.
-
-        Every term lands in one dict, as an integer over the lcm of the parts'
-        denominators.  A key that cancels leaves it at once, so a later term
-        re-enters the key last, as a fold of `+` would place it.  `_reduced`
-        divides the sums and their denominator by one gcd, so the result keeps
-        its form over the least common denominator."""
-        common = lcm(*[c.denominator * den for c, (den, _) in parts])
+        Every term lands in one dict, as an integer over the lcm of c.denominator
+        * D across the parts, D the denominator of the `_integral` form of s;
+        the lcm pass leaves every form kept.  A key that cancels leaves the dict
+        at once, so a later term re-enters the key last, as a fold of `+` would
+        place it.  `_reduced` divides the sums and the common denominator times
+        `den` by one gcd, so the result keeps its form over the least common
+        denominator."""
+        common = lcm(*[c.denominator * (s._form or _integral(s))[0] for c, s in parts])
         out: dict = {}
-        for c, (den, nums) in parts:
-            p = c.numerator * (common // (c.denominator * den))
+        for c, s in parts:
+            d, nums = s._form
+            p = c.numerator * (common // (c.denominator * d))
             for key, n in nums:
                 total = out.get(key, 0) + p * n
                 if total:
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return self._reduced(common, list(out.items()))
+        return self._reduced(common * den, list(out.items()))
+
+    def _apply(self, images, zero):
+        """The linear extension of `images` at `self`, unchecked: the sum of
+        c*images[key] over the terms (key, c) of `self`, skipping zero images,
+        or `zero` when every image is zero.  It is one `_combine` over the
+        numerators of the form of `self`, divided by its denominator: scaling
+        every partial sum by one positive integer cancels the same keys, so
+        the term order is that of the Fraction coefficients."""
+        den, nums = self._form or _integral(self)
+        parts = [(n, img) for key, n in nums if (img := images[key]).terms]
+        return self._combine(parts, den) if parts else zero
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
@@ -188,8 +211,7 @@ class SparseSeries(Linear):
         over the least common denominator."""
         self._require_same(other)
         grade, bound = self._grade, self._space()[-1]
-        den_a, left = _integral(self)
-        den_b, right = _integral(other)
+        (den_a, left), (den_b, right) = _integral(self), _integral(other)
         graded = [(grade(term[0]), term) for term in right]
         fitting: dict = {}
         out: dict = {}

@@ -237,6 +237,8 @@ def parse_op_table(text: str) -> OpTable:
             raise ParseError(f"table header must carry ctx= and N=: {header!r}")
         ctx = parse_ctx(fields["ctx"])
         bound = _parse_int(fields["N"], "table header field N")
+        if bound < 0:
+            raise ParseError(f"table header field N: bound must be >= 0: {fields['N']!r}")
         images = {}
         for n, ln in lines[1:]:
             left, sep, right = ln.partition("->")

@@ -291,7 +291,9 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
     `mu` may be an ExponentAut or a plain integer matrix (any injective
     order-preserving relabeling, not necessarily onto).  An image outside the
     truncation at the bound (a negative entry, or weight above the bound)
-    raises instead of being dropped.
+    raises instead of being dropped.  The result is built unchecked: each key
+    is checked against the truncation, and an injective relabeling keeps the
+    keys distinct.
     """
     matrix = mu.matrix if isinstance(mu, ExponentAut) else _as_matrix(mu)
     if not isinstance(mu, ExponentAut):
@@ -302,7 +304,7 @@ def apply_oaut(mu, a: HahnPoly) -> HahnPoly:
                 f"relabeling does not preserve the order on support pair {bad[0]} < {bad[1]}"
             )
     terms = {_relabeled(a.ctx, a.bound, matrix, g): c for g, c in a.terms.items()}
-    return HahnPoly(a.ctx, a.bound, terms)
+    return HahnPoly._trusted(a._space(), terms)
 
 
 def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
@@ -313,12 +315,14 @@ def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
 def _read_through(table: OpTable, matrix: Matrix, char=None) -> OpTable:
     """table o M for the monomial map M(t^m) = char(q) t^q, q = matrix m: the
     image of t^m is table(t^q) scaled by char(q), or unscaled without `char`.
-    A q outside the truncation raises TruncationOverflowError."""
+    A q outside the truncation raises TruncationOverflowError.  The result is
+    built unchecked: its basis is the table's own, and each image is an image
+    of the table or its rescale."""
     def image(m):
         q = _relabeled(table.ctx, table.bound, matrix, m)
         return table.images[q] if char is None else table.images[q].scale(char.at(q))
 
-    return OpTable.from_function(table.ctx, table.bound, image)
+    return OpTable._trusted(table._space(), {m: image(m) for m in table.basis()})
 
 
 def gexp_table(x: CharacterX, bound: int) -> OpTable:
@@ -337,7 +341,8 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
     """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1), that is
     d read through mu^(-1), each image relabeled along mu.  mu relabels every
     basis exponent here, so a mu that leaves the truncation raises now; the
-    relabeling table itself is never built."""
+    relabeling table itself is never built, and the conjugate is built
+    unchecked over the basis of d."""
     ctx, matrix = mu.ctx, mu.matrix
     for m in weight_universe(ctx, bound):
         _relabeled(ctx, bound, matrix, m)
@@ -349,7 +354,7 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
         if d._space() != space:
             raise DimensionMismatchError(OpTable._MISMATCH)
         read = _read_through(d, back).images
-        return OpTable(ctx, bound, {m: apply_oaut(mu, img) for m, img in read.items()})
+        return OpTable._trusted(space, {m: apply_oaut(mu, img) for m, img in read.items()})
 
     return conjugate
 

@@ -422,6 +422,8 @@ NOT_NEAR_IDENTITY = "factor field 'residual' is not a near-identity automorphism
         (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^1 -> 0\n"},
          "line 3: exponent must be parenthesized: 't^1'"),
         (["exp-der", "{t}"], {"t": "ctx=lex:1 N=1\nx -> 0\n"}, "line 2: bad basis monomial 'x'"),
+        (["exp-der", "{t}"], {"t": "ctx=lex:1 N=-1\nt^(0) -> 0\n"},
+         "line 1: table header field N: bound must be >= 0: '-1'"),
         (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> (t^(1)\n"},
          "line 3: unbalanced parenthesis"),
         (["exp-der", "{t}"], {"t": TABLE_HEAD + "t^(1) -> t^(1))\n"},
@@ -448,10 +450,11 @@ NOT_NEAR_IDENTITY = "factor field 'residual' is not a near-identity automorphism
         (["vaut", "compose", "{f}"], {"f": SHIFTED_RESIDUAL}, NOT_NEAR_IDENTITY + "((1,), (1,))\n"),
     ],
     ids=[
-        "empty-series", "missing-monomial", "bare-exponent", "bad-basis", "stray-open",
-        "stray-close", "bad-letter", "float-chi", "zero-denominator-chi", "residual-type",
-        "residual-text", "no-predicate", "one-vector", "outside-check", "outside-check-json",
-        "outside-exp-der", "zero-residual", "rescale-residual", "shifted-residual",
+        "empty-series", "missing-monomial", "bare-exponent", "bad-basis", "negative-bound",
+        "stray-open", "stray-close", "bad-letter", "float-chi", "zero-denominator-chi",
+        "residual-type", "residual-text", "no-predicate", "one-vector", "outside-check",
+        "outside-check-json", "outside-exp-der", "zero-residual", "rescale-residual",
+        "shifted-residual",
     ],
 )
 def test_each_rejection_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):

@@ -3,14 +3,18 @@ space, and `lin_comb`, behind every sum of series and of tables, agrees with
 the reference fold over raw term dicts, term order included.  The product
 agrees with the reference product, every kernel result equals the same terms
 rebuilt through the checked constructor and keeps the integer form of its
-terms, and a coefficient that is not an exact rational is a TypeError."""
+terms, and a coefficient that is not an exact rational is a TypeError.  No
+module of the package imports a private name of another, so the integer form
+stays inside the kernel."""
 
+import ast
 import operator
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,10 +34,23 @@ from nseries import (
 from nseries.errors import DimensionMismatchError, IncompleteTableError, WeightBoundError
 from nseries.free_algebra import free_from_json
 from nseries.hahn_series import hahn_from_json
-from nseries.samples import random_contracting_table, random_free_series, random_hahn
+from nseries.samples import (
+    random_character,
+    random_contracting_table,
+    random_free_series,
+    random_hahn,
+)
 from nseries.sparse import _integral
 from nseries.support_order import vec_add
-from nseries.vaut_factors import middle_correspond
+from nseries.vaut_factors import (
+    ExponentAut,
+    FactorAut,
+    apply_oaut,
+    compose_factors,
+    middle_correspond,
+    oaut_table,
+    pullback_morphism,
+)
 from pairwise_oracles import reference_product, reference_sum
 
 
@@ -335,6 +352,8 @@ def test_kernel_builders_run_no_post_init(monkeypatch):
     f, g = (random_contracting_table(rng, PROD2, 3) for _ in range(2))
     a, b = random_hahn(rng, PROD2, 3), random_hahn(rng, PROD2, 3)
     p, q = random_free_series(rng, 2, 3), random_free_series(rng, 2, 3)
+    mu = ExponentAut(PROD2, ((0, 1), (1, 0)))
+    factors = FactorAut(mu, random_character(rng, PROD2), OpTable.identity(PROD2, 3) + f)
     counts = {}
     for cls in (FreeSeries, HahnPoly, OpTable):
         original = cls.__post_init__
@@ -345,7 +364,8 @@ def test_kernel_builders_run_no_post_init(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counting)
     results = [a * b, a + b, a.scale(3), p * q, p - q, -p, f + g, f.scale(2),
-               op_compose(f, g), op_apply(f, a), OpTable.identity(PROD2, 3)]
+               op_compose(f, g), op_apply(f, a), OpTable.identity(PROD2, 3), oaut_table(mu, 3),
+               compose_factors(factors), apply_oaut(mu, a), pullback_morphism(mu, 3)(f)]
     assert counts == {}
     # The checked constructors still run it.
     FreeSeries(2, 3, {}), HahnPoly(PROD2, 3, {}), OpTable.zero(PROD2, 3)
@@ -410,3 +430,19 @@ def test_ints_fractions_and_rational_strings_stay_exact():
     assert CharacterX(PROD2, (2, "1/2")).values == (2, Fraction(1, 2))
     data = {"alphabet": 1, "grade": 2, "terms": [{"word": [0], "coeff": "1/10"}, {"word": [], "coeff": 3}]}
     assert free_from_json(data).terms == {(0,): Fraction(1, 10), (): 3}
+
+
+# -- the kernel boundary ------------------------------------------------------
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = Path(__file__).resolve().parent.parent / "src" / "nseries"
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "nseries"
+            ):
+                private += [(path.name, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

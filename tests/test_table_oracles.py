@@ -167,7 +167,9 @@ def zero_image_cases(draw):
 def test_zero_images_match_the_folds(case):
     """Every power of t up to two past the bound, where t^(bound + 1) = 0, the
     zero table and the table with one zero image: their compositions with t and
-    with that table, their sums and their application, against the folds."""
+    with that table, their sums and their application, against the folds.  Each
+    image of a composition f o g is f applied to the image of g, and the images
+    that no nonzero part reaches are one zero series per result."""
     t, one_zero, a = case
     powers = [OpTable.identity(t.ctx, t.bound)]
     while len(powers) < t.bound + 3:
@@ -176,9 +178,25 @@ def test_zero_images_match_the_folds(case):
     for x in (*powers, OpTable.zero(t.ctx, t.bound), one_zero):
         for f, g in ((t, x), (x, t), (one_zero, x), (x, one_zero)):
             assert _outcome(op_compose, f, g) == _outcome(folded_compose, f, g)
+            composed = op_compose(f, g)
+            assert [_outcome(op_apply, f, img) for img in g.images.values()] == [
+                (img, list(img.terms)) for img in composed.images.values()
+            ]
+            _assert_one_shared_zero(composed, [
+                m for m, img in g.images.items() if all(f.images[k].is_zero() for k in img.terms)
+            ])
         pairs = [(1, x), (2, one_zero), (-1, x), (Fraction(1, 3), powers[-1]), (0, t)]
         assert _outcome(x.lin_comb, pairs) == _outcome(reference_sum, x, pairs)
+        _assert_one_shared_zero(x.lin_comb(pairs), [
+            m for m in x.basis() if all(table.images[m].is_zero() for _, table in pairs)
+        ])
         assert _outcome(op_apply, x, a) == _outcome(folded_apply, x, a)
+
+
+def _assert_one_shared_zero(table, exponents):
+    """The images of `table` at `exponents` are all one zero series."""
+    shared = {id(table.images[m]) for m in exponents}
+    assert len(shared) <= 1 and all(table.images[m].is_zero() for m in exponents)
 
 
 @PROPERTY

@@ -128,6 +128,11 @@ def test_table_header_with_an_out_of_range_ctx_names_line_1():
     with pytest.raises(ParseError) as info:
         parse_op_table("ctx=lex:0 N=2\nt^(0) -> 0\n")
     assert str(info.value) == "line 1: context descriptor 'lex:0': context dimension must be >= 1"
+    # A negative bound is the header's fault too, with or without a basis line.
+    for text in ("ctx=lex:1 N=-1\n", "ctx=lex:1 N=-1\nt^(0) -> 1\n"):
+        with pytest.raises(ParseError) as info:
+            parse_op_table(text)
+        assert str(info.value) == "line 1: table header field N: bound must be >= 0: '-1'"
 
 
 @given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5))
