@@ -46,7 +46,7 @@ def factorizations(theta: Word) -> list[tuple[Word, Word]]:
     return [(theta[:i], theta[i:]) for i in range(len(theta) + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeSeries(SparseSeries):
     """Element of the truncated free algebra on alphabet {0, .., m-1}.
 
@@ -118,7 +118,7 @@ class FreeSeries(SparseSeries):
         """Words of length exactly n carrying a nonzero coefficient."""
         if n > self.grade:
             raise NSeriesError(f"slice degree {n} exceeds grade bound {self.grade}")
-        return {w for w in self.terms if len(w) == n}
+        return {w for w in self.keys() if len(w) == n}
 
     def grade_slice(self, n: int) -> "FreeSeries":
         """The homogeneous degree-n part, as a series."""

@@ -17,10 +17,10 @@ from typing import Iterable, Mapping
 
 from .errors import NSeriesError, WeightBoundError
 from .sparse import SparseSeries
-from .support_order import Cmp, ExpVec, MonoidCtx, vec_add
+from .support_order import ExpVec, MonoidCtx, vec_add
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HahnPoly(SparseSeries):
     ctx: MonoidCtx
     bound: int
@@ -64,7 +64,7 @@ class HahnPoly(SparseSeries):
 
     @property
     def support(self) -> set[ExpVec]:
-        return set(self.terms)
+        return set(self.keys())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -98,9 +98,10 @@ def hp_prec(v: HahnPoly, w: HahnPoly) -> dict | None:
     if w.is_zero():
         return None
     witness: dict[ExpVec, ExpVec] = {}
+    less = v.ctx.less
     targets = [e for e, _ in w.sorted_terms()]
-    for p in sorted(v.terms):
-        hit = next((q for q in targets if v.ctx.cmp(p, q) is Cmp.GREATER), None)
+    for p in sorted(v.keys()):
+        hit = next((q for q in targets if less(q, p)), None)
         if hit is None:
             return None
         witness[p] = hit

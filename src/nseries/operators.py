@@ -43,7 +43,7 @@ from .errors import (
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
 from .sparse import Linear
-from .support_order import Cmp, ExpVec, MonoidCtx, vec_sub, weight_universe
+from .support_order import ExpVec, MonoidCtx, vec_sub, weight_universe
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class OpTable(Linear):
         zero = HahnPoly._trusted(self._space(), {})
         out = {}
         for m, img in self.images.items():
-            nonzero = [(c, x) for c, t in parts if (x := t.images[m]).terms]
+            nonzero = [(c, x) for c, t in parts if not (x := t.images[m]).is_zero()]
             out[m] = img._combine(nonzero) if nonzero else zero
         return OpTable._trusted(self._space(), out)
 
@@ -193,8 +193,9 @@ def multiplication_table(a: HahnPoly) -> OpTable:
 
 
 def in_contracting_cone(ctx: MonoidCtx, m: ExpVec, q: ExpVec) -> bool:
-    """q lies strictly above m and weight(q) >= weight(m) + 1."""
-    return ctx.weight(q) > ctx.weight(m) and ctx.cmp(m, q) is Cmp.LESS
+    """q lies strictly above m and weight(q) >= weight(m) + 1, for exponents of
+    the context's dimension, as basis and image keys are."""
+    return ctx.weight(q) > ctx.weight(m) and ctx.less(m, q)
 
 
 def op_is_contracting(table: OpTable) -> CheckResult:
@@ -205,7 +206,7 @@ def op_is_contracting(table: OpTable) -> CheckResult:
     the bound vanish on the truncated universe.
     """
     for m in table.basis():
-        for q in table.images[m].terms:
+        for q in table.images[m].keys():
             if not in_contracting_cone(table.ctx, m, q):
                 return CheckResult(False, (m, q))
     return CheckResult(True)

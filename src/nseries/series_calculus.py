@@ -153,12 +153,15 @@ def dynkin_bch(order: int) -> FreeSeries:
     """BCH series by the classical commutator formula; independent oracle.
 
     Sums, over block tuples ((r_1,s_1),..,(r_n,s_n)) with each r+s >= 1 and
-    total degree T <= order, the right-nested bracket of the block word with
-    coefficient (-1)^(n-1) / (n T prod r_i! s_i!).  The sums are integers over
+    total degree T <= order, the right-nested bracket of the block word
+    X0^r_1 X1^s_1 .. X0^r_n X1^s_n with coefficient (-1)^(n-1) / (n T prod
+    r_i! s_i!).  Many tuples spell one word (at order 8, 15,759 tuples spell
+    510 words), so each tuple's coefficient is first summed into its word, and
+    each distinct word's bracket is expanded once.  The sums are integers over
     `_dynkin_denominator(order)`, divided once at the end.
     """
     common = _dynkin_denominator(order)
-    acc: dict[Word, int] = {}
+    by_word: dict[Word, int] = {}
     for blocks in _block_tuples(order):
         n = len(blocks)
         total = sum(r + s for r, s in blocks)
@@ -167,7 +170,9 @@ def dynkin_bch(order: int) -> FreeSeries:
         for r, s in blocks:
             word = word + (0,) * r + (1,) * s
             denom *= factorial(r) * factorial(s)
-        coeff = (-1) ** (n - 1) * (common // denom)
+        by_word[word] = by_word.get(word, 0) + (-1) ** (n - 1) * (common // denom)
+    acc: dict[Word, int] = {}
+    for word, coeff in by_word.items():
         for w, c in _right_nested_bracket(word).items():
             acc[w] = acc.get(w, 0) + coeff * c
     return FreeSeries(2, order, {w: Fraction(v, common) for w, v in acc.items()})

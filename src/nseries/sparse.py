@@ -18,26 +18,36 @@ application and composition are `_apply` calls.  The evaluators of
 
 A subclass of `Linear` supplies `_combine(parts)`, the sum of c*x over its
 (c, x) parts, c a Fraction, `_space()` and the mismatch message `_MISMATCH`.
-A subclass of `SparseSeries` is a frozen dataclass whose last field is
-`terms`.  It supplies `_space()` (the fields before `terms`, the bound last),
-`_check_key`, `_grade`, `one(*space)`, `_MISMATCH` and a `__mul__` that
-passes its key product to `_product`; its `__post_init__` checks the space
-and calls `_canonicalise`.  `_combine` and `_apply` come with the base class.
+A subclass of `SparseSeries` is a frozen dataclass with `eq=False` whose
+last field is `terms`.  It supplies `_space()` (the fields before `terms`,
+the bound last), `_check_key`, `_grade`, `one(*space)`, `_MISMATCH` and a
+`__mul__` that passes its key product to `_product`; its `__post_init__`
+checks the space and calls `_canonicalise`.  `_combine`, `_apply`, `==` and
+the `terms` view come with the base class.
 
 Both loops sum plain integers over one common denominator, and only this
 module reads or writes that integer form.  `_integral` gives a series' form
-(D, numerators), D the least common denominator of its coefficients.
-`_combine` sums over the lcm of c.denominator * D across its (c, series)
-parts, `_apply` passes it the numerators of its own form as the
-coefficients, and `_product` sums over D_a * D_b.  Each then divides its
-sums and that denominator by their one gcd, which makes the denominator the
-least common one of the reduced coefficients, and keeps the result's form
-beside its canonical Fraction `terms`: the next loop reads it, never
-re-derives it.  A series from a public constructor computes its form at
-first use and keeps it.  The keys and coefficients of a kernel result are
-canonical already, so `Linear._trusted` builds it without `__post_init__`;
-the public constructors keep every check.  `exact` is the one
-exact-coefficient check: a float or any other non-rational number is a
+(D, numerators): D the least common denominator of its coefficients, and
+numerators the dict key -> coefficient * D, in term order.  `_combine` sums
+over the lcm of c.denominator * D across its (c, series) parts, `_apply`
+passes it the numerators of its own form as the coefficients, and `_product`
+sums over D_a * D_b.  Each then divides its sums and that denominator by
+their one gcd, which makes the denominator the least common one of the
+reduced coefficients.  The result holds that form and nothing else: the form
+is the representation of a kernel result, and the next loop reads it.  Its
+`terms`, the public dict of Fractions in the same term order, is a view
+built from the form on its first read and then kept, so an intermediate
+result that is only summed, multiplied, compared or tested for zero never
+builds a Fraction.  The form is canonical, so `==`
+compares the space, then the forms, and `is_zero` and `keys` read the form
+too.  The view is built by `SparseSeries.__getattr__`, which Python calls
+only while `terms` is missing, so a read after the first costs a plain
+attribute lookup (`functools.cached_property` would take a lock on its first
+read on Python 3.11).  A series from a public constructor holds its `terms`,
+and computes its form at first use and keeps it.  The keys and coefficients
+of a kernel result are canonical already, so it is built without
+`__post_init__`; the public constructors keep every check.  `exact` is the
+one exact-coefficient check: a float or any other non-rational number is a
 `TypeError`, never a binary fraction, and a string that is no rational is an
 `NSeriesError`.
 """
@@ -74,16 +84,16 @@ def exact(value) -> Fraction:
     )
 
 
-def _integral(series) -> tuple[int, list]:
-    """The form (D, [(key, n)]) of `series`: D the least common denominator of
+def _integral(series) -> tuple[int, dict]:
+    """The form (D, {key: n}) of `series`: D the least common denominator of
     its coefficients, and n each coefficient times D, in term order.  A kernel
-    result carries it from its loop; any other series computes it here once
+    result holds it from its loop; any other series computes it here once
     and keeps it."""
     form = series._form
     if form is None:
         terms = series.terms
         den = lcm(*[v.denominator for v in terms.values()])
-        form = den, [(key, v.numerator * (den // v.denominator)) for key, v in terms.items()]
+        form = den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
         object.__setattr__(series, "_form", form)
     return form
 
@@ -97,8 +107,8 @@ class Linear:
     @classmethod
     def _trusted(cls, space, body):
         """The instance whose dataclass fields are `space` then `body`, in order,
-        built without `__post_init__`: for kernel results only, whose keys and
-        values are canonical by construction."""
+        built without `__post_init__`: only for tables and series whose keys
+        and values are canonical by construction."""
         obj = object.__new__(cls)
         obj.__dict__.update(zip(cls.__dataclass_fields__, (*space, body)))
         return obj
@@ -132,9 +142,30 @@ class Linear:
 
 
 class SparseSeries(Linear):
-    """Base of `FreeSeries` and `HahnPoly`: their shared arithmetic."""
+    """Base of `FreeSeries` and `HahnPoly`: their shared arithmetic, equality
+    and `terms` view.  A subclass is a dataclass with `eq=False`, so `==` is
+    the one below, and `hash()` is a TypeError, as for any mutable map."""
 
     _form = None  # the `_integral` form, once known; not a dataclass field
+
+    def __getattr__(self, name):
+        """`terms` of a kernel result: the Fractions n/D of its form, in term
+        order, built on the first read and kept.  Any other missing name is an
+        AttributeError."""
+        if name != "terms" or self._form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, nums = self._form
+        terms = {key: Fraction(n, den) for key, n in nums.items()}
+        object.__setattr__(self, "terms", terms)
+        return terms
+
+    def __eq__(self, other):
+        """Same type, same space and the same terms: the forms are canonical, so
+        the term maps agree exactly when the forms do."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space() == other._space() and (
+            (self._form or _integral(self)) == (other._form or _integral(other)))
 
     def _canonicalise(self) -> None:
         """Check every key, make every coefficient a Fraction and drop the zeros."""
@@ -157,7 +188,11 @@ class SparseSeries(Linear):
         return self.terms.get(tuple(key), _ZERO)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._form or _integral(self))[1]
+
+    def keys(self):
+        """The keys of the terms, in term order, read off the form."""
+        return (self._form or _integral(self))[1].keys()
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms by grade, then by key."""
@@ -182,13 +217,13 @@ class SparseSeries(Linear):
         for c, s in parts:
             d, nums = s._form
             p = c.numerator * (common // (c.denominator * d))
-            for key, n in nums:
+            for key, n in nums.items():
                 total = out.get(key, 0) + p * n
                 if total:
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return self._reduced(common * den, list(out.items()))
+        return self._reduced(common * den, out)
 
     def _apply(self, images, zero):
         """The linear extension of `images` at `self`, unchecked: the sum of
@@ -198,7 +233,8 @@ class SparseSeries(Linear):
         every partial sum by one positive integer cancels the same keys, so
         the term order is that of the Fraction coefficients."""
         den, nums = self._form or _integral(self)
-        parts = [(n, img) for key, n in nums if (img := images[key]).terms]
+        parts = [(n, img) for key, n in nums.items()
+                 if ((img := images[key])._form or _integral(img))[1]]
         return self._combine(parts, den) if parts else zero
 
     def _product(self, other, key_mul: Callable):
@@ -212,10 +248,10 @@ class SparseSeries(Linear):
         self._require_same(other)
         grade, bound = self._grade, self._space()[-1]
         (den_a, left), (den_b, right) = _integral(self), _integral(other)
-        graded = [(grade(term[0]), term) for term in right]
+        graded = [(grade(term[0]), term) for term in right.items()]
         fitting: dict = {}
         out: dict = {}
-        for ka, na in left:
+        for ka, na in left.items():
             room = bound - grade(ka)
             row = fitting.get(room)
             if row is None:
@@ -223,20 +259,22 @@ class SparseSeries(Linear):
             for kb, nb in row:
                 key = key_mul(ka, kb)
                 out[key] = out.get(key, 0) + na * nb
-        return self._reduced(den_a * den_b, [(key, n) for key, n in out.items() if n])
+        return self._reduced(den_a * den_b, {key: n for key, n in out.items() if n})
 
-    def _reduced(self, common: int, nums: list):
-        """The series sum of n/common t^key over the (key, n) pairs, n nonzero and
-        keys distinct, in the space of `self`, with its form kept.  One gcd g of
-        common and every n gives the form (common/g, [(key, n/g)]): its
+    def _reduced(self, common: int, nums: dict):
+        """The series sum of n/common t^key over the items key -> n of `nums`, n
+        nonzero, in the space of `self`, held as its form alone.  One gcd g of
+        common and every n gives the form (common/g, {key: n/g}): its
         denominator is the least common one of the reduced coefficients, since
-        for every prime p of common/g some n/g is prime to p."""
-        g = gcd(common, *[n for _, n in nums])
+        for every prime p of common/g some n/g is prime to p.  The result's
+        dataclass fields are the space and no `terms`, which `__getattr__`
+        builds on the first read."""
+        g = gcd(common, *nums.values())
         if g > 1:
             common //= g
-            nums = [(key, n // g) for key, n in nums]
-        result = self._trusted(self._space(), {key: Fraction(n, common) for key, n in nums})
-        object.__setattr__(result, "_form", (common, nums))
+            nums = {key: n // g for key, n in nums.items()}
+        result = object.__new__(type(self))
+        result.__dict__.update(zip(self.__dataclass_fields__, self._space()), _form=(common, nums))
         return result
 
     def power(self, n: int):

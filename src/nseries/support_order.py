@@ -3,6 +3,12 @@
 Exponents are integer tuples.  A context fixes the dimension, one of three
 translation-invariant partial orders (lexicographic, componentwise product,
 weight-then-lex) and an additive weight used for truncation bookkeeping.
+`MonoidCtx.cmp` is the checked comparison of the public API: it validates
+both exponents and names the relation.  `MonoidCtx.less(a, b)` is the strict
+order alone, for exponents already validated (series keys, table bases): the
+test is chosen once per context when it is built, `a < b` for lex,
+`(w(a), a) < (w(b), b)` for weighted and `a != b and all(map(le, a, b))` for
+the product order, so a loop over keys pays for no check and no dispatch.
 `MonoidCtx.generators` gives the unit vectors e_i to every module, and
 `operator.index` rejects a non-integral exponent, weight or dimension with
 TypeError.  `MonoidCtx.in_truncation` is the one membership test of the
@@ -48,9 +54,20 @@ def vec_sub(a: ExpVec, b: ExpVec) -> ExpVec:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _product_less(a: ExpVec, b: ExpVec) -> bool:
+    return a != b and all(map(operator.le, a, b))
+
+
+def _weighted_less(weights: tuple[int, ...], a: ExpVec, b: ExpVec) -> bool:
+    return (sum(map(operator.mul, weights, a)), a) < (sum(map(operator.mul, weights, b)), b)
+
+
 @dataclass(frozen=True)
 class MonoidCtx:
-    """Exponent monoid Z^dim with a fixed order and additive weight."""
+    """Exponent monoid Z^dim with a fixed order and additive weight.
+
+    `less(a, b)`, the unchecked strict order, is set when the context is
+    built; it is no dataclass field, so equality and hashing ignore it."""
 
     dim: int
     kind: str
@@ -67,6 +84,9 @@ class MonoidCtx:
             raise DimensionMismatchError("weight vector length must match dimension")
         if any(w < 1 for w in self.weights):
             raise NSeriesError("weights must be positive integers")
+        less = {LEX: operator.lt, PRODUCT: _product_less,
+                WEIGHTED: functools.partial(_weighted_less, self.weights)}[self.kind]
+        object.__setattr__(self, "less", less)
 
     @classmethod
     def lex(cls, dim: int) -> "MonoidCtx":
@@ -93,13 +113,14 @@ class MonoidCtx:
         return v
 
     def weight(self, m: ExpVec) -> int:
-        return sum(w * x for w, x in zip(self.weights, m))
+        return sum(map(operator.mul, self.weights, m))
 
     def in_truncation(self, m: ExpVec, bound: int) -> bool:
         """m lies in the truncation at `bound`: no negative entry, weight <= bound."""
         return min(m) >= 0 and self.weight(m) <= bound
 
     def cmp(self, a: ExpVec, b: ExpVec) -> Cmp:
+        """The relation of a to b, both checked by `check_vec`."""
         a = self.check_vec(a)
         b = self.check_vec(b)
         if a == b:
@@ -138,12 +159,8 @@ class FinitePosetFragment:
 
 def minimal_elements(frag: FinitePosetFragment) -> set[ExpVec]:
     """Elements of the fragment with no strictly smaller element in it."""
-    ctx = frag.ctx
-    out = set()
-    for e in frag.elements:
-        if not any(ctx.cmp(other, e) is Cmp.LESS for other in frag.elements if other != e):
-            out.add(e)
-    return out
+    less, elements = frag.ctx.less, frag.elements
+    return {e for e in elements if not any(less(other, e) for other in elements)}
 
 
 def max_antichain(frag: FinitePosetFragment) -> set[ExpVec]:

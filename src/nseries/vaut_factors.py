@@ -14,8 +14,9 @@ M(t^m) = c(q) t^q, q = matrix m (`_read_through`).  The rescale, the
 diagonal derivation and the relabeling are the identity read through (I, x),
 (I, alpha) and (mu, 1).  `compose_factors` reads the residual through
 (mu, chi), `pullback_morphism` reads d through mu^(-1) and relabels each
-image along mu, and the residual of `decompose_vaut` is sigma read through
-mu^(-1) and rescaled.  So no table is composed with a factor table; the
+image along mu (through the basis permutation m -> mu m, built once), and
+the residual of `decompose_vaut` is sigma read through mu^(-1) and
+rescaled.  So no table is composed with a factor table; the
 chains that do so are oracles in `tests/pairwise_oracles.py`.
 `decompose_vaut` checks each input once and reads all three factors off the
 generator images and one pass of mu over the basis.  What holds by
@@ -340,21 +341,27 @@ def gder_table(alpha: AdditiveChar, bound: int) -> OpTable:
 def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTable]:
     """Conjugation by the relabeling table: d -> O_mu o d o O_mu^(-1), that is
     d read through mu^(-1), each image relabeled along mu.  mu relabels every
-    basis exponent here, so a mu that leaves the truncation raises now; the
-    relabeling table itself is never built, and the conjugate is built
-    unchecked over the basis of d."""
+    basis exponent here, so a mu that leaves the truncation raises now.
+    Otherwise mu, being injective, maps the finite basis onto itself: the map
+    m -> mu m and its inverse are built once as dicts, and the conjugation
+    reads and relabels through them.  The relabeling table itself is never
+    built, and the conjugate is built unchecked over the basis of d."""
     ctx, matrix = mu.ctx, mu.matrix
-    for m in weight_universe(ctx, bound):
-        _relabeled(ctx, bound, matrix, m)
-    space, back = (ctx, operator.index(bound)), mat_inverse(matrix)
+    basis = weight_universe(ctx, bound)
+    forward = {m: _relabeled(ctx, bound, matrix, m) for m in basis}
+    back = {q: m for m, q in forward.items()}
+    space = (ctx, operator.index(bound))
 
     def conjugate(d: OpTable) -> OpTable:
         if not isinstance(d, OpTable):
             raise TypeError(f"expected OpTable, got {type(d).__name__}")
         if d._space() != space:
             raise DimensionMismatchError(OpTable._MISMATCH)
-        read = _read_through(d, back).images
-        return OpTable._trusted(space, {m: apply_oaut(mu, img) for m, img in read.items()})
+        images = d.images
+        return OpTable._trusted(space, {
+            m: HahnPoly._trusted(space, {forward[g]: c for g, c in images[back[m]].terms.items()})
+            for m in basis
+        })
 
     return conjugate
 

@@ -32,7 +32,11 @@ rechecked decomposition scans the lead of every basis image, inverts mu by
 the factors, where `decompose_vaut` reads the split off the generator images
 alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
-mirrors the right-nested expansion.  The `Fraction` Gauss-Jordan elimination
+mirrors the right-nested expansion.  The per-tuple Dynkin sum expands the
+right-nested bracket of every block tuple's word, where `dynkin_bch` sums the
+tuples' coefficients into their words and expands each distinct word once.
+The cone test decides `in_contracting_cone` through the checked `cmp`, where
+`nseries.operators` reads the context's compiled strict order `less`.  The `Fraction` Gauss-Jordan elimination
 on [mat | I] checks `mat_det` and `mat_inverse`, which eliminate fraction-free
 over the integers.  The exp-log iterate evaluates two series, exp(c log s),
 where `fractional_iterate` evaluates the binomial series (1 + X0)^c once.
@@ -40,6 +44,7 @@ where `fractional_iterate` evaluates the binomial series (1 + X0)^c once.
 
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 from nseries import (
     CharacterX,
@@ -52,6 +57,7 @@ from nseries import (
     HahnPoly,
     IncompleteTableError,
     NotDecomposableError,
+    Cmp,
     NSeriesError,
     OpTable,
     apply_gexp,
@@ -66,6 +72,7 @@ from nseries import (
     op_log,
     word_concat,
 )
+from nseries.series_calculus import _block_tuples, _dynkin_denominator, _right_nested_bracket
 from nseries.support_order import vec_add, vec_sub
 from nseries.vaut_factors import mat_vec
 
@@ -398,3 +405,25 @@ def left_normed_bracket_loop(word):
             nxt[right] = nxt.get(right, 0) - c
         acc = {w: c for w, c in nxt.items() if c != 0}
     return acc
+
+
+def per_tuple_dynkin_bch(order):
+    """The commutator formula of `dynkin_bch`, one right-nested bracket
+    expansion per block tuple: integers over `_dynkin_denominator(order)`."""
+    common = _dynkin_denominator(order)
+    acc = {}
+    for blocks in _block_tuples(order):
+        n = len(blocks)
+        word, denom = (), n * sum(r + s for r, s in blocks)
+        for r, s in blocks:
+            word += (0,) * r + (1,) * s
+            denom *= factorial(r) * factorial(s)
+        coeff = (-1) ** (n - 1) * (common // denom)
+        for w, c in _right_nested_bracket(word).items():
+            acc[w] = acc.get(w, 0) + coeff * c
+    return FreeSeries(2, order, {w: Fraction(v, common) for w, v in acc.items()})
+
+
+def cmp_contracting_cone(ctx, m, q) -> bool:
+    """q strictly above m by the checked `cmp`, and weight(q) >= weight(m) + 1."""
+    return ctx.weight(q) > ctx.weight(m) and ctx.cmp(m, q) is Cmp.LESS

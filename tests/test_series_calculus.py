@@ -21,7 +21,7 @@ from nseries import (
 )
 from nseries.samples import random_free_series
 from nseries.series_calculus import _block_tuples, _dynkin_denominator, _left_normed_bracket
-from pairwise_oracles import left_normed_bracket_loop
+from pairwise_oracles import left_normed_bracket_loop, per_tuple_dynkin_bch
 
 
 def x(i, grade):
@@ -170,9 +170,15 @@ def test_dynkin_bch_low_orders():
     assert dynkin_bch(1) == FreeSeries(2, 1, {(0,): 1, (1,): 1})
 
 
-@pytest.mark.parametrize("order", range(1, 8))
+@pytest.mark.parametrize("order", range(1, 10))
 def test_oracle_agreement(order):
     assert bch_product(order) == dynkin_bch(order)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_dynkin_bch_matches_the_per_tuple_expansion(order):
+    fast, slow = dynkin_bch(order), per_tuple_dynkin_bch(order)
+    assert fast == slow and fast.sorted_terms() == slow.sorted_terms()
 
 
 def test_every_dynkin_term_divides_the_common_denominator():

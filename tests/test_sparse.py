@@ -2,8 +2,12 @@
 space, and `lin_comb`, behind every sum of series and of tables, agrees with
 the reference fold over raw term dicts, term order included.  The product
 agrees with the reference product, every kernel result equals the same terms
-rebuilt through the checked constructor and keeps the integer form of its
-terms, and a coefficient that is not an exact rational is a TypeError.  No
+rebuilt through the checked constructor and holds the integer form of its
+terms.  That form is a kernel result's representation: its `terms` is built
+on the first read and then matches the reference fold, term order included,
+while `==` and `is_zero` read the form alone; equality is type, space and
+term map, series are unhashable and their repr is unchanged.  A coefficient
+that is not an exact rational is a TypeError.  No
 module of the package imports a private name of another, so the integer form
 stays inside the kernel."""
 
@@ -27,6 +31,7 @@ from nseries import (
     HahnPoly,
     MonoidCtx,
     OpTable,
+    multiplication_table,
     op_apply,
     op_compose,
     weight_universe,
@@ -51,7 +56,7 @@ from nseries.vaut_factors import (
     oaut_table,
     pullback_morphism,
 )
-from pairwise_oracles import reference_product, reference_sum
+from pairwise_oracles import folded_apply, reference_product, reference_sum
 
 
 def lin_comb(a, b):
@@ -253,9 +258,9 @@ def form_operands(draw):
 
 
 def _form_of_terms(x):
-    """(D, [(key, n)]) recomputed from the terms: D the lcm of the denominators."""
+    """(D, {key: n}) recomputed from the terms: D the lcm of the denominators."""
     den = lcm(*[v.denominator for v in x.terms.values()])
-    return den, [(key, v.numerator * den // v.denominator) for key, v in x.terms.items()]
+    return den, {key: v.numerator * den // v.denominator for key, v in x.terms.items()}
 
 
 @PROPERTY
@@ -267,7 +272,8 @@ def test_every_kernel_result_keeps_the_form_of_its_terms(case):
     assert _integral(a) is _integral(a)
     inv = 1 / Fraction(c)
     for x in _series_results(a, b, c) + [a.scale(c) * b.scale(inv), a.scale(inv) * a]:
-        assert vars(x)["_form"] == _form_of_terms(x)
+        form = vars(x)["_form"]
+        assert form == _form_of_terms(x) and list(form[1]) == list(x.terms)
 
 
 @settings(max_examples=40)
@@ -278,6 +284,68 @@ def test_every_table_result_equals_its_checked_rebuild(seed, c):
     for x in (f + g, f - f, f.lin_comb([(c, f), (BIG[0], g)]), op_compose(f, g),
               op_compose(f, OpTable.zero(W12, 4))):
         assert _with_order(x) == _with_order(_rebuilt(x))
+
+
+# -- the form is the representation: `terms` is a view built on first read ----
+
+
+@PROPERTY
+@given(operands())
+@example(PRODUCT_CASES[0])
+@example(PRODUCT_CASES[1])
+@example(PRODUCT_CASES[2])
+def test_a_late_read_of_terms_matches_the_reference_fold(case):
+    a, b, c = case
+    cancelling = [(c, a), (1, b), (-c, a), (-1, b)]
+    cases = [(a * b, reference_product(a, b)), (b * a, reference_product(b, a)),
+             (a.lin_comb(cancelling), reference_sum(a, cancelling)),
+             (a.lin_comb(cancelling[:3]), reference_sum(a, cancelling[:3]))]
+    for x, ref in cases:
+        assert "terms" not in vars(x)
+        assert list(x.terms.items()) == list(ref.terms.items())
+    if isinstance(a, HahnPoly):
+        table = multiplication_table(b)
+        x = op_apply(table, a)
+        assert "terms" not in vars(x) or not x.terms  # only the shared zero holds its terms
+        assert list(x.terms.items()) == list(folded_apply(table, a).terms.items())
+
+
+def _equality_operands(a, b, c):
+    """Kernel results with unread terms, public-constructor series of the same
+    space, the same terms one bound up, a series of the other class and None."""
+    space = a._space()
+    other = FreeSeries(1, 2, {}) if isinstance(a, HahnPoly) else HahnPoly(LEX1, 2, {})
+    return [a * b, b * a, a + b, b + a, a - a, a.scale(c), a, b, _rebuilt(a * b),
+            a.zero(*space), type(a)(*space[:-1], space[-1] + 1, dict(a.terms)), other]
+
+
+@PROPERTY
+@given(operands())
+@example(PRODUCT_CASES[1])
+@example((FreeSeries(1, 2, {(): 1, (0,): 2}), FreeSeries(1, 2, {(0,): 2, (): 1}), 1))
+def test_equality_is_type_space_and_term_maps(case):
+    left, right = _equality_operands(*case), _equality_operands(*case) + [None]
+    unread = [x for x in left + right if x is not None and "terms" not in vars(x)]
+    assert unread
+    got = [[x == y for y in right] for x in left]
+    zero = [x.is_zero() for x in left]
+    assert all("terms" not in vars(x) for x in unread)
+    assert got == [[type(x) is type(y) and x._space() == y._space() and x.terms == y.terms
+                    for y in right] for x in left]
+    assert zero == [not x.terms for x in left]
+
+
+def test_series_are_unhashable_and_keep_their_repr():
+    a = FreeSeries(2, 3, {(1,): Fraction(1, 2), (): 3})
+    h = HahnPoly(PROD2, 3, {(1, 0): -2, (0, 1): Fraction(1, 3)})
+    for x in (a, a * a, a - a, h, h * h, h.lin_comb([(2, h), (-1, h)])):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+        assert repr(x) == repr(_rebuilt(x))
+    assert repr(a * a) == ("FreeSeries(alphabet_size=2, grade=3, terms={(1, 1): Fraction(1, 4), "
+                           "(1,): Fraction(3, 1), (): Fraction(9, 1)})")
+    assert repr(h - h) == ("HahnPoly(ctx=MonoidCtx(dim=2, kind='product', weights=(1, 1)), "
+                           "bound=3, terms={})")
 
 
 @pytest.mark.parametrize(

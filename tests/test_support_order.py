@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nseries import (
     Cmp,
@@ -17,7 +19,9 @@ from nseries import (
     weight_universe,
 )
 from nseries.errors import DimensionMismatchError
+from nseries.operators import in_contracting_cone
 from nseries.support_order import closure_cmp, last_letter, vec_add
+from pairwise_oracles import cmp_contracting_cone
 
 
 LEX1 = MonoidCtx.lex(1)
@@ -62,6 +66,56 @@ def test_cmp_never_incomparable_on_linear_orders():
             a = (rng.randint(-3, 3), rng.randint(-3, 3))
             b = (rng.randint(-3, 3), rng.randint(-3, 3))
             assert ctx.cmp(a, b) is not Cmp.INCOMPARABLE
+
+
+# Negative entries as in the probe vectors of `ExponentAut`, beside basis exponents.
+ENTRIES = st.integers(-3, 6)
+
+
+@st.composite
+def contexts(draw):
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("lex", "product", "weighted")))
+    if kind == "weighted":
+        return MonoidCtx.weighted(*draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))
+    return getattr(MonoidCtx, kind)(dim)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """A context of dimension 1-3 and two exponents of it, equal about half the time."""
+    ctx = draw(contexts())
+    vec = st.tuples(*[ENTRIES] * ctx.dim)
+    a = draw(vec)
+    return ctx, a, draw(st.one_of(st.just(a), vec))
+
+
+@settings(max_examples=400)
+@given(exponent_pairs())
+@example((W12, (2, 0), (0, 1)))
+@example((PROD2, (-3, 6), (6, -3)))
+def test_less_is_the_strict_part_of_cmp(case):
+    ctx, a, b = case
+    assert ctx.less(a, b) == (ctx.cmp(a, b) is Cmp.LESS)
+    assert in_contracting_cone(ctx, a, b) == cmp_contracting_cone(ctx, a, b)
+
+
+@settings(max_examples=150)
+@given(contexts().flatmap(lambda ctx: st.tuples(
+    st.just(ctx), st.lists(st.tuples(*[ENTRIES] * ctx.dim), max_size=8))))
+def test_minimal_elements_match_the_cmp_scan(case):
+    ctx, elements = case
+    frag = FinitePosetFragment.of(ctx, elements)
+    assert minimal_elements(frag) == {
+        e for e in frag.elements
+        if not any(ctx.cmp(other, e) is Cmp.LESS for other in frag.elements)
+    }
+
+
+def test_the_compiled_order_is_no_field():
+    assert MonoidCtx.lex(2) == MonoidCtx(2, "lex", (1, 1))
+    assert hash(MonoidCtx.weighted(1, 2)) == hash(MonoidCtx(2, "weighted", (1, 2)))
+    assert "less" not in repr(PROD2)
 
 
 def test_translation_invariance():

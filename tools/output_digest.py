@@ -8,7 +8,8 @@ iterate, beside their own 1/2; and `verify <suite> --json` for every
 suite name at (order, trials, seed) = (6, 10, 1) and (8, 5, 7).  It adds
 `op eval` of a seeded free series at two seeded contracting tables in three
 contexts at seeds 1-3, `bch --order 8 --json`, `bch --order 6 --oracle` with
-and without `--json`, and `series exp|log --order 8`.  It runs `order
+and without `--json`, `bch --order 8 --oracle --json`, and `series exp|log
+--order 8`.  It runs `order
 cmp|minimal|antichain|closure` in three contexts, and `op check` on a passing
 and a failing table, each as text and with `--json`.  In the same three
 contexts it makes one failing call per check the command line reaches:
@@ -191,6 +192,7 @@ def main() -> None:
                      strip=tmp + "/")
     for argv in (["bch", "--order", "8", "--json"], ["bch", "--order", "6", "--oracle"],
                  ["bch", "--order", "6", "--oracle", "--json"],
+                 ["bch", "--order", "8", "--oracle", "--json"],
                  ["series", "exp", "--order", "8"], ["series", "log", "--order", "8"]):
         feed((h, groups["bch/series"]), argv)
     for descr in ORDER_CONTEXTS:
