@@ -1,12 +1,14 @@
 """Strongly linear operators on truncated Hahn series, as monomial tables.
 
-An operator is stored as the family of images of every basis monomial t^m
-with m in the truncation at N (`MonoidCtx.in_truncation`), and acts on a
-series by linear extension over its finite support.  Tables reach image
-arithmetic only through the kernel of `nseries.sparse`: a sum of tables is
-`Linear.lin_comb`, one `_combine` of the images at each basis exponent, and
-application and composition are calls of the kernel's linear extension
-`_apply`, so this module never reads a series' integer form.
+An operator is the family of images of every basis monomial t^m with m in
+the truncation at N (`MonoidCtx.in_truncation`), and acts on a series by
+linear extension over its finite support.  `OpTable` is a `SparseTable` of
+the kernel of `nseries.sparse`, which holds a table as one integer matrix
+over one common denominator: a sum of tables is `Linear.lin_comb`, one loop
+over the rows of every part, and application and composition are the
+kernel's `_apply` and `_compose`, one loop over the rows of both operands.
+The `images` of a kernel result are built on their first read, so this
+module never reads an integer form.
 
 Contracting tables (every image supported strictly above its basis exponent,
 with weight raised by at least one) are the operators for which evaluation
@@ -42,8 +44,10 @@ from .errors import (
 )
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
-from .sparse import Linear
+from .sparse import SparseTable
 from .support_order import ExpVec, MonoidCtx, vec_sub, weight_universe
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,14 @@ class CheckResult:
             raise error(message.format(self.witness), witness=self.witness)
 
 
-@dataclass(frozen=True)
-class OpTable(Linear):
+@dataclass(frozen=True, eq=False)
+class OpTable(SparseTable):
     """Image table of a strongly linear operator at truncation.
 
     `images` must assign a series to every exponent of the truncation at
     bound, `weight_universe(ctx, bound)`, and to nothing else; a missing or
-    extra key fails fast.
+    extra key fails fast.  Two tables are equal when their contexts, bounds
+    and images agree, and a table is unhashable.
     """
 
     ctx: MonoidCtx
@@ -77,6 +82,7 @@ class OpTable(Linear):
     images: dict = field(default_factory=dict)
 
     _MISMATCH = "tables live over different contexts or bounds"
+    _IMAGE = HahnPoly
 
     def __post_init__(self):
         object.__setattr__(self, "bound", operator.index(self.bound))
@@ -112,13 +118,11 @@ class OpTable(Linear):
 
     @classmethod
     def identity(cls, ctx: MonoidCtx, bound: int) -> "OpTable":
-        """t^m -> t^m on the basis, built unchecked: each image is one basis
-        monomial with coefficient 1, canonical by construction.  The bound is
-        an `operator.index`, as in the checked constructor."""
-        space, one = (ctx, operator.index(bound)), Fraction(1)
-        return cls._trusted(space, {
-            m: HahnPoly._trusted(space, {m: one}) for m in weight_universe(ctx, bound)
-        })
+        """t^m -> t^m on the basis, the kernel's `_unit`, built unchecked: each
+        image is one basis monomial with coefficient 1, canonical by
+        construction.  The bound is an `operator.index`, as in the checked
+        constructor."""
+        return cls._unit((ctx, operator.index(bound)), weight_universe(ctx, bound))
 
     one = identity
 
@@ -138,40 +142,22 @@ class OpTable(Linear):
         """Composition, `op_compose(self, other)`."""
         return op_compose(self, other)
 
-    def _combine(self, parts) -> "OpTable":
-        """The sum of c*t over the (c, t) parts, unchecked: each basis image is
-        one `HahnPoly._combine` of the nonzero images at its exponent; with
-        none, it is one zero series shared by the table."""
-        zero = HahnPoly._trusted(self._space(), {})
-        out = {}
-        for m, img in self.images.items():
-            nonzero = [(c, x) for c, t in parts if not (x := t.images[m]).is_zero()]
-            out[m] = img._combine(nonzero) if nonzero else zero
-        return OpTable._trusted(self._space(), out)
-
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images.values())
-
 
 def op_apply(table: OpTable, a: HahnPoly) -> HahnPoly:
-    """Apply by linear extension over the support of `a`: one `a._apply` of
-    the table's images.  Every exponent of `a` lies in the truncation of its
+    """Apply by linear extension over the support of `a`: the kernel's
+    `table._apply(a)`.  Every exponent of `a` lies in the truncation of its
     space, which is the table's basis, so each has an image in that space."""
     if table.ctx != a.ctx or table.bound != a.bound:
         raise DimensionMismatchError("operator and series contexts differ")
-    return a._apply(table.images, HahnPoly._trusted(a._space(), {}))
+    return table._apply(a)
 
 
 def op_compose(f: OpTable, g: OpTable) -> OpTable:
-    """(f o g): each image of g is applied through f, one `_apply` of the
-    images of f, over the basis of g, so the table is complete by construction
-    and is built unchecked.  The images of g that f sends to zero share one
-    zero series."""
+    """(f o g): the kernel's `f._compose(g)`, each image of g applied through
+    f, so the table is complete by construction and is built unchecked.  The
+    images of g that f sends to zero share one zero series."""
     f._require_same(g)
-    zero = HahnPoly._trusted(f._space(), {})
-    return OpTable._trusted(f._space(), {
-        m: img._apply(f.images, zero) for m, img in g.images.items()
-    })
+    return f._compose(g)
 
 
 def op_lin_sum(tables: Sequence[OpTable]) -> OpTable:
@@ -223,9 +209,11 @@ def _generator_walk(ctx: MonoidCtx, bound: int):
 
 
 def _leibniz(images, rest, e) -> HahnPoly:
-    """D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest)."""
-    ctx, bound = images[e].ctx, images[e].bound
-    t_rest, t_e = HahnPoly.monomial(ctx, bound, rest), HahnPoly.monomial(ctx, bound, e)
+    """D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest).  rest and e come from the
+    generator walk, so both lie in the basis and their monomials are built
+    unchecked."""
+    space = images[e]._space()
+    t_rest, t_e = HahnPoly._trusted(space, {rest: _ONE}), HahnPoly._trusted(space, {e: _ONE})
     return images[e] * t_rest + t_e * images[rest]
 
 

@@ -1,55 +1,63 @@
-"""The sparse graded kernel shared by the free algebra and the Hahn series.
+"""The sparse graded kernel shared by the free algebra, the Hahn series and
+the operator tables.
 
 A series maps keys to nonzero exact rationals, each key of grade at most the
 bound.  The grade is nonnegative and additive under the key product, so the
 product never visits the pairs whose grades sum past the bound, and stays
-exact modulo the ideal of keys above the bound.
+exact modulo the ideal of keys above the bound.  A table maps each basis key
+to an image series, and is an element of the same linear space protocol.
 
 `Linear.lin_comb` is the one checked entry that sums several series, or
-several operator tables: it checks each operand's space and each coefficient,
-then calls the class's unchecked `_combine`.  `+`, `-`, negation and scaling
-are one `lin_comb` call each.  `SparseSeries._combine` is the integer loop
-behind every sum, and `SparseSeries._apply(images, zero)` the one linear
-extension: the sum of c*images[key] over the terms (key, c) of a series.
-Operator tables reach image arithmetic only through these two: a table's
-`_combine` is one `_combine` of the images at each basis exponent, and
-application and composition are `_apply` calls.  The evaluators of
-`nseries.free_algebra` sum their products with one `lin_comb`.
+several tables: it checks each operand's space and each coefficient, then
+calls the class's unchecked `_combine`.  `+`, `-`, negation and scaling are
+one `lin_comb` call each.  `SparseSeries._combine` and `SparseTable._combine`
+are the integer loops behind every sum, and `SparseTable._compose` and
+`SparseTable._apply` the one linear extension, of a table's rows through
+another table or at a series.  The evaluators of `nseries.free_algebra` sum
+their products with one `lin_comb`.
 
-A subclass of `Linear` supplies `_combine(parts)`, the sum of c*x over its
-(c, x) parts, c a Fraction, `_space()` and the mismatch message `_MISMATCH`.
-A subclass of `SparseSeries` is a frozen dataclass with `eq=False` whose
-last field is `terms`.  It supplies `_space()` (the fields before `terms`,
-the bound last), `_check_key`, `_grade`, `one(*space)`, `_MISMATCH` and a
-`__mul__` that passes its key product to `_product`; its `__post_init__`
-checks the space and calls `_canonicalise`.  `_combine`, `_apply`, `==` and
-the `terms` view come with the base class.
+A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
+is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
+view, the bound last), `_MISMATCH`, the mismatch message, and `_view()`,
+which builds the view from the integer form.  A subclass of `SparseSeries`
+also supplies `_check_key`, `_grade`, `one(*space)` and a `__mul__` that
+passes its key product to `_product`; its `__post_init__` checks the space
+and calls `_canonicalise`.  A subclass of `SparseTable` supplies `basis()`,
+the basis keys in order, and `_IMAGE`, the series class of its images.
+`_combine`, `==`, `is_zero` and the view come with the base classes, and
+`hash()` is a TypeError, as for any mutable map.
 
-Both loops sum plain integers over one common denominator, and only this
-module reads or writes that integer form.  `_integral` gives a series' form
-(D, numerators): D the least common denominator of its coefficients, and
-numerators the dict key -> coefficient * D, in term order.  `_combine` sums
-over the lcm of c.denominator * D across its (c, series) parts, `_apply`
-passes it the numerators of its own form as the coefficients, and `_product`
-sums over D_a * D_b.  Each then divides its sums and that denominator by
-their one gcd, which makes the denominator the least common one of the
-reduced coefficients.  The result holds that form and nothing else: the form
-is the representation of a kernel result, and the next loop reads it.  Its
-`terms`, the public dict of Fractions in the same term order, is a view
-built from the form on its first read and then kept, so an intermediate
-result that is only summed, multiplied, compared or tested for zero never
-builds a Fraction.  The form is canonical, so `==`
-compares the space, then the forms, and `is_zero` and `keys` read the form
-too.  The view is built by `SparseSeries.__getattr__`, which Python calls
-only while `terms` is missing, so a read after the first costs a plain
+Every loop sums plain integers over one common denominator, and only this
+module reads or writes that integer form.  A series' form is (D, numerators):
+D the least common denominator of its coefficients, and numerators the dict
+key -> coefficient * D, in term order (`_integral`).  A table's form is (D,
+rows): D the least common denominator of every coefficient of every image,
+and rows the dict basis key -> {image key: coefficient * D} of the nonzero
+images, each in term order (`_table_form`).  `SparseSeries._combine` sums over
+the lcm of c.denominator * D across its (c, series) parts, `_product` over
+D_a * D_b, `SparseTable._combine` over the lcm of c.denominator * D across its
+(c, table) parts, and `_compose` and `_apply` over D_f * D_g.  Each then
+divides its sums and that denominator by their one gcd, which makes the
+denominator the least common one of the reduced coefficients.  The result
+holds that form and nothing else: the form is the representation of a kernel
+result, and the next loop reads it.  Its view is built from the form on its
+first read and then kept: a series' `terms`, the public dict of Fractions in
+the same term order, and a table's `images`, one series per basis key in
+basis order, each nonzero image over its own least common denominator and
+every zero image one zero series shared by the table.  So an intermediate
+result that is only summed, multiplied, composed, compared or tested for
+zero builds no Fraction and no image.  The form is canonical, so `==`
+compares the type, the space and the forms, and `is_zero` and `keys` read
+the form too.  The view is built by `Linear.__getattr__`, which Python calls
+only while the view is missing, so a read after the first costs a plain
 attribute lookup (`functools.cached_property` would take a lock on its first
-read on Python 3.11).  A series from a public constructor holds its `terms`,
-and computes its form at first use and keeps it.  The keys and coefficients
-of a kernel result are canonical already, so it is built without
-`__post_init__`; the public constructors keep every check.  `exact` is the
-one exact-coefficient check: a float or any other non-rational number is a
-`TypeError`, never a binary fraction, and a string that is no rational is an
-`NSeriesError`.
+read on Python 3.11).  A series or table from a public constructor, or from
+`_trusted`, holds its view and computes its form at first use and keeps it.
+The keys and coefficients of a kernel result are canonical already, so it
+is built without `__post_init__`; the public constructors keep every check.
+`exact` is the one exact-coefficient check: a float or any other
+non-rational number is a `TypeError`, never a binary fraction, and a string
+that is no rational is an `NSeriesError`.
 """
 
 from __future__ import annotations
@@ -98,11 +106,60 @@ def _integral(series) -> tuple[int, dict]:
     return form
 
 
+def _table_form(table) -> tuple[int, dict]:
+    """The form (D, {m: {key: n}}) of `table`: D the least common denominator
+    of every coefficient of its images, and one row of numerators for each
+    nonzero image, in term order.  D is the lcm of the images' own
+    denominators, so for each prime p of D some numerator is prime to p and
+    the form is canonical with no gcd.  A kernel result holds it from its
+    loop; any other table computes it here once and keeps it."""
+    form = table._form
+    if form is None:
+        forms = [(m, img._form or _integral(img)) for m, img in table.images.items()]
+        den = lcm(*[d for _, (d, _) in forms])
+        form = den, {m: nums if d == den else {key: n * (den // d) for key, n in nums.items()}
+                     for m, (d, nums) in forms if nums}
+        object.__setattr__(table, "_form", form)
+    return form
+
+
+def _lowest(common: int, nums: dict) -> tuple[int, dict]:
+    """(common, nums) divided by their one gcd: the denominator becomes the
+    least common one of the coefficients n/common, since for every prime p of
+    the quotient some numerator is prime to p."""
+    g = gcd(common, *nums.values())
+    if g > 1:
+        return common // g, {key: n // g for key, n in nums.items()}
+    return common, nums
+
+
+def _through(nums: dict, rows: dict) -> dict:
+    """The sum of n * rows[key] over the items key -> n of `nums`, skipping the
+    keys with no row, as one dict of nonzero integers.  Every n and every row
+    entry is nonzero, so a sum that reaches zero leaves the dict at once, and
+    a later term re-enters its key last, as a fold of `+` would place it."""
+    out: dict = {}
+    for key, n in nums.items():
+        row = rows.get(key)
+        if row is not None:
+            for r, k in row.items():
+                total = out.get(r, 0) + n * k
+                if total:
+                    out[r] = total
+                else:
+                    del out[r]
+    return out
+
+
 class Linear:
     """`lin_comb`, the one checked sum, and `+`, `-`, negation and scaling, each
-    one `lin_comb` call; a subclass supplies `_combine(parts)`, the unchecked
-    sum of c*x over (c, x) parts, `_space()` and the mismatch message
-    `_MISMATCH`."""
+    one `lin_comb` call; `==`, `is_zero` and the view of a kernel result read
+    the integer form.  A subclass supplies `_combine(parts)`, the unchecked
+    sum of c*x over (c, x) parts, `_space()`, `_MISMATCH`, `_VIEW`, `_view()`
+    and `_formed()`, the form of an instance that does not hold one yet."""
+
+    _form = None  # the integer form, once known; not a dataclass field
+    __hash__ = None  # the dataclasses are mutable maps, so never hashable
 
     @classmethod
     def _trusted(cls, space, body):
@@ -112,6 +169,35 @@ class Linear:
         obj = object.__new__(cls)
         obj.__dict__.update(zip(cls.__dataclass_fields__, (*space, body)))
         return obj
+
+    @classmethod
+    def _held(cls, space, form):
+        """The kernel result in `space` that holds the canonical `form` alone:
+        its dataclass fields are the space and no view, which `__getattr__`
+        builds on the first read."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, space), _form=form)
+        return obj
+
+    def __getattr__(self, name):
+        """The view of a kernel result, built from its form on the first read and
+        kept.  Any other missing name is an AttributeError."""
+        if name != self._VIEW or self._form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = self._view()
+        object.__setattr__(self, name, view)
+        return view
+
+    def __eq__(self, other):
+        """Same type, same space and the same form: the forms are canonical, so
+        they agree exactly when the term maps, or the image maps, do."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space() == other._space() and (
+            (self._form or self._formed()) == (other._form or other._formed()))
+
+    def is_zero(self) -> bool:
+        return not (self._form or self._formed())[1]
 
     def _require_same(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -143,29 +229,15 @@ class Linear:
 
 class SparseSeries(Linear):
     """Base of `FreeSeries` and `HahnPoly`: their shared arithmetic, equality
-    and `terms` view.  A subclass is a dataclass with `eq=False`, so `==` is
-    the one below, and `hash()` is a TypeError, as for any mutable map."""
+    and `terms` view."""
 
-    _form = None  # the `_integral` form, once known; not a dataclass field
+    _VIEW = "terms"
+    _formed = _integral
 
-    def __getattr__(self, name):
-        """`terms` of a kernel result: the Fractions n/D of its form, in term
-        order, built on the first read and kept.  Any other missing name is an
-        AttributeError."""
-        if name != "terms" or self._form is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _view(self) -> dict:
+        """`terms`: the Fractions n/D of the form, in term order."""
         den, nums = self._form
-        terms = {key: Fraction(n, den) for key, n in nums.items()}
-        object.__setattr__(self, "terms", terms)
-        return terms
-
-    def __eq__(self, other):
-        """Same type, same space and the same terms: the forms are canonical, so
-        the term maps agree exactly when the forms do."""
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._space() == other._space() and (
-            (self._form or _integral(self)) == (other._form or _integral(other)))
+        return {key: Fraction(n, den) for key, n in nums.items()}
 
     def _canonicalise(self) -> None:
         """Check every key, make every coefficient a Fraction and drop the zeros."""
@@ -187,9 +259,6 @@ class SparseSeries(Linear):
     def coefficient(self, key: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(key), _ZERO)
 
-    def is_zero(self) -> bool:
-        return not (self._form or _integral(self))[1]
-
     def keys(self):
         """The keys of the terms, in term order, read off the form."""
         return (self._form or _integral(self))[1].keys()
@@ -201,17 +270,16 @@ class SparseSeries(Linear):
 
     # -- arithmetic ---------------------------------------------------
 
-    def _combine(self, parts, den=1):
-        """The sum of c*s over the (c, s) parts, divided by `den`, in the space of
-        `self`, unchecked: c a Fraction or an int, and s a series of that space.
+    def _combine(self, parts):
+        """The sum of c*s over the (c, s) parts, in the space of `self`,
+        unchecked: c a Fraction and s a series of that space.
 
         Every term lands in one dict, as an integer over the lcm of c.denominator
         * D across the parts, D the denominator of the `_integral` form of s;
         the lcm pass leaves every form kept.  A key that cancels leaves the dict
         at once, so a later term re-enters the key last, as a fold of `+` would
-        place it.  `_reduced` divides the sums and the common denominator times
-        `den` by one gcd, so the result keeps its form over the least common
-        denominator."""
+        place it.  `_reduced` divides the sums and the common denominator by one
+        gcd, so the result keeps its form over the least common denominator."""
         common = lcm(*[c.denominator * (s._form or _integral(s))[0] for c, s in parts])
         out: dict = {}
         for c, s in parts:
@@ -223,19 +291,7 @@ class SparseSeries(Linear):
                     out[key] = total
                 else:
                     out.pop(key, None)
-        return self._reduced(common * den, out)
-
-    def _apply(self, images, zero):
-        """The linear extension of `images` at `self`, unchecked: the sum of
-        c*images[key] over the terms (key, c) of `self`, skipping zero images,
-        or `zero` when every image is zero.  It is one `_combine` over the
-        numerators of the form of `self`, divided by its denominator: scaling
-        every partial sum by one positive integer cancels the same keys, so
-        the term order is that of the Fraction coefficients."""
-        den, nums = self._form or _integral(self)
-        parts = [(n, img) for key, n in nums.items()
-                 if ((img := images[key])._form or _integral(img))[1]]
-        return self._combine(parts, den) if parts else zero
+        return self._reduced(common, out)
 
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
@@ -263,19 +319,8 @@ class SparseSeries(Linear):
 
     def _reduced(self, common: int, nums: dict):
         """The series sum of n/common t^key over the items key -> n of `nums`, n
-        nonzero, in the space of `self`, held as its form alone.  One gcd g of
-        common and every n gives the form (common/g, {key: n/g}): its
-        denominator is the least common one of the reduced coefficients, since
-        for every prime p of common/g some n/g is prime to p.  The result's
-        dataclass fields are the space and no `terms`, which `__getattr__`
-        builds on the first read."""
-        g = gcd(common, *nums.values())
-        if g > 1:
-            common //= g
-            nums = {key: n // g for key, n in nums.items()}
-        result = object.__new__(type(self))
-        result.__dict__.update(zip(self.__dataclass_fields__, self._space()), _form=(common, nums))
-        return result
+        nonzero, in the space of `self`, held as its form in lowest terms."""
+        return self._held(self._space(), _lowest(common, nums))
 
     def power(self, n: int):
         if n < 0:
@@ -284,3 +329,86 @@ class SparseSeries(Linear):
         for _ in range(n):
             acc = acc * self
         return acc
+
+
+class SparseTable(Linear):
+    """Base of `OpTable`: the table loops, equality and the `images` view."""
+
+    _VIEW = "images"
+    _formed = _table_form
+
+    def _view(self) -> dict:
+        """`images`: one series per basis key, in basis order, each nonzero row
+        over its own least common denominator, and one zero series shared by
+        every zero image."""
+        den, rows = self._form
+        space, image = self._space(), self._IMAGE
+        zero = image._held(space, (1, {}))
+        return {m: zero if (row := rows.get(m)) is None else image._held(space, _lowest(den, row))
+                for m in self.basis()}
+
+    @classmethod
+    def _unit(cls, space, basis):
+        """The identity t^m -> t^m on `basis`, held as its form."""
+        return cls._held(space, (1, {m: {m: 1} for m in basis}))
+
+    def _combine(self, parts):
+        """The sum of c*t over the (c, t) parts, in the space of `self`,
+        unchecked: c a Fraction and t a table of that space.
+
+        Every row sums in one dict, as integers over the lcm of c.denominator
+        * D across the parts, D the denominator of the form of t.  Within a row
+        a key that cancels leaves the dict at once, as in the series
+        `_combine`, so each image keeps the term order of the sum of its
+        images; a row that cancels entirely is dropped."""
+        forms = [(c, t._form or _table_form(t)) for c, t in parts]
+        common = lcm(*[c.denominator * d for c, (d, _) in forms])
+        out: dict = {}
+        for c, (d, rows) in forms:
+            p = c.numerator * (common // (c.denominator * d))
+            for m, row in rows.items():
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = {key: p * n for key, n in row.items()} if p else {}
+                    continue
+                for key, n in row.items():
+                    total = acc.get(key, 0) + p * n
+                    if total:
+                        acc[key] = total
+                    else:
+                        acc.pop(key, None)
+        return self._reduced(common, {m: acc for m, acc in out.items() if acc})
+
+    def _compose(self, other):
+        """self o other, unchecked: each row of `other` through the rows of
+        `self` (`_through`), over D_self * D_other, so each image is `self`
+        applied to the image of `other`."""
+        (den_f, rows_f), (den_g, rows_g) = (
+            self._form or _table_form(self), other._form or _table_form(other))
+        rows = {}
+        for m, row in rows_g.items():
+            out = _through(row, rows_f)
+            if out:
+                rows[m] = out
+        return self._reduced(den_f * den_g, rows)
+
+    def _apply(self, series):
+        """`self` at `series`, unchecked: the terms of `series` through the rows
+        of `self` (`_through`), over the product of the two denominators."""
+        den, rows = self._form or _table_form(self)
+        den_a, nums = series._form or _integral(series)
+        return series._reduced(den_a * den, _through(nums, rows))
+
+    def _reduced(self, common: int, rows: dict):
+        """The table with rows n/common over the items m -> {key: n} of `rows`,
+        every row and every n nonzero, in the space of `self`, held as its form
+        with one gcd dividing common and every n."""
+        g = common
+        for row in rows.values():
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            common //= g
+            rows = {m: {key: n // g for key, n in row.items()} for m, row in rows.items()}
+        return self._held(self._space(), (common, rows))

@@ -47,11 +47,11 @@ class Cmp(enum.Enum):
 
 
 def vec_add(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vec_sub(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _product_less(a: ExpVec, b: ExpVec) -> bool:

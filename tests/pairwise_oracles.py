@@ -16,8 +16,8 @@ integers over one denominator and builds its result unchecked.  The folded
 composition applies f to each image of g by the folded application, so the
 reference sum of tables, the folded application and the folded composition
 work image by image and term by term in `Fraction` arithmetic, zero images
-included, where `op_compose`, `OpTable.lin_comb` and `op_apply` skip the
-zero images and sum integer forms.  The
+included, where `op_compose`, `OpTable.lin_comb` and `op_apply` loop over
+the nonzero rows of each table's integer matrix over one denominator.  The
 per-monomial tabulations build the rescale, diagonal-derivation and
 relabeling tables one basis monomial at a time, where `nseries.vaut_factors`
 reads the identity table through a monomial map.  The per-monomial

@@ -6,8 +6,13 @@ rebuilt through the checked constructor and holds the integer form of its
 terms.  That form is a kernel result's representation: its `terms` is built
 on the first read and then matches the reference fold, term order included,
 while `==` and `is_zero` read the form alone; equality is type, space and
-term map, series are unhashable and their repr is unchanged.  A coefficient
-that is not an exact rational is a TypeError.  No
+term map, series are unhashable and their repr is unchanged.  A table is one
+integer matrix in the same way: `==` and `is_zero` leave its `images` unbuilt
+and agree with the image maps of public-constructor tables, mixed
+denominators and cancelled rows included, and a late read of `images`
+matches the per-image fold, term order included, with one shared zero per
+table; tables stay unhashable.  A coefficient that is not an exact rational
+is a TypeError.  No
 module of the package imports a private name of another, so the integer form
 stays inside the kernel."""
 
@@ -56,7 +61,7 @@ from nseries.vaut_factors import (
     oaut_table,
     pullback_morphism,
 )
-from pairwise_oracles import folded_apply, reference_product, reference_sum
+from pairwise_oracles import folded_apply, folded_compose, reference_product, reference_sum
 
 
 def lin_comb(a, b):
@@ -346,6 +351,87 @@ def test_series_are_unhashable_and_keep_their_repr():
                            "(1,): Fraction(3, 1), (): Fraction(9, 1)})")
     assert repr(h - h) == ("HahnPoly(ctx=MonoidCtx(dim=2, kind='product', weights=(1, 1)), "
                            "bound=3, terms={})")
+
+
+# -- a table is one integer matrix: `images` is a view built on first read ----
+
+# Mixed denominators, so the rows of a table and of a sum meet over one lcm.
+TABLE_COEFFS = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), BIG[0])
+TABLE_SPACES = ((LEX1, 4), (PROD2, 3), (W12, 4))
+
+
+@st.composite
+def table_operands(draw):
+    """Two public-constructor tables f and g of one space and a nonzero
+    scalar; g negates some images of f, so f + g cancels those rows."""
+    ctx, bound = draw(st.sampled_from(TABLE_SPACES))
+    basis = weight_universe(ctx, bound)
+    images = st.dictionaries(st.sampled_from(basis), st.sampled_from(TABLE_COEFFS), max_size=3)
+    f = OpTable(ctx, bound, {m: HahnPoly(ctx, bound, draw(images)) for m in basis})
+    g = OpTable(ctx, bound, {
+        m: f.images[m].scale(-1) if draw(st.booleans()) else HahnPoly(ctx, bound, draw(images))
+        for m in basis
+    })
+    return f, g, draw(st.sampled_from(TABLE_COEFFS))
+
+
+def _table_results(f, g, c):
+    """Kernel tables with unread images: sums, rows that cancel in part and in
+    full, scalings, compositions and the identity."""
+    ctx, bound = f._space()
+    return [f + g, g + f, f - f, f.scale(c), f.lin_comb([(c, f), (1, g), (-c, f)]),
+            op_compose(f, g), op_compose(g, f), op_compose(f, OpTable.zero(ctx, bound)),
+            OpTable.identity(ctx, bound), op_compose(OpTable.identity(ctx, bound), g)]
+
+
+@PROPERTY
+@given(table_operands())
+def test_table_equality_reads_the_form_alone(case):
+    f, g, c = case
+    ctx, bound = f._space()
+    kernel = _table_results(f, g, c)
+    left = kernel + [f, g, OpTable.zero(ctx, bound)]
+    rebuilt = [_rebuilt(x) for x in _table_results(f, g, c)]
+    right = left + rebuilt + [OpTable.identity(ctx, bound + 1), HahnPoly.zero(ctx, bound), None]
+    got = [[x == y for y in right] for x in left]
+    zero = [x.is_zero() for x in left]
+    assert all("images" not in vars(x) for x in kernel)
+    assert got == [[type(x) is type(y) and x._space() == y._space() and x.images == y.images
+                    for y in right] for x in left]
+    assert zero == [all(img.is_zero() for img in x.images.values()) for x in left]
+
+
+@PROPERTY
+@given(table_operands())
+def test_a_late_read_of_images_matches_the_per_image_fold(case):
+    """Each image is the fold of its own images, term order included, over its
+    own least common denominator, and every zero image of a table is one
+    shared zero series."""
+    f, g, c = case
+    pairs = [(c, f), (1, g), (-c, f)]
+    cases = [(f + g, reference_sum(f, [(1, f), (1, g)])), (f.lin_comb(pairs), reference_sum(f, pairs)),
+             (op_compose(f, g), folded_compose(f, g)), (op_compose(g, f), folded_compose(g, f))]
+    for x, ref in cases:
+        assert "images" not in vars(x)
+        assert _with_order(x) == _with_order(ref)
+        assert all(vars(img)["_form"] == _form_of_terms(img) for img in x.images.values())
+        zeros = {id(img) for img in x.images.values() if img.is_zero()}
+        assert len(zeros) <= 1
+
+
+def test_tables_are_unhashable_and_keep_their_repr():
+    rng = random.Random(3)
+    f = random_contracting_table(rng, PROD2, 2)
+    mu = ExponentAut(PROD2, ((0, 1), (1, 0)))
+    for x in (f, f + f, f - f, op_compose(f, f), OpTable.identity(PROD2, 2), oaut_table(mu, 2)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+        assert repr(x) == repr(_rebuilt(x))
+    assert repr(OpTable.identity(LEX1, 1)) == (
+        "OpTable(ctx=MonoidCtx(dim=1, kind='lex', weights=(1,)), bound=1, images={"
+        "(0,): HahnPoly(ctx=MonoidCtx(dim=1, kind='lex', weights=(1,)), bound=1, "
+        "terms={(0,): Fraction(1, 1)}), (1,): HahnPoly(ctx=MonoidCtx(dim=1, kind='lex', "
+        "weights=(1,)), bound=1, terms={(1,): Fraction(1, 1)})})")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Table application and factor recomposition against their slow routes: the
-one-dict `op_apply` against the folded sum of scaled images, `op_compose`,
-`OpTable.lin_comb` and `op_apply`, which skip zero images, against the folds
-that take every image, `compose_factors`
+one-loop `op_apply` against the folded sum of scaled images; `op_compose`,
+`OpTable.lin_comb` and `op_apply`, which hold only nonzero rows, against the
+folds that take every image, on zero images and, with mixed denominators in
+lex:1, prod:2 and weighted:1,2, on public and kernel tables; `compose_factors`
 against the per-monomial recomposition and the table chain, the factor tables
 and `pullback_morphism` against the per-monomial tabulations and the
 conjugation chain, the residual `decompose_vaut` reads off sigma against the
@@ -191,6 +192,45 @@ def test_zero_images_match_the_folds(case):
             m for m in x.basis() if all(table.images[m].is_zero() for _, table in pairs)
         ])
         assert _outcome(op_apply, x, a) == _outcome(folded_apply, x, a)
+
+
+# Mixed denominators, and 0, so sums cancel rows in part and in full.
+FOLD_COEFFS = (-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+# (context, largest bound) of the fold cross-check
+FOLD_CONTEXTS = ((LEX1, 5), (PROD2, 3), (W12, 4))
+
+
+@st.composite
+def fold_cases(draw):
+    """Three tables of one space with mixed-denominator images, and three
+    coefficients."""
+    ctx, top = draw(st.sampled_from(FOLD_CONTEXTS))
+    bound = draw(st.integers(0, top))
+    basis = weight_universe(ctx, bound)
+    images = st.dictionaries(st.sampled_from(basis), st.sampled_from(FOLD_COEFFS), max_size=3)
+    tables = [OpTable(ctx, bound, {m: HahnPoly(ctx, bound, draw(images)) for m in basis})
+              for _ in range(3)]
+    return tables, draw(st.tuples(*[st.sampled_from(FOLD_COEFFS)] * 3))
+
+
+@PROPERTY
+@given(fold_cases())
+def test_compose_and_lin_comb_match_the_folds(case):
+    """`op_compose` and `OpTable.lin_comb` on public-constructor tables and on
+    their kernel results, against the image-by-image folds in `Fraction`
+    arithmetic: results, image order and term order agree."""
+    (f, g, h), (a, b, c) = case
+    pairs = [(a, f), (b, g), (-a, f), (c, h)]
+    assert _outcome(f.lin_comb, pairs) == _outcome(reference_sum, f, pairs)
+    for x, y in ((f, g), (g, f), (h, h)):
+        assert _outcome(op_compose, x, y) == _outcome(folded_compose, x, y)
+    total, gh = f.lin_comb(pairs), op_compose(g, h)
+    ref_total, ref_gh = reference_sum(f, pairs), folded_compose(g, h)
+    assert _outcome(op_compose, total, gh) == _outcome(folded_compose, ref_total, ref_gh)
+    assert _outcome(op_compose, gh, total) == _outcome(folded_compose, ref_gh, ref_total)
+    kernel = [(b, gh), (1, total), (-b, gh), (c, op_compose(total, gh))]
+    folded = [(b, ref_gh), (1, ref_total), (-b, ref_gh), (c, folded_compose(ref_total, ref_gh))]
+    assert _outcome(gh.lin_comb, kernel) == _outcome(reference_sum, ref_gh, folded)
 
 
 def _assert_one_shared_zero(table, exponents):
