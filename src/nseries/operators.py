@@ -13,7 +13,9 @@ module never reads an integer form.
 Contracting tables (every image supported strictly above its basis exponent,
 with weight raised by at least one) are the operators for which evaluation
 of formal power series terminates at the truncation bound;
-`in_contracting_cone` decides it for one exponent pair.  A table is a member
+`in_contracting_cone` decides it for one exponent pair, and
+`op_is_contracting` for a table, over the keys of its nonzero rows
+(`SparseTable.row_keys`), so it builds no image.  A table is a member
 of the algebra protocol of the series: `OpTable.one` is the identity and `*`
 is `op_compose`, so the evaluators of `free_algebra` read the unit, the
 product and the bound off the table itself.  `op_geometric_inverse` evaluates through
@@ -21,11 +23,14 @@ product and the bound off the table itself.  `op_geometric_inverse` evaluates th
 `free_algebra.evaluate_words`, which takes any word.
 
 One generator walk over the weight-sorted basis splits each exponent m into
-(m - e, e), e a generator.  It builds the Leibniz and multiplicative
-extensions of generator images, and decides the derivation and endomorphism
-predicates by comparing each image with the same step.  Every entry point
-that needs a predicate to hold raises through `CheckResult.require`, which
-attaches the predicate's witness to the error.
+(m - e, e), e a generator (`generator_walk`, which `nseries.vaut_factors`
+also walks for the values of a character).  It builds the Leibniz and
+multiplicative extensions of generator images, and decides the derivation
+and endomorphism predicates by comparing each image with the same step.  An
+extension checks each generator image it reads once, type and then space,
+and builds its table unchecked: every other image is a kernel product.
+Every entry point that needs a predicate to hold raises through
+`CheckResult.require`, which attaches the predicate's witness to the error.
 """
 
 from __future__ import annotations
@@ -191,14 +196,15 @@ def op_is_contracting(table: OpTable) -> CheckResult:
     exceed weight(m) by at least one, so that composition chains longer than
     the bound vanish on the truncated universe.
     """
-    for m in table.basis():
-        for q in table.images[m].keys():
-            if not in_contracting_cone(table.ctx, m, q):
+    ctx = table.ctx
+    for m, keys in table.row_keys():
+        for q in keys:
+            if not in_contracting_cone(ctx, m, q):
                 return CheckResult(False, (m, q))
     return CheckResult(True)
 
 
-def _generator_walk(ctx: MonoidCtx, bound: int):
+def generator_walk(ctx: MonoidCtx, bound: int):
     """Each nonzero basis exponent m in weight order, with (m - e, e), e the
     generator of m's first nonzero index.  m - e comes before m, so its image
     is known or checked when m is reached."""
@@ -223,11 +229,24 @@ def _multiplicative(images, rest, e) -> HahnPoly:
 
 
 def _extend(ctx: MonoidCtx, bound: int, unit: HahnPoly, gen_images, step) -> OpTable:
-    """The table with t^0 -> unit, t^e_i -> gen_images[i] and t^m -> step(m - e, e)."""
+    """The table with t^0 -> unit, t^e_i -> gen_images[i] and t^m -> step(m - e, e).
+
+    Each generator image that is read, of a generator in the basis, is checked
+    first, its type and then its space, with the messages of the checked
+    constructor.  Every other image is `unit` or a kernel product of checked
+    images over the walk's basis, so the table is built unchecked."""
     images = {(0,) * ctx.dim: unit}
-    for m, rest, e in _generator_walk(ctx, bound):
+    space = unit._space()
+    for i, e in enumerate(ctx.generators()):
+        if ctx.in_truncation(e, space[1]):
+            if not isinstance(img := gen_images[i], HahnPoly):
+                raise TypeError("table images must be HahnPoly values")
+            if img._space() != space:
+                raise DimensionMismatchError(
+                    f"image of {e} lives over a different context or bound")
+    for m, rest, e in generator_walk(ctx, bound):
         images[m] = step(images, rest, e) if any(rest) else gen_images[e.index(1)]
-    return OpTable(ctx, bound, images)
+    return OpTable._trusted(space, images)
 
 
 def _generator_check(table: OpTable, unit: HahnPoly, unit_witness, step):
@@ -235,7 +254,7 @@ def _generator_check(table: OpTable, unit: HahnPoly, unit_witness, step):
     t^m to step(m - e, e) over the table's own images."""
     if table.images[(0,) * table.ctx.dim] != unit:
         return CheckResult(False, unit_witness)
-    for m, rest, e in _generator_walk(table.ctx, table.bound):
+    for m, rest, e in generator_walk(table.ctx, table.bound):
         if table.images[m] != step(table.images, rest, e):
             return CheckResult(False, (rest, e))
     return CheckResult(True)

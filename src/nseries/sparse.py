@@ -13,8 +13,11 @@ calls the class's unchecked `_combine`.  `+`, `-`, negation and scaling are
 one `lin_comb` call each.  `SparseSeries._combine` and `SparseTable._combine`
 are the integer loops behind every sum, and `SparseTable._compose` and
 `SparseTable._apply` the one linear extension, of a table's rows through
-another table or at a series.  The evaluators of `nseries.free_algebra` sum
-their products with one `lin_comb`.
+another table or at a series.  `SparseTable._read` is the one row read: each
+image is a rescaled row of the table, its keys optionally relabeled, which is
+every factor table of `nseries.vaut_factors`.  `SparseTable.row_keys` gives
+the keys of each nonzero row, for the contracting test.  The evaluators of
+`nseries.free_algebra` sum their products with one `lin_comb`.
 
 A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
 is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
@@ -296,17 +299,24 @@ class SparseSeries(Linear):
     def _product(self, other, key_mul: Callable):
         """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
         terms whose grades sum to at most the bound, and no other pair is
-        visited.  The right terms that fit a left term's room (the bound minus
-        its grade) are listed once per distinct room, in term order.  The sums
-        run over D_a * D_b and a key whose sum is zero is dropped.  `_reduced`
-        divides the sums and D_a * D_b by one gcd, so the result keeps its form
-        over the least common denominator."""
+        visited.  When either operand is one term, the product is one shift
+        loop: each left term meets the right terms that fit its room (the
+        bound minus its grade), and since the key product is injective in each
+        argument, no two pairs meet and none cancels.  Otherwise the right
+        terms that fit a left term's room are listed once per distinct room,
+        in term order, and a key whose sum is zero is dropped.  The sums run over D_a * D_b,
+        and `_reduced` divides them and D_a * D_b by one gcd, so the result
+        keeps its form over the least common denominator."""
         self._require_same(other)
         grade, bound = self._grade, self._space()[-1]
         (den_a, left), (den_b, right) = _integral(self), _integral(other)
         graded = [(grade(term[0]), term) for term in right.items()]
+        if len(left) == 1 or len(graded) == 1:
+            out = {key_mul(ka, kb): na * nb for ka, na in left.items()
+                   for room in (bound - grade(ka),) for gb, (kb, nb) in graded if gb <= room}
+            return self._reduced(den_a * den_b, out)
         fitting: dict = {}
-        out: dict = {}
+        out = {}
         for ka, na in left.items():
             room = bound - grade(ka)
             row = fitting.get(room)
@@ -351,6 +361,37 @@ class SparseTable(Linear):
     def _unit(cls, space, basis):
         """The identity t^m -> t^m on `basis`, held as its form."""
         return cls._held(space, (1, {m: {m: 1} for m in basis}))
+
+    def row_keys(self):
+        """(m, the keys of the image of t^m) for each basis key m whose image is
+        nonzero, in basis order, each image's keys in term order: read off the
+        rows of the form, with no image built."""
+        rows = (self._form or _table_form(self))[1]
+        for m in self.basis():
+            row = rows.get(m)
+            if row is not None:
+                yield m, row.keys()
+
+    def _read(self, source: dict, scale: dict | None = None, relabel: dict | None = None):
+        """The table, unchecked, in the space of `self`, whose image of t^m is
+        scale[q] times the image of t^q, q = source[m], for each item m -> q of
+        `source`, every image key k moved to relabel[k] when `relabel` is given.
+        Without `scale` every q is scaled by 1.  A row whose image or scale is
+        zero is left out.  `relabel` must be injective, so no two keys of a row
+        meet and each row keeps its term order.  The rows run over D times the
+        lcm L of the scales' denominators, q's row times numerator * (L //
+        denominator), and `_reduced` divides by one gcd."""
+        den, rows = self._form or _table_form(self)
+        picked = [(m, row, 1 if scale is None else scale[q])
+                  for m, q in source.items() if (row := rows.get(q)) is not None]
+        common = lcm(*[c.denominator for _, _, c in picked if c])
+        out = {}
+        for m, row, c in picked:
+            if c:
+                p = c.numerator * (common // c.denominator)
+                out[m] = ({key: p * n for key, n in row.items()} if relabel is None
+                          else {relabel[key]: p * n for key, n in row.items()})
+        return self._reduced(den * common, out)
 
     def _combine(self, parts):
         """The sum of c*t over the (c, t) parts, in the space of `self`,

@@ -16,7 +16,10 @@ diagonal derivation and the relabeling are the identity read through (I, x),
 (mu, chi), `pullback_morphism` reads d through mu^(-1) and relabels each
 image along mu (through the basis permutation m -> mu m, built once), and
 the residual of `decompose_vaut` is sigma read through mu^(-1) and
-rescaled.  So no table is composed with a factor table; the
+rescaled.  Each read is one `SparseTable._read` of the table's integer rows:
+a map of basis keys, the character's values, walked once over the basis
+(`_LatticeChar._on_basis`), and for the pullback a relabeling of image keys.
+No read builds an image.  So no table is composed with a factor table; the
 chains that do so are oracles in `tests/pairwise_oracles.py`.
 `decompose_vaut` checks each input once and reads all three factors off the
 generator images and one pass of mu over the basis.  What holds by
@@ -25,7 +28,8 @@ and the round trip) is re-checked only by the oracles: `rechecked_decompose` in
 `tests/pairwise_oracles.py` and `verify`'s vaut.decompose-roundtrip step.
 Both character kinds share one base, which holds the values, the dimension
 check and the context check of the group law.  `_order_violation` is the one
-order-preservation scan, over `ExponentAut` probes and raw relabeling supports.
+order-preservation scan, over `ExponentAut` probes and raw relabeling supports;
+`ExponentAut.identity` is built without it, as it has nothing to find there.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .hahn_series import HahnPoly
 from .operators import (
     CheckResult,
     OpTable,
+    generator_walk,
     op_is_contracting,
     op_is_unital_endomorphism,
 )
@@ -158,10 +163,23 @@ class _LatticeChar:
             raise DimensionMismatchError("characters live over different contexts")
         return type(self)(self.ctx, tuple(map(op, self.values, other.values)))
 
+    def _on_basis(self, bound: int) -> dict:
+        """The value at every exponent of the truncation at `bound`, by one
+        generator walk: the value at 0 is `_UNIT`, and the value at m is
+        `_STEP` of the values at m - e and at e, so one product or sum per
+        exponent instead of `at`'s check and one power or product per entry."""
+        step, values = self._STEP, self.values
+        out = {(0,) * self.ctx.dim: self._UNIT}
+        for m, rest, e in generator_walk(self.ctx, bound):
+            out[m] = step(out[rest], values[e.index(1)])
+        return out
+
 
 @dataclass(frozen=True)
 class CharacterX(_LatticeChar):
     """Multiplicative character on the exponent lattice, by generator values."""
+
+    _UNIT, _STEP = Fraction(1), operator.mul
 
     def __post_init__(self):
         super().__post_init__()
@@ -215,7 +233,13 @@ class ExponentAut:
 
     @classmethod
     def identity(cls, ctx: MonoidCtx) -> "ExponentAut":
-        return cls(ctx, ctx.generators())
+        """The identity matrix, built without `__post_init__`: it is unimodular
+        and keeps every weight and the order of every context, so the checks
+        and the probe scan have nothing to find."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ctx", ctx)
+        object.__setattr__(obj, "matrix", ctx.generators())
+        return obj
 
     def apply(self, g: Sequence[int]) -> ExpVec:
         return mat_vec(self.matrix, self.ctx.check_vec(g))
@@ -235,6 +259,8 @@ class ExponentAut:
 @dataclass(frozen=True)
 class AdditiveChar(_LatticeChar):
     """Additive character on the exponent lattice, by generator values."""
+
+    _UNIT, _STEP = Fraction(0), operator.add
 
     @classmethod
     def zero(cls, ctx: MonoidCtx) -> "AdditiveChar":
@@ -316,14 +342,12 @@ def apply_gder(alpha: AdditiveChar, a: HahnPoly) -> HahnPoly:
 def _read_through(table: OpTable, matrix: Matrix, char=None) -> OpTable:
     """table o M for the monomial map M(t^m) = char(q) t^q, q = matrix m: the
     image of t^m is table(t^q) scaled by char(q), or unscaled without `char`.
-    A q outside the truncation raises TruncationOverflowError.  The result is
-    built unchecked: its basis is the table's own, and each image is an image
-    of the table or its rescale."""
-    def image(m):
-        q = _relabeled(table.ctx, table.bound, matrix, m)
-        return table.images[q] if char is None else table.images[q].scale(char.at(q))
-
-    return OpTable._trusted(table._space(), {m: image(m) for m in table.basis()})
+    A q outside the truncation raises TruncationOverflowError.  Otherwise the
+    result is one row read of the table (`SparseTable._read`), with the
+    character's values walked once over the basis, which holds every q."""
+    ctx, bound = table.ctx, table.bound
+    source = {m: _relabeled(ctx, bound, matrix, m) for m in table.basis()}
+    return table._read(source, None if char is None else char._on_basis(bound))
 
 
 def gexp_table(x: CharacterX, bound: int) -> OpTable:
@@ -343,13 +367,15 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
     d read through mu^(-1), each image relabeled along mu.  mu relabels every
     basis exponent here, so a mu that leaves the truncation raises now.
     Otherwise mu, being injective, maps the finite basis onto itself: the map
-    m -> mu m and its inverse are built once as dicts, and the conjugation
-    reads and relabels through them.  The relabeling table itself is never
-    built, and the conjugate is built unchecked over the basis of d."""
+    m -> mu m and its inverse are built once as dicts, and each conjugation is
+    one row read of d (`SparseTable._read`) through the inverse, relabeling
+    every image key along the map.  The relabeling table itself is never
+    built."""
     ctx, matrix = mu.ctx, mu.matrix
     basis = weight_universe(ctx, bound)
     forward = {m: _relabeled(ctx, bound, matrix, m) for m in basis}
     back = {q: m for m, q in forward.items()}
+    source = {m: back[m] for m in basis}
     space = (ctx, operator.index(bound))
 
     def conjugate(d: OpTable) -> OpTable:
@@ -357,11 +383,7 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
             raise TypeError(f"expected OpTable, got {type(d).__name__}")
         if d._space() != space:
             raise DimensionMismatchError(OpTable._MISMATCH)
-        images = d.images
-        return OpTable._trusted(space, {
-            m: HahnPoly._trusted(space, {forward[g]: c for g, c in images[back[m]].terms.items()})
-            for m in basis
-        })
+        return d._read(source, relabel=forward)
 
     return conjugate
 

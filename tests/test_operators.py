@@ -149,6 +149,19 @@ def test_endomorphism_check():
     assert not res and res.witness == "unit"
 
 
+def test_a_failed_predicate_splits_off_the_first_generator():
+    # t^(1, 1) is the first image off the rule; the walk splits it into
+    # t^(0, 1) t^(1, 0), the generator of its first nonzero index.
+    ctx = MonoidCtx.product(2)
+    euler = OpTable.from_function(ctx, 2, lambda m: HahnPoly.monomial(ctx, 2, m, sum(m)))
+    assert op_is_derivation(euler)
+    broken = OpTable(ctx, 2, {**euler.images, (1, 1): HahnPoly.zero(ctx, 2)})
+    assert op_is_derivation(broken).witness == ((0, 1), (1, 0))
+    ident = OpTable.identity(ctx, 2)
+    broken = OpTable(ctx, 2, {**ident.images, (1, 1): HahnPoly.monomial(ctx, 2, (1, 1), 2)})
+    assert op_is_unital_endomorphism(broken).witness == ((0, 1), (1, 0))
+
+
 def test_evaluate_examples():
     rng = random.Random(5)
     f = random_contracting_table(rng, LEX1, 5)

@@ -34,7 +34,12 @@ from nseries.errors import (
     NSeriesError,
     WeightBoundError,
 )
-from nseries.operators import CheckResult, op_lin_sum
+from nseries.operators import (
+    CheckResult,
+    derivation_from_generator_images,
+    op_lin_sum,
+    substitution_endomorphism,
+)
 from nseries.free_algebra import free_from_json
 from nseries.hahn_series import hahn_from_json
 from nseries.series_calculus import (
@@ -156,6 +161,18 @@ CASES = {
                                           OpTable.identity(LEX1, 2))),
         DimensionMismatchError, "factor components live over different contexts"),
 }
+
+# A generator image of the wrong type or bound, at a bound where the generator
+# is the only image (1) and where the walk extends it (2).
+for _extend in (derivation_from_generator_images, substitution_endomorphism):
+    for _bound in (1, 2):
+        CASES[f"{_extend.__name__}-type-N{_bound}"] = (
+            lambda extend=_extend, bound=_bound: extend(LEX1, bound, {0: 5}),
+            TypeError, "table images must be HahnPoly values")
+        CASES[f"{_extend.__name__}-bound-N{_bound}"] = (
+            lambda extend=_extend, bound=_bound: extend(
+                LEX1, bound, {0: HahnPoly.monomial(LEX1, 5, (1,))}),
+            DimensionMismatchError, "image of (1,) lives over a different context or bound")
 
 
 @pytest.mark.parametrize("site", CASES)

@@ -462,6 +462,37 @@ def test_the_product_visits_only_fitting_pairs(a, b, key_mul):
         assert _with_order(product) == _with_order(reference_product(x, y))
 
 
+@pytest.mark.parametrize(
+    "a, one, key_mul",
+    [
+        (FreeSeries(2, 3, {(0, 1, 1): 1, (1,): 2, (): 3, (0, 0): Fraction(1, 2)}),
+         FreeSeries(2, 3, {(1,): BIG[0]}), operator.add),
+        (HahnPoly(W12, 4, {(0, 2): 1, (1, 0): 3, (0, 0): -1, (1, 1): BIG[1], (2, 1): 5}),
+         HahnPoly(W12, 4, {(1, 0): Fraction(-2, 3)}), vec_add),
+    ],
+    ids=("free", "hahn"),
+)
+def test_a_one_term_operand_shifts_the_other(a, one, key_mul):
+    """With one term on either side, the product visits the other operand's
+    fitting terms in term order, once each; the grades of some pairs sum to the
+    bound exactly, and of others past it."""
+    visited = []
+
+    def counting(ka, kb):
+        visited.append((ka, kb))
+        return key_mul(ka, kb)
+
+    grade, bound = a._grade, a._space()[-1]
+    (k,) = one.terms
+    assert {grade(key) + grade(k) for key in a.terms} >= {bound, bound + 1}
+    for x, y in ((a, one), (one, a)):
+        visited.clear()
+        product = x._product(y, counting)
+        assert visited == [(ka, kb) for ka in x.terms for kb in y.terms
+                           if grade(ka) + grade(kb) <= bound]
+        assert _with_order(product) == _with_order(reference_product(x, y))
+
+
 def test_cancelled_keys_leave_products_and_sums():
     a = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): 1})
     b = HahnPoly(PROD2, 2, {(0, 0): 1, (1, 0): -1})

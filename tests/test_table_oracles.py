@@ -19,7 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nseries import (
+    AdditiveChar,
     CharacterX,
+    CheckResult,
     Cmp,
     DimensionMismatchError,
     ExponentAut,
@@ -40,9 +42,11 @@ from nseries import (
     op_apply,
     op_compose,
     op_exp,
+    op_is_contracting,
     pullback_morphism,
     weight_universe,
 )
+from nseries.operators import in_contracting_cone
 from nseries.samples import (
     nonzero_fraction,
     random_additive_char,
@@ -53,6 +57,7 @@ from nseries.samples import (
     random_substitution_automorphism,
     substitution_endomorphism,
 )
+from nseries.textio import format_op_table
 from nseries.vaut_factors import mat_det, mat_inverse, mat_mul
 from pairwise_oracles import (
     chain_compose_factors,
@@ -340,6 +345,80 @@ def test_monomial_factor_failures_match_the_chains(name):
     got = _outcome_or_type_error(call, compose_factors, pullback_morphism)
     assert got == _outcome_or_type_error(call, chain_compose_factors, chain_pullback)
     assert got[0] is error
+
+
+# (context, bound, exponent map, character values, additive values): negative
+# character values, and an additive character that is 0 at a generator.
+ROW_READ_CASES = (
+    (LEX1, 4, ((1,),), (Fraction(-2, 3),), (0,)),
+    (PROD2, 3, ((0, 1), (1, 0)), (-2, Fraction(3, 5)), (0, Fraction(-1, 2))),
+    (W12, 4, ((1, 0), (0, 1)), (-1, Fraction(-7, 2)), (Fraction(5, 3), 0)),
+)
+ROW_READ_IDS = ("lex:1", "prod:2", "weighted:1,2")
+
+
+def _kernel_tables(rng, ctx, bound):
+    """exp d, exp d - Id, d + d and any table composed with Id, for a seeded
+    contracting derivation d: kernel results, which hold rows and no images."""
+    d = random_contracting_derivation(rng, ctx, bound)
+    s, ident = op_exp(d), OpTable.identity(ctx, bound)
+    return s, s - ident, d + d, op_compose(_any_table(rng, ctx, bound), ident)
+
+
+def _contracting_scan(table):
+    """`op_is_contracting` image by image, over the `images` view."""
+    for m in table.basis():
+        for q in table.images[m].keys():
+            if not in_contracting_cone(table.ctx, m, q):
+                return CheckResult(False, (m, q))
+    return CheckResult(True)
+
+
+@pytest.mark.parametrize("ctx, bound, matrix, chi_values, alpha_values", ROW_READ_CASES,
+                         ids=ROW_READ_IDS)
+def test_row_reads_build_no_images(ctx, bound, matrix, chi_values, alpha_values):
+    """`op_is_contracting`, the pullback and `compose_factors` read a kernel
+    table's rows, so neither the table nor the result builds its `images`; the
+    contracting test gives the image-by-image scan's verdict and witness."""
+    rng = random.Random(3)
+    mu, chi = ExponentAut(ctx, matrix), CharacterX(ctx, chi_values)
+    for _ in range(4):
+        for t in _kernel_tables(rng, ctx, bound):
+            verdict = op_is_contracting(t)
+            results = (pullback_morphism(mu, bound)(t), compose_factors(FactorAut(mu, chi, t)))
+            assert "images" not in vars(t)
+            assert all("images" not in vars(r) for r in results)
+            assert verdict == _contracting_scan(t)
+
+
+@pytest.mark.parametrize("ctx, bound, matrix, chi_values, alpha_values", ROW_READ_CASES,
+                         ids=ROW_READ_IDS)
+def test_row_reads_match_the_chains_and_the_per_image_scale(
+        ctx, bound, matrix, chi_values, alpha_values):
+    """Each row read against the table chains, with results and term order
+    equal, and `compose_factors` against the per-image `scale` of the read it
+    replaced, in `format_op_table` text too."""
+    rng = random.Random(4)
+    mu, chi = ExponentAut(ctx, matrix), CharacterX(ctx, chi_values)
+    alpha = AdditiveChar(ctx, alpha_values)
+    assert _outcome(gexp_table, chi, bound) == _outcome(diagonal_table, chi, bound)
+    assert _outcome(gder_table, alpha, bound) == _outcome(diagonal_table, alpha, bound)
+    assert any(gder_table(alpha, bound).images[g].is_zero() for g in ctx.generators())
+    for _ in range(4):
+        for t in _kernel_tables(rng, ctx, bound):
+            f = FactorAut(mu, chi, t)
+            assert _outcome(compose_factors, f) == _outcome(chain_compose_factors, f)
+            assert _outcome(pullback_morphism(mu, bound), t) == (
+                _outcome(chain_pullback(mu, bound), t))
+            per_image = OpTable.from_function(
+                ctx, bound, lambda m: t.images[mu.apply(m)].scale(chi.at(mu.apply(m))))
+            assert _outcome(compose_factors, f) == _outcome(lambda: per_image)
+            assert format_op_table(compose_factors(f)) == format_op_table(per_image)
+        sigma = compose_factors(FactorAut(mu, chi, op_exp(random_contracting_derivation(
+            rng, ctx, bound))))
+        split = decompose_vaut(sigma)
+        assert _outcome(lambda: split.residual) == _outcome(
+            inverse_chain_residual, sigma, split.mu, split.chi)
 
 
 @st.composite

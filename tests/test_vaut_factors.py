@@ -141,6 +141,18 @@ def test_exponent_aut_keeps_the_weight_on_weighted_contexts():
     assert shear.apply((-8, 3)) == (-5, 2)
 
 
+@pytest.mark.parametrize("ctx", [
+    *(MonoidCtx.lex(d) for d in (1, 2, 3)),
+    *(MonoidCtx.product(d) for d in (1, 2, 3)),
+    MonoidCtx.weighted(2), MonoidCtx.weighted(1, 3), MonoidCtx.weighted(2, 1, 3),
+], ids=repr)
+def test_the_identity_equals_its_checked_build(ctx):
+    # `identity` skips the checks and the probe scan, which the checked build runs.
+    ident, checked = ExponentAut.identity(ctx), ExponentAut(ctx, ctx.generators())
+    assert ident == checked and hash(ident) == hash(checked) and repr(ident) == repr(checked)
+    assert ident.is_identity() and ident.compose(checked) == checked
+
+
 def test_apply_gder_examples():
     alpha = AdditiveChar(LEX1, (F(1),))
     a = HahnPoly(LEX1, 4, {(n,): 1 for n in range(5)})
