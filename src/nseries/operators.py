@@ -25,19 +25,22 @@ product and the bound off the table itself.  `op_geometric_inverse` evaluates th
 One generator walk over the weight-sorted basis splits each exponent m into
 (m - e, e), e a generator (`generator_walk`, which `nseries.vaut_factors`
 also walks for the values of a character).  It builds the Leibniz and
-multiplicative extensions of generator images, and decides the derivation
-and endomorphism predicates by comparing each image with the same step.  An
-extension checks each generator image it reads once, type and then space,
-and builds its table unchecked: every other image is a kernel product.
-Every entry point that needs a predicate to hold raises through
-`CheckResult.require`, which attaches the predicate's witness to the error.
+multiplicative extensions of generator images (the kernel's
+`SparseTable._extended`), and decides the derivation and endomorphism
+predicates by comparing each row with the same step (`_walk_check`), each
+one loop over the integer rows of one table, so neither builds an image.
+An extension first checks its generator images, once: every key is a
+generator index, and each generator in the basis has an image of the right
+type and space.  `op_geometric_inverse` reads its scalar off one row
+(`SparseTable.row`).  Every entry point that needs a predicate to hold
+raises through `CheckResult.require`, which attaches the predicate's witness
+to the error.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
@@ -50,9 +53,7 @@ from .errors import (
 from .free_algebra import FreeSeries, evaluate_words, unit_inverse
 from .hahn_series import HahnPoly
 from .sparse import SparseTable
-from .support_order import ExpVec, MonoidCtx, vec_sub, weight_universe
-
-_ONE = Fraction(1)
+from .support_order import ExpVec, MonoidCtx, vec_add, vec_sub, weight_universe
 
 
 @dataclass(frozen=True)
@@ -214,50 +215,43 @@ def generator_walk(ctx: MonoidCtx, bound: int):
         yield m, vec_sub(m, e), e
 
 
-def _leibniz(images, rest, e) -> HahnPoly:
-    """D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest).  rest and e come from the
-    generator walk, so both lie in the basis and their monomials are built
-    unchecked."""
-    space = images[e]._space()
-    t_rest, t_e = HahnPoly._trusted(space, {rest: _ONE}), HahnPoly._trusted(space, {e: _ONE})
-    return images[e] * t_rest + t_e * images[rest]
+def _extend(ctx: MonoidCtx, bound: int, gen_images, leibniz: bool) -> OpTable:
+    """The Leibniz (`leibniz`) or multiplicative extension of `gen_images` along
+    the generator walk, the kernel's `OpTable._extended`.
 
-
-def _multiplicative(images, rest, e) -> HahnPoly:
-    """sigma(t^rest t^e) = sigma(t^e) sigma(t^rest)."""
-    return images[e] * images[rest]
-
-
-def _extend(ctx: MonoidCtx, bound: int, unit: HahnPoly, gen_images, step) -> OpTable:
-    """The table with t^0 -> unit, t^e_i -> gen_images[i] and t^m -> step(m - e, e).
-
-    Each generator image that is read, of a generator in the basis, is checked
-    first, its type and then its space, with the messages of the checked
-    constructor.  Every other image is `unit` or a kernel product of checked
-    images over the walk's basis, so the table is built unchecked."""
-    images = {(0,) * ctx.dim: unit}
-    space = unit._space()
+    The bound is checked as a zero series checks it.  Then every key of
+    `gen_images` must be a generator index, and each generator in the basis
+    must have an image, of type HahnPoly and in the table's space, with the
+    messages of the checked constructor; images of generators above the
+    bound are never read.  Every other image is a kernel step over checked
+    images, so the table is built unchecked."""
+    space = HahnPoly.zero(ctx, bound)._space()
+    for i in gen_images:
+        if i not in range(ctx.dim):
+            raise DimensionMismatchError(
+                f"generator image key {i!r} is no generator index 0..{ctx.dim - 1}")
+    gens = {}
     for i, e in enumerate(ctx.generators()):
         if ctx.in_truncation(e, space[1]):
+            if i not in gen_images:
+                raise IncompleteTableError(f"no image is given for generator {i}, {e}")
             if not isinstance(img := gen_images[i], HahnPoly):
                 raise TypeError("table images must be HahnPoly values")
             if img._space() != space:
                 raise DimensionMismatchError(
                     f"image of {e} lives over a different context or bound")
-    for m, rest, e in generator_walk(ctx, bound):
-        images[m] = step(images, rest, e) if any(rest) else gen_images[e.index(1)]
-    return OpTable._trusted(space, images)
+            gens[e] = img
+    return OpTable._extended(space, (0,) * ctx.dim, gens, generator_walk(ctx, space[1]),
+                             ctx.weight, vec_add, leibniz)
 
 
-def _generator_check(table: OpTable, unit: HahnPoly, unit_witness, step):
-    """The pass behind both predicates: t^0 must map to `unit`, and each nonzero
-    t^m to step(m - e, e) over the table's own images."""
-    if table.images[(0,) * table.ctx.dim] != unit:
-        return CheckResult(False, unit_witness)
-    for m, rest, e in generator_walk(table.ctx, table.bound):
-        if table.images[m] != step(table.images, rest, e):
-            return CheckResult(False, (rest, e))
-    return CheckResult(True)
+def _generator_check(table: OpTable, leibniz: bool, unit_witness) -> CheckResult:
+    """The pass behind both predicates, the kernel's `_walk_check` on the
+    table's rows: `unit_witness` when t^0 fails, else the first failing
+    (m - e, e) of the generator walk."""
+    failed = table._walk_check((0,) * table.ctx.dim, generator_walk(table.ctx, table.bound),
+                               table.ctx.weight, vec_add, leibniz)
+    return CheckResult(True) if failed is None else CheckResult(False, failed or unit_witness)
 
 
 def derivation_from_generator_images(
@@ -269,7 +263,7 @@ def derivation_from_generator_images(
     t^e D(t^(m-e)) along the generator walk; only generators inside the
     weight universe are read.
     """
-    return _extend(ctx, bound, HahnPoly.zero(ctx, bound), gen_images, _leibniz)
+    return _extend(ctx, bound, gen_images, True)
 
 
 def substitution_endomorphism(
@@ -281,7 +275,7 @@ def substitution_endomorphism(
     sigma(t^(m-e)) along the generator walk; only generators inside the
     weight universe are read.
     """
-    return _extend(ctx, bound, HahnPoly.one(ctx, bound), gen_images, _multiplicative)
+    return _extend(ctx, bound, gen_images, False)
 
 
 def op_is_derivation(table: OpTable) -> CheckResult:
@@ -293,8 +287,7 @@ def op_is_derivation(table: OpTable) -> CheckResult:
     rule on every pair.  Witness: the failing pair (m - e, e), or (0, 0).
     """
     zero = (0,) * table.ctx.dim
-    unit = HahnPoly.zero(table.ctx, table.bound)
-    return _generator_check(table, unit, (zero, zero), _leibniz)
+    return _generator_check(table, True, (zero, zero))
 
 
 def op_is_unital_endomorphism(table: OpTable) -> CheckResult:
@@ -305,8 +298,7 @@ def op_is_unital_endomorphism(table: OpTable) -> CheckResult:
     then multiplicative on every pair.  Witness: the failing pair (m - e, e),
     or "unit".
     """
-    unit = HahnPoly.one(table.ctx, table.bound)
-    return _generator_check(table, unit, "unit", _multiplicative)
+    return _generator_check(table, False, "unit")
 
 
 def op_evaluate(P: FreeSeries, args: Sequence[OpTable]) -> OpTable:
@@ -347,7 +339,7 @@ def op_geometric_inverse(table: OpTable) -> OpTable:
     """
     ctx, bound = table.ctx, table.bound
     zero_exp = (0,) * ctx.dim
-    c = table.images[zero_exp].coefficient(zero_exp)
+    c = table.row(zero_exp).get(zero_exp, 0)
     if c == 0:
         raise NotAUnitError("table has no scalar part on the weight-zero monomial")
     eps = table - OpTable.identity(ctx, bound).scale(c)

@@ -3,13 +3,15 @@
 `derivation_from_generator_images` and `substitution_endomorphism` are the
 generator-walk extensions of `nseries.operators`, imported here by name.
 
-The random tables draw exactly what checked builds of the same draws would
-hold, from the same rng stream, at less cost.  The contracting cone above
-each exponent of a truncation, and above each generator, in the basis or
-not, is listed once per context and bound.  A drawn image is built
+The random series and tables draw exactly what checked builds of the same
+draws would hold, from the same rng stream, at less cost.  The contracting
+cone above each exponent of a truncation, and above each generator, in the
+basis or not, is listed once per context and bound.  A drawn image is built
 unchecked, with its zero coefficients dropped: its keys come from the cones
 and its values are the Fractions of `random_fraction`.  So is a drawn table,
-whose images cover the basis.
+whose images cover the basis, and so is a drawn Hahn or free series, whose
+keys come from the basis or are words over the alphabet within the grade; a
+caller's constant term goes through `exact`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .operators import (
     in_contracting_cone,
     substitution_endomorphism,
 )
+from .sparse import exact
 from .support_order import ExpVec, MonoidCtx, weight_universe
 from .vaut_factors import AdditiveChar, CharacterX
 
@@ -61,8 +64,8 @@ def random_free_series(
         word = tuple(rng.randrange(alphabet_size) for _ in range(length))
         out[word] = random_fraction(rng)
     if constant is not None:
-        out[()] = constant
-    return FreeSeries(alphabet_size, grade, out)
+        out[()] = exact(constant)
+    return _drawn(FreeSeries, (operator.index(alphabet_size), operator.index(grade)), out)
 
 
 def random_hahn(rng: random.Random, ctx: MonoidCtx, bound: int, terms: int = 5) -> HahnPoly:
@@ -70,7 +73,7 @@ def random_hahn(rng: random.Random, ctx: MonoidCtx, bound: int, terms: int = 5) 
     out = {}
     for _ in range(terms):
         out[rng.choice(universe)] = random_fraction(rng)
-    return HahnPoly(ctx, bound, out)
+    return _drawn(HahnPoly, (ctx, operator.index(bound)), out)
 
 
 @functools.cache
@@ -90,9 +93,9 @@ def _raising_terms(rng: random.Random, ctx: MonoidCtx, bound: int, m: ExpVec) ->
     return {q: random_fraction(rng) for q in rng.sample(cands, min(DENSITY, len(cands)))}
 
 
-def _drawn(space: tuple, terms: dict) -> HahnPoly:
-    """The series of drawn `terms` in `space`, its zero coefficients dropped."""
-    return HahnPoly._trusted(space, {q: c for q, c in terms.items() if c})
+def _drawn(cls, space: tuple, terms: dict):
+    """The `cls` series of drawn `terms` in `space`, its zero coefficients dropped."""
+    return cls._trusted(space, {q: c for q, c in terms.items() if c})
 
 
 def random_contracting_table(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
@@ -100,13 +103,13 @@ def random_contracting_table(rng: random.Random, ctx: MonoidCtx, bound: int) -> 
     universe = weight_universe(ctx, bound)
     space = (ctx, operator.index(bound))
     return OpTable._trusted(
-        space, {m: _drawn(space, _raising_terms(rng, ctx, bound, m)) for m in universe})
+        space, {m: _drawn(HahnPoly, space, _raising_terms(rng, ctx, bound, m)) for m in universe})
 
 
 def random_contracting_derivation(rng: random.Random, ctx: MonoidCtx, bound: int) -> OpTable:
     space = (ctx, operator.index(bound))
     gen_images = {
-        i: _drawn(space, _raising_terms(rng, ctx, bound, g))
+        i: _drawn(HahnPoly, space, _raising_terms(rng, ctx, bound, g))
         for i, g in enumerate(ctx.generators())
     }
     return derivation_from_generator_images(ctx, bound, gen_images)
@@ -117,7 +120,7 @@ def random_substitution_automorphism(rng: random.Random, ctx: MonoidCtx, bound: 
     plus higher terms; a generator above the bound has no image to draw."""
     space = (ctx, operator.index(bound))
     gen_images = {
-        i: _drawn(space, {g: Fraction(1), **_raising_terms(rng, ctx, bound, g)})
+        i: _drawn(HahnPoly, space, {g: Fraction(1), **_raising_terms(rng, ctx, bound, g)})
         for i, g in enumerate(ctx.generators())
         if ctx.in_truncation(g, bound)
     }

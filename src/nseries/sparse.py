@@ -16,8 +16,14 @@ are the integer loops behind every sum, and `SparseTable._compose` and
 another table or at a series.  `SparseTable._read` is the one row read: each
 image is a rescaled row of the table, its keys optionally relabeled, which is
 every factor table of `nseries.vaut_factors`.  `SparseTable.row_keys` gives
-the keys of each nonzero row, for the contracting test.  The evaluators of
-`nseries.free_algebra` sum their products with one `lin_comb`.
+the keys of each nonzero row, for the contracting test, and `SparseTable.row`
+one image as Fractions, for a scalar or a lead.  `SparseTable._extended` and
+`SparseTable._walk_check` are the generator walk of `nseries.operators`: the
+Leibniz or multiplicative extension of generator images, and the test that
+a table is that extension of its own generator images, each one loop over
+integer rows.  `_multiply` is the one truncated product loop, behind
+`_product` and both walks, and `_leibniz_row` the one Leibniz step.  The
+evaluators of `nseries.free_algebra` sum their products with one `lin_comb`.
 
 A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
 is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
@@ -41,7 +47,10 @@ the lcm of c.denominator * D across its (c, series) parts, `_product` over
 D_a * D_b, `SparseTable._combine` over the lcm of c.denominator * D across its
 (c, table) parts, and `_compose` and `_apply` over D_f * D_g.  Each then
 divides its sums and that denominator by their one gcd, which makes the
-denominator the least common one of the reduced coefficients.  The result
+denominator the least common one of the reduced coefficients.  A Leibniz
+extension runs over the lcm of its generator images' denominators and a
+multiplicative one puts its rows, each in lowest terms, over one lcm
+(`_over_lcm`, as `_table_form` does); both are least with no gcd.  The result
 holds that form and nothing else: the form is the representation of a kernel
 result, and the next loop reads it.  Its view is built from the form on its
 first read and then kept: a series' `terms`, the public dict of Fractions in
@@ -112,18 +121,24 @@ def _integral(series) -> tuple[int, dict]:
 def _table_form(table) -> tuple[int, dict]:
     """The form (D, {m: {key: n}}) of `table`: D the least common denominator
     of every coefficient of its images, and one row of numerators for each
-    nonzero image, in term order.  D is the lcm of the images' own
-    denominators, so for each prime p of D some numerator is prime to p and
-    the form is canonical with no gcd.  A kernel result holds it from its
-    loop; any other table computes it here once and keeps it."""
+    nonzero image, in term order (`_over_lcm` of the images' own forms).  A
+    kernel result holds it from its loop; any other table computes it here
+    once and keeps it."""
     form = table._form
     if form is None:
-        forms = [(m, img._form or _integral(img)) for m, img in table.images.items()]
-        den = lcm(*[d for _, (d, _) in forms])
-        form = den, {m: nums if d == den else {key: n * (den // d) for key, n in nums.items()}
-                     for m, (d, nums) in forms if nums}
+        form = _over_lcm([(m, img._form or _integral(img)) for m, img in table.images.items()])
         object.__setattr__(table, "_form", form)
     return form
+
+
+def _over_lcm(forms) -> tuple[int, dict]:
+    """The table form of the (m, (d, numerators)) rows of `forms`, each row in
+    lowest terms over its own denominator d: every nonzero row over the lcm
+    D of the d of the nonzero rows.  For each prime p of D some numerator is
+    prime to p, so the form is canonical with no gcd."""
+    den = lcm(*[d for _, (d, nums) in forms if nums])
+    return den, {m: nums if d == den else {key: n * (den // d) for key, n in nums.items()}
+                 for m, (d, nums) in forms if nums}
 
 
 def _lowest(common: int, nums: dict) -> tuple[int, dict]:
@@ -151,6 +166,57 @@ def _through(nums: dict, rows: dict) -> dict:
                     out[r] = total
                 else:
                     del out[r]
+    return out
+
+
+def _multiply(left: dict, right: dict, grade: Callable, bound: int, key_mul: Callable) -> dict:
+    """The truncated product of the numerator dicts `left` and `right`, as one
+    dict of nonzero integers: n_a n_b lands on key_mul(a, b) for every pair of
+    keys whose grades sum to at most `bound`, and no other pair is visited.
+    When either operand is one term, the product is one shift loop: each left
+    term meets the right terms that fit its room (the bound minus its grade),
+    and since the key product is injective in each argument, no two pairs
+    meet and none cancels.  Otherwise the right terms that fit a left term's
+    room are listed once per distinct room, in term order, and a key whose
+    sum is zero is dropped."""
+    graded = [(grade(term[0]), term) for term in right.items()]
+    if len(left) == 1 or len(graded) == 1:
+        return {key_mul(ka, kb): na * nb for ka, na in left.items()
+                for room in (bound - grade(ka),) for gb, (kb, nb) in graded if gb <= room}
+    fitting: dict = {}
+    out: dict = {}
+    for ka, na in left.items():
+        room = bound - grade(ka)
+        row = fitting.get(room)
+        if row is None:
+            row = fitting[room] = [term for gb, term in graded if gb <= room]
+        for kb, nb in row:
+            key = key_mul(ka, kb)
+            out[key] = out.get(key, 0) + na * nb
+    return {key: n for key, n in out.items() if n}
+
+
+def _leibniz_row(row_e, row_rest, rest, e, grade: Callable, bound: int, key_mul: Callable) -> dict:
+    """The Leibniz step D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest) on two
+    rows over one denominator, either of them None or empty for a zero image:
+    `row_e` shifted by rest, then `row_rest` shifted by e, each key kept when
+    its grade fits the room the shift leaves under `bound`.  A key that
+    cancels leaves the dict at once, as in `SparseSeries._combine`, so the
+    row has the term order of the sum of the two kernel products."""
+    out = {}
+    if row_e:
+        room = bound - grade(rest)
+        out = {key_mul(k, rest): n for k, n in row_e.items() if grade(k) <= room}
+    if row_rest:
+        room = bound - grade(e)
+        for k, n in row_rest.items():
+            if grade(k) <= room:
+                key = key_mul(e, k)
+                total = out.get(key, 0) + n
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
     return out
 
 
@@ -297,35 +363,13 @@ class SparseSeries(Linear):
         return self._reduced(common, out)
 
     def _product(self, other, key_mul: Callable):
-        """Truncated product: c_a c_b lands on key_mul(a, b) for every pair of
-        terms whose grades sum to at most the bound, and no other pair is
-        visited.  When either operand is one term, the product is one shift
-        loop: each left term meets the right terms that fit its room (the
-        bound minus its grade), and since the key product is injective in each
-        argument, no two pairs meet and none cancels.  Otherwise the right
-        terms that fit a left term's room are listed once per distinct room,
-        in term order, and a key whose sum is zero is dropped.  The sums run over D_a * D_b,
-        and `_reduced` divides them and D_a * D_b by one gcd, so the result
-        keeps its form over the least common denominator."""
+        """Truncated product: the numerators of both forms through `_multiply`,
+        over D_a * D_b, and `_reduced` divides them and D_a * D_b by one gcd,
+        so the result keeps its form over the least common denominator."""
         self._require_same(other)
-        grade, bound = self._grade, self._space()[-1]
         (den_a, left), (den_b, right) = _integral(self), _integral(other)
-        graded = [(grade(term[0]), term) for term in right.items()]
-        if len(left) == 1 or len(graded) == 1:
-            out = {key_mul(ka, kb): na * nb for ka, na in left.items()
-                   for room in (bound - grade(ka),) for gb, (kb, nb) in graded if gb <= room}
-            return self._reduced(den_a * den_b, out)
-        fitting: dict = {}
-        out = {}
-        for ka, na in left.items():
-            room = bound - grade(ka)
-            row = fitting.get(room)
-            if row is None:
-                row = fitting[room] = [term for gb, term in graded if gb <= room]
-            for kb, nb in row:
-                key = key_mul(ka, kb)
-                out[key] = out.get(key, 0) + na * nb
-        return self._reduced(den_a * den_b, {key: n for key, n in out.items() if n})
+        return self._reduced(den_a * den_b,
+                             _multiply(left, right, self._grade, self._space()[-1], key_mul))
 
     def _reduced(self, common: int, nums: dict):
         """The series sum of n/common t^key over the items key -> n of `nums`, n
@@ -392,6 +436,80 @@ class SparseTable(Linear):
                 out[m] = ({key: p * n for key, n in row.items()} if relabel is None
                           else {relabel[key]: p * n for key, n in row.items()})
         return self._reduced(den * common, out)
+
+    def row(self, m) -> dict:
+        """The image of t^m as {key: Fraction}, in term order, read off the form:
+        an empty dict for a zero image, and no image built."""
+        den, rows = self._form or _table_form(self)
+        return {key: Fraction(n, den) for key, n in rows.get(m, {}).items()}
+
+    @classmethod
+    def _extended(cls, space, one, gens: dict, walk, grade: Callable, key_mul: Callable,
+                  leibniz: bool):
+        """The table in `space`, unchecked, whose image of t^e is gens[e] for each
+        generator e and whose other images follow the generator walk: for each
+        item (m, rest, e) of `walk`, m = rest + e, rest before m and rest = one
+        when m = e is a generator, the image of t^m is the Leibniz step
+        (`_leibniz_row`) or sigma(t^e) sigma(t^rest) (`_multiply`).
+
+        Leibniz (t^one -> 0): every row over D, the lcm of the generator
+        images' denominators, since each step sums shifted rows with
+        coefficient 1.  The generator rows are rows of the table, so for each
+        prime p of D some numerator is prime to p and the form needs no gcd.
+        Multiplicative (t^one -> t^one): each row is the product of two rows
+        over its own denominator, divided by one gcd (`_lowest`), and
+        `_over_lcm` puts every row over one lcm."""
+        bound = space[-1]
+        forms = {e: g._form or _integral(g) for e, g in gens.items()}
+        if leibniz:
+            den = lcm(*[d for d, _ in forms.values()])
+            rows: dict = {}
+            for m, rest, e in walk:
+                if m == e:
+                    d, nums = forms[e]
+                    row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}
+                else:
+                    row = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul)
+                if row:
+                    rows[m] = row
+            return cls._held(space, (den, rows))
+        parts = {one: (1, {one: 1})}
+        for m, rest, e in walk:
+            if m == e:
+                parts[m] = forms[e]
+            else:
+                (den_e, row_e), (den_r, row_r) = parts[e], parts[rest]
+                parts[m] = _lowest(den_e * den_r, _multiply(row_e, row_r, grade, bound, key_mul))
+        return cls._held(space, _over_lcm(parts.items()))
+
+    def _walk_check(self, one, walk, grade: Callable, key_mul: Callable, leibniz: bool):
+        """Whether the table is the extension `_extended` of its own generator
+        images along `walk`, decided on its rows over its denominator D: None
+        when it is, () when the row of t^one fails (none for a derivation,
+        {one: D} for an endomorphism), and otherwise (rest, e) of the first
+        item of `walk` whose step differs from the row of t^m.  A derivation's
+        step is over D, as the rows are; an endomorphism's product of two rows
+        is over D^2, and is compared with the row of t^m times D entry by
+        entry, with no scaled copy built.  A generator's row is its own step
+        once the row of t^one holds, so it is not compared."""
+        den, rows = self._form or _table_form(self)
+        bound = self._space()[-1]
+        if (one in rows) if leibniz else rows.get(one) != {one: den}:
+            return ()
+        for m, rest, e in walk:
+            if m == e:
+                continue
+            row = rows.get(m, {})
+            if leibniz:
+                same = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound,
+                                    key_mul) == row
+            else:
+                prod = _multiply(rows.get(e, {}), rows.get(rest, {}), grade, bound, key_mul)
+                same = len(prod) == len(row) and all(
+                    prod.get(key) == den * n for key, n in row.items())
+            if not same:
+                return rest, e
+        return None
 
     def _combine(self, parts):
         """The sum of c*t over the (c, t) parts, in the space of `self`,

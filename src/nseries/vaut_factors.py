@@ -22,7 +22,7 @@ a map of basis keys, the character's values, walked once over the basis
 No read builds an image.  So no table is composed with a factor table; the
 chains that do so are oracles in `tests/pairwise_oracles.py`.
 `decompose_vaut` checks each input once and reads all three factors off the
-generator images and one pass of mu over the basis.  What holds by
+generator rows (`SparseTable.row`) and one pass of mu over the basis.  What holds by
 construction (the lead of every basis image, the residual's multiplicativity
 and the round trip) is re-checked only by the oracles: `rechecked_decompose` in
 `tests/pairwise_oracles.py` and `verify`'s vaut.decompose-roundtrip step.
@@ -455,18 +455,21 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
         NotDecomposableError, "table is not a unital endomorphism; witness {}"
     )
     gens = ctx.generators()
-    leads = []
+    leads, lead_coeffs = [], []
     for g in gens:
         if not ctx.in_truncation(g, bound):
             raise NotDecomposableError(
                 f"generator {g} has weight {ctx.weight(g)}, above the bound {bound}", witness=g
             )
-        mins = minimal_elements(FinitePosetFragment.of(ctx, sigma.images[g].support))
+        image = sigma.row(g)
+        mins = minimal_elements(FinitePosetFragment.of(ctx, image))
         if len(mins) != 1:
             raise NotDecomposableError(
                 f"image of {g} has {len(mins)} minimal support exponents", witness=g
             )
-        leads.extend(mins)
+        (lead,) = mins
+        leads.append(lead)
+        lead_coeffs.append(image[lead])
     matrix = tuple(zip(*leads))
     try:
         mu = ExponentAut(ctx, matrix)
@@ -481,7 +484,7 @@ def decompose_vaut(sigma: OpTable) -> FactorAut:
                 f"leading exponent of {m} is {q}, outside the basis", witness=m
             )
     back = mat_inverse(matrix)
-    base = CharacterX(ctx, tuple(sigma.images[g].coefficient(e) for g, e in zip(gens, leads)))
+    base = CharacterX(ctx, tuple(lead_coeffs))
     chi = CharacterX(ctx, tuple(base.at(mat_vec(back, g)) for g in gens))
     residual = _read_through(sigma, back, base.inverse())
     op_is_contracting(residual - OpTable.identity(ctx, bound)).require(

@@ -4,7 +4,11 @@ combinations, table application, factor recomposition and the bracket expansion.
 The pairwise scans check the Leibniz rule or multiplicativity on every basis
 pair of total weight at most the bound, O(B^2) table applications.  The
 closed-form builders extend generator images by sum_i m_i t^(m - e_i)
-D(t^e_i) and by products of powers.  The naive word sum builds each word's
+D(t^e_i) and by products of powers.  The image-by-image walk extends
+generator images, and checks a table, one image at a time along the
+generator walk, with two kernel products and one sum per Leibniz step and
+one product per multiplicative step, where `SparseTable._extended` and
+`SparseTable._walk_check` loop over the integer rows of one table.  The naive word sum builds each word's
 product from scratch.  `nseries.operators` and `nseries.free_algebra` compute
 the same in one pass; the tests compare the two.  The reference sum folds
 raw term dicts one pair at a time, as `acc + s.scale(c)` once did, and never
@@ -72,6 +76,7 @@ from nseries import (
     op_log,
     word_concat,
 )
+from nseries.operators import generator_walk
 from nseries.series_calculus import _block_tuples, _dynkin_denominator, _right_nested_bracket
 from nseries.support_order import vec_add, vec_sub
 from nseries.vaut_factors import mat_vec
@@ -119,6 +124,49 @@ def pairwise_unital_endomorphism(table) -> CheckResult:
     for m1, m2 in basis_pairs(table):
         if not multiplicative_on(table, m1, m2):
             return CheckResult(False, (m1, m2))
+    return CheckResult(True)
+
+
+def _leibniz(images, rest, e) -> HahnPoly:
+    """D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest)."""
+    ctx, bound = images[e].ctx, images[e].bound
+    return (images[e] * HahnPoly.monomial(ctx, bound, rest)
+            + HahnPoly.monomial(ctx, bound, e) * images[rest])
+
+
+def _multiplicative(images, rest, e) -> HahnPoly:
+    """sigma(t^rest t^e) = sigma(t^e) sigma(t^rest)."""
+    return images[e] * images[rest]
+
+
+def _walk_unit(ctx, bound, leibniz):
+    return HahnPoly.zero(ctx, bound) if leibniz else HahnPoly.one(ctx, bound)
+
+
+def image_walk_extension(ctx, bound, gen_images, leibniz) -> OpTable:
+    """The table with t^0 -> 0 (`leibniz`) or 1, t^e_i -> gen_images[i] and
+    t^m -> the Leibniz or multiplicative step at (m - e, e) along the
+    generator walk, one image at a time, through the checked constructor."""
+    step = _leibniz if leibniz else _multiplicative
+    images = {(0,) * ctx.dim: _walk_unit(ctx, bound, leibniz)}
+    for m, rest, e in generator_walk(ctx, bound):
+        images[m] = step(images, rest, e) if any(rest) else gen_images[e.index(1)]
+    return OpTable(ctx, bound, images)
+
+
+def image_walk_check(table, leibniz) -> CheckResult:
+    """The derivation (`leibniz`) or endomorphism predicate, image by image:
+    t^0 must map to 0 or 1, witness (0, 0) or "unit", and each nonzero t^m
+    to the step at (m - e, e) over the table's own images, witness the first
+    failing (m - e, e)."""
+    ctx, bound, images = table.ctx, table.bound, table.images
+    zero = (0,) * ctx.dim
+    if images[zero] != _walk_unit(ctx, bound, leibniz):
+        return CheckResult(False, (zero, zero) if leibniz else "unit")
+    step = _leibniz if leibniz else _multiplicative
+    for m, rest, e in generator_walk(ctx, bound):
+        if images[m] != step(images, rest, e):
+            return CheckResult(False, (rest, e))
     return CheckResult(True)
 
 

@@ -1,6 +1,8 @@
 """The generator walk against its oracles: the one-pass derivation and
-endomorphism predicates against the pairwise scans, and the Leibniz and
-multiplicative extensions against the closed-form builders."""
+endomorphism predicates against the pairwise scans, the Leibniz and
+multiplicative extensions against the closed-form builders, and both
+extensions and both predicates, which walk the integer rows of one table,
+against the image-by-image walk, in term order and witness."""
 
 import random
 
@@ -29,7 +31,10 @@ from nseries.samples import (
     random_substitution_automorphism,
     substitution_endomorphism,
 )
+from nseries.textio import format_op_table
 from pairwise_oracles import (
+    image_walk_check,
+    image_walk_extension,
     leibniz_closed_form,
     leibniz_holds,
     multiplicative_on,
@@ -165,3 +170,71 @@ def test_leibniz_extension_matches_closed_form(case):
 @example(W13_SMALL)
 def test_multiplicative_extension_matches_product_of_powers(case):
     assert substitution_endomorphism(*case) == product_of_powers(*case)
+
+
+# -- the row walk against the image-by-image walk ------------------------------
+
+# (context, largest bound), each from N = 0; weighted:1,2 at N = 1 leaves the
+# generator (0, 1) above the bound.
+WALK_CONTEXTS = ((MonoidCtx.lex(1), 6), (MonoidCtx.product(2), 4), (MonoidCtx.product(3), 3),
+                 (MonoidCtx.weighted(1, 2), 5))
+
+PROD2 = MonoidCtx.product(2)
+# D(t^(1,0)) = t^(1,0) and D(t^(0,1)) = -t^(0,1): the two halves of the Leibniz
+# step at (1, 1) cancel, so D(t^(1,1)) = 0.
+CANCELLING = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
+                         1: HahnPoly.monomial(PROD2, 2, (0, 1), -1)})
+
+
+@st.composite
+def walk_images(draw):
+    """Generator images of up to three terms, zero images included, for the
+    generators in the basis; a generator above the bound gets none."""
+    ctx, top = draw(st.sampled_from(WALK_CONTEXTS))
+    bound = draw(st.integers(0, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ctx, bound, {i: random_hahn(rng, ctx, bound, terms=rng.randint(0, 3))
+                        for i, g in enumerate(ctx.generators()) if ctx.in_truncation(g, bound)}
+
+
+def _laid_out(table):
+    """The images in basis order, each with its terms in term order."""
+    return [(m, list(img.terms.items())) for m, img in table.images.items()]
+
+
+@PROPERTY
+@given(walk_images(), st.booleans())
+@example(CANCELLING, True)
+@example((MonoidCtx.weighted(1, 2), 1, {0: HahnPoly.monomial(MonoidCtx.weighted(1, 2), 1,
+                                                             (1, 0), 3)}), False)
+def test_row_extensions_equal_the_image_by_image_walk(case, leibniz):
+    extend = derivation_from_generator_images if leibniz else substitution_endomorphism
+    fast, slow = extend(*case), image_walk_extension(*case, leibniz)
+    assert "images" not in vars(fast)
+    assert fast == slow
+    assert _laid_out(fast) == _laid_out(slow)
+    assert format_op_table(fast) == format_op_table(slow)
+
+
+@PROPERTY
+@given(walk_images(), st.booleans(), st.integers(0, 2**32))
+@example(CANCELLING, True, 0)
+def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed):
+    """On the extension itself and with one entry moved: a nonzero multiple of
+    a random basis monomial added to the image of a random t^m, t^0 included,
+    as a kernel sum, so the table holds its rows and no images."""
+    ctx, bound, _ = case
+    extend = derivation_from_generator_images if leibniz else substitution_endomorphism
+    check = op_is_derivation if leibniz else op_is_unital_endomorphism
+    table = extend(*case)
+    rng = random.Random(seed)
+    basis = table.basis()
+    m, q = rng.choice(basis), rng.choice(basis)
+    moved = OpTable.from_function(
+        ctx, bound, lambda k: HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng))
+        if k == m else HahnPoly.zero(ctx, bound))
+    for t in (table, table + moved):
+        verdict = check(t)
+        assert "images" not in vars(t)
+        assert verdict == image_walk_check(t, leibniz)
+    assert check(table)

@@ -30,6 +30,7 @@ from nseries import (
 )
 from nseries.errors import (
     DimensionMismatchError,
+    IncompleteTableError,
     InconsistentExponentialError,
     NSeriesError,
     WeightBoundError,
@@ -173,6 +174,27 @@ for _extend in (derivation_from_generator_images, substitution_endomorphism):
             lambda extend=_extend, bound=_bound: extend(
                 LEX1, bound, {0: HahnPoly.monomial(LEX1, 5, (1,))}),
             DimensionMismatchError, "image of (1,) lives over a different context or bound")
+    # A generator in the basis with no image, and a key that is no generator
+    # index, checked before any image is read; a generator above the bound
+    # (weighted:1,2 at N=1) needs none.
+    CASES[f"{_extend.__name__}-missing"] = (
+        lambda extend=_extend: extend(MonoidCtx.product(2), 2, {0: HahnPoly.zero(
+            MonoidCtx.product(2), 2)}),
+        IncompleteTableError, "no image is given for generator 1, (0, 1)")
+    CASES[f"{_extend.__name__}-missing-N1"] = (
+        lambda extend=_extend: extend(W12, 1, {1: HahnPoly.zero(W12, 1)}),
+        IncompleteTableError, "no image is given for generator 0, (1, 0)")
+    CASES[f"{_extend.__name__}-empty"] = (
+        lambda extend=_extend: extend(LEX1, 2, {}),
+        IncompleteTableError, "no image is given for generator 0, (1,)")
+    for _key in (7, -1, "junk"):
+        CASES[f"{_extend.__name__}-key-{_key}"] = (
+            lambda extend=_extend, key=_key: extend(
+                LEX1, 2, {0: HahnPoly.zero(LEX1, 2), key: "junk"}),
+            DimensionMismatchError, f"generator image key {_key!r} is no generator index 0..0")
+    CASES[f"{_extend.__name__}-key-N0"] = (
+        lambda extend=_extend: extend(LEX2, 0, {2: HahnPoly.zero(LEX2, 0)}),
+        DimensionMismatchError, "generator image key 2 is no generator index 0..1")
 
 
 @pytest.mark.parametrize("site", CASES)

@@ -3,7 +3,8 @@ substitution automorphism draws images only for the generators in the basis,
 in the same rng order as before.  The drawn contracting tables and
 derivations, built unchecked from a table of fractions and one cone list per
 truncation, equal checked builds of `randint` draws on freshly scanned cones,
-in value, term order and text, and leave the rng in the same state."""
+in value, term order and text, and leave the rng in the same state.  So do
+the drawn Hahn and free series, built unchecked with their zeros dropped."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from nseries import (
+    FreeSeries,
     HahnPoly,
     MonoidCtx,
     OpTable,
@@ -77,4 +79,31 @@ def test_drawn_tables_equal_checked_builds_of_the_same_draws(ctx):
             assert [list(img.terms) for img in drawn.images.values()] == [
                 list(img.terms) for img in built.images.values()]
             assert format_op_table(drawn) == format_op_table(built)
+        # The series, the same draws through the checked constructors: a key
+        # drawn twice keeps its first place and its last value, and a zero
+        # coefficient, drawn or passed as the constant, is dropped.
+        series = [samples.random_hahn(rng, ctx, bound, terms=seed % 7)]
+        terms = {}
+        for _ in range(seed % 7):  # the value is drawn before its exponent
+            c = _checked_fraction(replay)
+            terms[replay.choice(weight_universe(ctx, bound))] = c
+        built_series = [HahnPoly(ctx, bound, terms)]
+        for constant in (None, 0, Fraction(-3, 2), "2/3"):
+            series.append(samples.random_free_series(rng, 2, bound, seed % 5, constant))
+            terms = {}
+            for _ in range(seed % 5):  # the word is drawn before its value
+                word = _checked_word(replay, bound, constant)
+                terms[word] = _checked_fraction(replay)
+            if constant is not None:
+                terms[()] = constant
+            built_series.append(FreeSeries(2, bound, terms))
+        for drawn, built in zip(series, built_series):
+            assert drawn == built
+            assert list(drawn.terms.items()) == list(built.terms.items())
         assert rng.getstate() == replay.getstate()
+
+
+def _checked_word(rng, grade, constant):
+    """A word over two letters as `samples.random_free_series` draws it."""
+    length = rng.randint(0 if constant is None else 1, grade)
+    return tuple(rng.randrange(2) for _ in range(length))

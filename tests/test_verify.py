@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from nseries import CharacterX, InconsistentExponentialError, verify
+from nseries import CharacterX, InconsistentExponentialError, MonoidCtx, OpTable, verify
 from nseries.cli import main
+from nseries.sparse import SparseTable
 from nseries.verify import SUITES, StepResult, _check, run_suite
 
 
@@ -42,6 +43,23 @@ def test_every_suite_passes_with_identical_json(capsys, suite):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["passed"] is True
+
+
+def test_a_verify_pass_builds_no_table_view(capsys, monkeypatch):
+    """Every table of a verify pass is read on its rows: the seven suites at
+    the benchmark's size build no `images` view, while a public read of
+    `images` still builds one."""
+    built = []
+    view = SparseTable._view
+    monkeypatch.setattr(SparseTable, "_view", lambda self: built.append(self) or view(self))
+    for suite in SUITES:
+        if suite != "all":
+            code, _, _ = run(capsys, "verify", suite, "--order", "8", "--trials", "5",
+                             "--seed", "7", "--json")
+            assert code == 0
+    assert len(built) == 0
+    assert OpTable.identity(MonoidCtx.lex(1), 2).images
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = "tests/test_table_oracles.py"
+WALK = "tests/test_predicate_oracles.py"
+EXTENSIONS = f"{WALK}::test_row_extensions_equal_the_image_by_image_walk"
+PREDICATES = f"{WALK}::test_row_predicates_equal_the_image_by_image_walk"
 
 
 class Mutant(NamedTuple):
@@ -98,6 +101,44 @@ MUTANTS = (
            "            if img._space() != space:",
            "            if False:",
            ("tests/test_rejections.py::test_each_rejection_keeps_its_class_and_message",)),
+    Mutant("generator image keys unchecked", "operators.py",
+           "        if i not in range(ctx.dim):",
+           "        if False:",
+           ("tests/test_rejections.py::test_each_rejection_keeps_its_class_and_message",)),
+    Mutant("missing generator image unchecked", "operators.py",
+           "            if i not in gen_images:",
+           "            if False:",
+           ("tests/test_rejections.py::test_each_rejection_keeps_its_class_and_message",)),
+    # -- SparseTable._extended and _walk_check, the generator walk on rows ----
+    Mutant("Leibniz row's room test drops the bound", "sparse.py",
+           "out = {key_mul(k, rest): n for k, n in row_e.items() if grade(k) <= room}",
+           "out = {key_mul(k, rest): n for k, n in row_e.items() if grade(k) < room}",
+           (EXTENSIONS,)),
+    Mutant("Leibniz row's second room test drops the bound", "sparse.py",
+           "            if grade(k) <= room:\n                key = key_mul(e, k)",
+           "            if grade(k) < room:\n                key = key_mul(e, k)",
+           (EXTENSIONS,)),
+    Mutant("a cancelled Leibniz key is kept at 0", "sparse.py",
+           "                    del out[key]",
+           "                    out[key] = 0",
+           (EXTENSIONS,)),
+    Mutant("Leibniz generator rows keep their own denominator", "sparse.py",
+           "row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}",
+           "row = nums",
+           (EXTENSIONS,)),
+    Mutant("multiplicative extension without the lcm rescale", "sparse.py",
+           "return cls._held(space, _over_lcm(parts.items()))",
+           "return cls._held(space, (lcm(*[d for d, _ in parts.values()]),"
+           " {m: nums for m, (d, nums) in parts.items() if nums}))",
+           (EXTENSIONS,)),
+    Mutant("endomorphism check without the D scale", "sparse.py",
+           "prod.get(key) == den * n for key, n in row.items())",
+           "prod.get(key) == n for key, n in row.items())",
+           (PREDICATES,)),
+    Mutant("unit-row check skipped", "sparse.py",
+           "if (one in rows) if leibniz else rows.get(one) != {one: den}:",
+           "if False:",
+           (PREDICATES,)),
     # -- ExponentAut.identity, built without the probe scan -------------------
     Mutant("unchecked identity is another matrix", "vaut_factors.py",
            'object.__setattr__(obj, "matrix", ctx.generators())',
@@ -107,7 +148,7 @@ MUTANTS = (
     Mutant("table form keeps unscaled rows", "sparse.py",
            "{m: nums if d == den else {key: n * (den // d) for key, n in nums.items()}",
            "{m: nums if True else {key: n * (den // d) for key, n in nums.items()}",
-           ("tests/test_sparse.py",)),
+           ("tests/test_sparse.py", EXTENSIONS)),
     Mutant("table sum keeps the gcd", "sparse.py",
            "        if g > 1:\n            common //= g",
            "        if False:\n            common //= g",
