@@ -27,8 +27,9 @@ One generator walk over the weight-sorted basis splits each exponent m into
 also walks for the values of a character).  It builds the Leibniz and
 multiplicative extensions of generator images (the kernel's
 `SparseTable._extended`), and decides the derivation and endomorphism
-predicates by comparing each row with the same step (`_walk_check`), each
-one loop over the integer rows of one table, so neither builds an image.
+predicates by building the same extension of the table's own generator
+rows and comparing it with the table (`_walk_check`), each on the integer
+rows of the table, so neither builds an image.
 An extension first checks its generator images, once: every key is a
 generator index, and each generator in the basis has an image of the right
 type and space.  `op_geometric_inverse` reads its scalar off one row
@@ -113,6 +114,7 @@ class OpTable(SparseTable):
             extra = next(m for m in canon if m not in universe)
             raise IncompleteTableError(f"table has an image for {extra}, outside the basis")
         object.__setattr__(self, "images", canon)
+        self._hold_form()
 
     # -- constructors -------------------------------------------------
 

@@ -7,69 +7,55 @@ product never visits the pairs whose grades sum past the bound, and stays
 exact modulo the ideal of keys above the bound.  A table maps each basis key
 to an image series, and is an element of the same linear space protocol.
 
-`Linear.lin_comb` is the one checked entry that sums several series, or
-several tables: it checks each operand's space and each coefficient, then
-calls the class's unchecked `_combine`.  `+`, `-`, negation and scaling are
-one `lin_comb` call each.  `SparseSeries._combine` and `SparseTable._combine`
-are the integer loops behind every sum, and `SparseTable._compose` and
-`SparseTable._apply` the one linear extension, of a table's rows through
-another table or at a series.  `SparseTable._read` is the one row read: each
-image is a rescaled row of the table, its keys optionally relabeled, which is
-every factor table of `nseries.vaut_factors`.  `SparseTable.row_keys` gives
-the keys of each nonzero row, for the contracting test, and `SparseTable.row`
-one image as Fractions, for a scalar or a lead.  `SparseTable._extended` and
-`SparseTable._walk_check` are the generator walk of `nseries.operators`: the
-Leibniz or multiplicative extension of generator images, and the test that
-a table is that extension of its own generator images, each one loop over
-integer rows.  `_multiply` is the one truncated product loop, behind
-`_product` and both walks, and `_leibniz_row` the one Leibniz step.  The
-evaluators of `nseries.free_algebra` sum their products with one `lin_comb`.
+Every value holds one state, its integer form, from construction on, and
+only this module reads or writes it.  A series' form is (D, numerators): D
+the least common denominator of its coefficients, and numerators the dict
+key -> coefficient * D, in term order.  A table's form is (D, rows): D the
+least common denominator of every coefficient of every image, and rows the
+dict basis key -> {image key: coefficient * D} of the nonzero images, each
+in term order.  A public constructor checks its input and computes the form
+as its last step (`_hold_form`), and so does `_trusted`, for values whose
+keys and coefficients are canonical by construction.  A kernel loop sums
+plain integers over one common denominator and divides by one gcd, or
+builds a form that is least with no gcd, and `_held` stores that form
+alone.  The form is canonical, so `==` compares the type, the space and the
+forms, and `is_zero` and `keys` read the form.
+
+The view is a cache of the form: a series' `terms`, the public dict of
+Fractions in term order, and a table's `images`, one series per basis key in
+basis order, each nonzero image over its own least common denominator and
+every zero image one zero series shared by the table.  A kernel result
+builds its view on the first read, in `Linear.__getattr__`, which Python
+calls only while the view is missing (`functools.cached_property` would
+take a lock on its first read on Python 3.11).  So an intermediate result
+that is only summed, multiplied, composed, compared or tested for zero
+builds no Fraction and no image.
+
+`Linear.lin_comb` is the one checked sum: it checks each operand's space and
+each coefficient, then `_combine` adds every part into one dict through
+`_add_into`, the one cancel-aware add loop.  `+`, `-`, negation and scaling
+are one `lin_comb` call each.  `_multiply` is the one truncated product
+loop, behind `_product` and the generator walk.  `SparseTable._compose` and
+`SparseTable._apply` are the one linear extension, a table's rows through
+another table or at a series (`_through`).  `SparseTable._read` is the one
+row read behind the factor tables of `nseries.vaut_factors`, and `row_keys`
+and `row` read rows for the contracting test and for a scalar or a lead.
+`_extension` is the generator walk of `nseries.operators`: the Leibniz or
+multiplicative extension of generator rows, which `SparseTable._extended`
+builds and `SparseTable._walk_check` compares with the table it extends.
 
 A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
 is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
-view, the bound last), `_MISMATCH`, the mismatch message, and `_view()`,
-which builds the view from the integer form.  A subclass of `SparseSeries`
-also supplies `_check_key`, `_grade`, `one(*space)` and a `__mul__` that
-passes its key product to `_product`; its `__post_init__` checks the space
-and calls `_canonicalise`.  A subclass of `SparseTable` supplies `basis()`,
-the basis keys in order, and `_IMAGE`, the series class of its images.
-`_combine`, `==`, `is_zero` and the view come with the base classes, and
-`hash()` is a TypeError, as for any mutable map.
-
-Every loop sums plain integers over one common denominator, and only this
-module reads or writes that integer form.  A series' form is (D, numerators):
-D the least common denominator of its coefficients, and numerators the dict
-key -> coefficient * D, in term order (`_integral`).  A table's form is (D,
-rows): D the least common denominator of every coefficient of every image,
-and rows the dict basis key -> {image key: coefficient * D} of the nonzero
-images, each in term order (`_table_form`).  `SparseSeries._combine` sums over
-the lcm of c.denominator * D across its (c, series) parts, `_product` over
-D_a * D_b, `SparseTable._combine` over the lcm of c.denominator * D across its
-(c, table) parts, and `_compose` and `_apply` over D_f * D_g.  Each then
-divides its sums and that denominator by their one gcd, which makes the
-denominator the least common one of the reduced coefficients.  A Leibniz
-extension runs over the lcm of its generator images' denominators and a
-multiplicative one puts its rows, each in lowest terms, over one lcm
-(`_over_lcm`, as `_table_form` does); both are least with no gcd.  The result
-holds that form and nothing else: the form is the representation of a kernel
-result, and the next loop reads it.  Its view is built from the form on its
-first read and then kept: a series' `terms`, the public dict of Fractions in
-the same term order, and a table's `images`, one series per basis key in
-basis order, each nonzero image over its own least common denominator and
-every zero image one zero series shared by the table.  So an intermediate
-result that is only summed, multiplied, composed, compared or tested for
-zero builds no Fraction and no image.  The form is canonical, so `==`
-compares the type, the space and the forms, and `is_zero` and `keys` read
-the form too.  The view is built by `Linear.__getattr__`, which Python calls
-only while the view is missing, so a read after the first costs a plain
-attribute lookup (`functools.cached_property` would take a lock on its first
-read on Python 3.11).  A series or table from a public constructor, or from
-`_trusted`, holds its view and computes its form at first use and keeps it.
-The keys and coefficients of a kernel result are canonical already, so it
-is built without `__post_init__`; the public constructors keep every check.
-`exact` is the one exact-coefficient check: a float or any other
-non-rational number is a `TypeError`, never a binary fraction, and a string
-that is no rational is an `NSeriesError`.
+view, the bound last) and `_MISMATCH`, the mismatch message.  A subclass of
+`SparseSeries` also supplies `_check_key`, `_grade`, `one(*space)` and a
+`__mul__` that passes its key product to `_product`; its `__post_init__`
+checks the space and calls `_canonicalise`.  A subclass of `SparseTable`
+supplies `basis()`, the basis keys in order, `_IMAGE`, the series class of
+its images, and a `__post_init__` that checks the images and calls
+`_hold_form`.  `hash()` is a TypeError, as for any mutable map.  `exact` is
+the one exact-coefficient check: a float or any other non-rational number
+is a `TypeError`, never a binary fraction, and a string that is no rational
+is an `NSeriesError`.
 """
 
 from __future__ import annotations
@@ -104,33 +90,6 @@ def exact(value) -> Fraction:
     )
 
 
-def _integral(series) -> tuple[int, dict]:
-    """The form (D, {key: n}) of `series`: D the least common denominator of
-    its coefficients, and n each coefficient times D, in term order.  A kernel
-    result holds it from its loop; any other series computes it here once
-    and keeps it."""
-    form = series._form
-    if form is None:
-        terms = series.terms
-        den = lcm(*[v.denominator for v in terms.values()])
-        form = den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
-        object.__setattr__(series, "_form", form)
-    return form
-
-
-def _table_form(table) -> tuple[int, dict]:
-    """The form (D, {m: {key: n}}) of `table`: D the least common denominator
-    of every coefficient of its images, and one row of numerators for each
-    nonzero image, in term order (`_over_lcm` of the images' own forms).  A
-    kernel result holds it from its loop; any other table computes it here
-    once and keeps it."""
-    form = table._form
-    if form is None:
-        form = _over_lcm([(m, img._form or _integral(img)) for m, img in table.images.items()])
-        object.__setattr__(table, "_form", form)
-    return form
-
-
 def _over_lcm(forms) -> tuple[int, dict]:
     """The table form of the (m, (d, numerators)) rows of `forms`, each row in
     lowest terms over its own denominator d: every nonzero row over the lcm
@@ -149,6 +108,19 @@ def _lowest(common: int, nums: dict) -> tuple[int, dict]:
     if g > 1:
         return common // g, {key: n // g for key, n in nums.items()}
     return common, nums
+
+
+def _add_into(out: dict, p: int, nums: dict) -> None:
+    """Add p times the nonzero integers of `nums` into `out`, a dict of nonzero
+    integers; p = 0 leaves `out` as it is.  A sum that reaches zero leaves
+    `out` at once, so a later term re-enters its key last, as a fold of `+`
+    would place it."""
+    for key, n in nums.items():
+        total = out.get(key, 0) + p * n
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
 
 
 def _through(nums: dict, rows: dict) -> dict:
@@ -200,43 +172,75 @@ def _leibniz_row(row_e, row_rest, rest, e, grade: Callable, bound: int, key_mul:
     """The Leibniz step D(t^rest t^e) = D(t^e) t^rest + t^e D(t^rest) on two
     rows over one denominator, either of them None or empty for a zero image:
     `row_e` shifted by rest, then `row_rest` shifted by e, each key kept when
-    its grade fits the room the shift leaves under `bound`.  A key that
-    cancels leaves the dict at once, as in `SparseSeries._combine`, so the
-    row has the term order of the sum of the two kernel products."""
+    its grade fits the room the shift leaves under `bound`.  The second half
+    is added into the first (`_add_into`), so the row has the term order of
+    the sum of the two kernel products."""
     out = {}
     if row_e:
         room = bound - grade(rest)
         out = {key_mul(k, rest): n for k, n in row_e.items() if grade(k) <= room}
     if row_rest:
         room = bound - grade(e)
-        for k, n in row_rest.items():
-            if grade(k) <= room:
-                key = key_mul(e, k)
-                total = out.get(key, 0) + n
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+        _add_into(out, 1, {key_mul(e, k): n for k, n in row_rest.items() if grade(k) <= room})
     return out
+
+
+def _extension(gens: dict, one, walk, grade: Callable, bound: int, key_mul: Callable,
+               leibniz: bool) -> tuple[int, dict]:
+    """The table form whose row of t^e is gens[e], a form (d, numerators) in
+    lowest terms, for each generator e, and whose other rows follow the
+    generator walk: for each item (m, rest, e) of `walk`, m = rest + e, rest
+    before m and rest = one when m = e is a generator, the row of t^m is the
+    Leibniz step (`_leibniz_row`) or the product of the rows of t^e and
+    t^rest (`_multiply`).
+
+    Leibniz (t^one -> 0): every row over D, the lcm of the generators' d,
+    since each step sums shifted rows with coefficient 1.  Each generator
+    row is in lowest terms and a row of the table, so for each prime p of D
+    some numerator is prime to p and the form needs no gcd.  Multiplicative
+    (t^one -> t^one): each row is the product of two rows over its own
+    denominator, divided by one gcd (`_lowest`), and `_over_lcm` puts every
+    row over one lcm."""
+    if leibniz:
+        den = lcm(*[d for d, _ in gens.values()])
+        rows: dict = {}
+        for m, rest, e in walk:
+            if m == e:
+                d, nums = gens[e]
+                row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}
+            else:
+                row = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul)
+            if row:
+                rows[m] = row
+        return den, rows
+    parts = {one: (1, {one: 1})}
+    for m, rest, e in walk:
+        if m == e:
+            parts[m] = gens[e]
+        else:
+            (den_e, row_e), (den_r, row_r) = parts[e], parts[rest]
+            parts[m] = _lowest(den_e * den_r, _multiply(row_e, row_r, grade, bound, key_mul))
+    return _over_lcm(parts.items())
 
 
 class Linear:
     """`lin_comb`, the one checked sum, and `+`, `-`, negation and scaling, each
-    one `lin_comb` call; `==`, `is_zero` and the view of a kernel result read
-    the integer form.  A subclass supplies `_combine(parts)`, the unchecked
-    sum of c*x over (c, x) parts, `_space()`, `_MISMATCH`, `_VIEW`, `_view()`
-    and `_formed()`, the form of an instance that does not hold one yet."""
+    one `lin_comb` call.  Every instance holds its integer form `_form`, which
+    `==` and `is_zero` read.  A subclass supplies `_combine(parts)`, the
+    unchecked sum of c*x over (c, x) parts, `_space()`, `_MISMATCH`, `_VIEW`,
+    `_view()`, the view built from the form, and `_hold_form()`, which
+    computes the form from the view and holds it."""
 
-    _form = None  # the integer form, once known; not a dataclass field
     __hash__ = None  # the dataclasses are mutable maps, so never hashable
 
     @classmethod
     def _trusted(cls, space, body):
         """The instance whose dataclass fields are `space` then `body`, in order,
-        built without `__post_init__`: only for tables and series whose keys
-        and values are canonical by construction."""
+        holding the form of `body`, built without `__post_init__`: only for
+        tables and series whose keys and values are canonical by construction."""
         obj = object.__new__(cls)
         obj.__dict__.update(zip(cls.__dataclass_fields__, (*space, body)))
+        obj._hold_form()
         return obj
 
     @classmethod
@@ -251,7 +255,7 @@ class Linear:
     def __getattr__(self, name):
         """The view of a kernel result, built from its form on the first read and
         kept.  Any other missing name is an AttributeError."""
-        if name != self._VIEW or self._form is None:
+        if name != self._VIEW:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         view = self._view()
         object.__setattr__(self, name, view)
@@ -262,11 +266,10 @@ class Linear:
         they agree exactly when the term maps, or the image maps, do."""
         if type(other) is not type(self):
             return NotImplemented
-        return self._space() == other._space() and (
-            (self._form or self._formed()) == (other._form or other._formed()))
+        return self._space() == other._space() and self._form == other._form
 
     def is_zero(self) -> bool:
-        return not (self._form or self._formed())[1]
+        return not self._form[1]
 
     def _require_same(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -301,15 +304,23 @@ class SparseSeries(Linear):
     and `terms` view."""
 
     _VIEW = "terms"
-    _formed = _integral
 
     def _view(self) -> dict:
         """`terms`: the Fractions n/D of the form, in term order."""
         den, nums = self._form
         return {key: Fraction(n, den) for key, n in nums.items()}
 
+    def _hold_form(self) -> None:
+        """Hold the form of `terms`: D the lcm of the denominators, and each
+        coefficient times D, in term order."""
+        terms = self.terms
+        den = lcm(*[v.denominator for v in terms.values()])
+        object.__setattr__(self, "_form", (
+            den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}))
+
     def _canonicalise(self) -> None:
-        """Check every key, make every coefficient a Fraction and drop the zeros."""
+        """Check every key, make every coefficient a Fraction, drop the zeros
+        and hold the form of what is left."""
         canon = {}
         check_key = self._check_key
         for key, coeff in self.terms.items():
@@ -318,6 +329,7 @@ class SparseSeries(Linear):
             if coeff != 0:
                 canon[key] = coeff
         object.__setattr__(self, "terms", canon)
+        self._hold_form()
 
     @classmethod
     def zero(cls, *space):
@@ -330,7 +342,7 @@ class SparseSeries(Linear):
 
     def keys(self):
         """The keys of the terms, in term order, read off the form."""
-        return (self._form or _integral(self))[1].keys()
+        return self._form[1].keys()
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms by grade, then by key."""
@@ -341,25 +353,16 @@ class SparseSeries(Linear):
 
     def _combine(self, parts):
         """The sum of c*s over the (c, s) parts, in the space of `self`,
-        unchecked: c a Fraction and s a series of that space.
-
-        Every term lands in one dict, as an integer over the lcm of c.denominator
-        * D across the parts, D the denominator of the `_integral` form of s;
-        the lcm pass leaves every form kept.  A key that cancels leaves the dict
-        at once, so a later term re-enters the key last, as a fold of `+` would
-        place it.  `_reduced` divides the sums and the common denominator by one
-        gcd, so the result keeps its form over the least common denominator."""
-        common = lcm(*[c.denominator * (s._form or _integral(s))[0] for c, s in parts])
+        unchecked: c a Fraction and s a series of that space.  Every part is
+        added into one dict (`_add_into`), as integers over the lcm of
+        c.denominator * D across the parts, D the denominator of the form of
+        s, and `_reduced` divides the sums and that denominator by one gcd, so
+        the result holds its form over the least common denominator."""
+        common = lcm(*[c.denominator * s._form[0] for c, s in parts])
         out: dict = {}
         for c, s in parts:
             d, nums = s._form
-            p = c.numerator * (common // (c.denominator * d))
-            for key, n in nums.items():
-                total = out.get(key, 0) + p * n
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
+            _add_into(out, c.numerator * (common // (c.denominator * d)), nums)
         return self._reduced(common, out)
 
     def _product(self, other, key_mul: Callable):
@@ -367,7 +370,7 @@ class SparseSeries(Linear):
         over D_a * D_b, and `_reduced` divides them and D_a * D_b by one gcd,
         so the result keeps its form over the least common denominator."""
         self._require_same(other)
-        (den_a, left), (den_b, right) = _integral(self), _integral(other)
+        (den_a, left), (den_b, right) = self._form, other._form
         return self._reduced(den_a * den_b,
                              _multiply(left, right, self._grade, self._space()[-1], key_mul))
 
@@ -389,7 +392,6 @@ class SparseTable(Linear):
     """Base of `OpTable`: the table loops, equality and the `images` view."""
 
     _VIEW = "images"
-    _formed = _table_form
 
     def _view(self) -> dict:
         """`images`: one series per basis key, in basis order, each nonzero row
@@ -401,6 +403,12 @@ class SparseTable(Linear):
         return {m: zero if (row := rows.get(m)) is None else image._held(space, _lowest(den, row))
                 for m in self.basis()}
 
+    def _hold_form(self) -> None:
+        """Hold the form of `images`: the forms of the images over one lcm
+        (`_over_lcm`)."""
+        forms = [(m, img._form) for m, img in self.images.items()]
+        object.__setattr__(self, "_form", _over_lcm(forms))
+
     @classmethod
     def _unit(cls, space, basis):
         """The identity t^m -> t^m on `basis`, held as its form."""
@@ -410,7 +418,7 @@ class SparseTable(Linear):
         """(m, the keys of the image of t^m) for each basis key m whose image is
         nonzero, in basis order, each image's keys in term order: read off the
         rows of the form, with no image built."""
-        rows = (self._form or _table_form(self))[1]
+        rows = self._form[1]
         for m in self.basis():
             row = rows.get(m)
             if row is not None:
@@ -425,7 +433,7 @@ class SparseTable(Linear):
         meet and each row keeps its term order.  The rows run over D times the
         lcm L of the scales' denominators, q's row times numerator * (L //
         denominator), and `_reduced` divides by one gcd."""
-        den, rows = self._form or _table_form(self)
+        den, rows = self._form
         picked = [(m, row, 1 if scale is None else scale[q])
                   for m, q in source.items() if (row := rows.get(q)) is not None]
         common = lcm(*[c.denominator for _, _, c in picked if c])
@@ -440,87 +448,54 @@ class SparseTable(Linear):
     def row(self, m) -> dict:
         """The image of t^m as {key: Fraction}, in term order, read off the form:
         an empty dict for a zero image, and no image built."""
-        den, rows = self._form or _table_form(self)
+        den, rows = self._form
         return {key: Fraction(n, den) for key, n in rows.get(m, {}).items()}
 
     @classmethod
     def _extended(cls, space, one, gens: dict, walk, grade: Callable, key_mul: Callable,
                   leibniz: bool):
-        """The table in `space`, unchecked, whose image of t^e is gens[e] for each
-        generator e and whose other images follow the generator walk: for each
-        item (m, rest, e) of `walk`, m = rest + e, rest before m and rest = one
-        when m = e is a generator, the image of t^m is the Leibniz step
-        (`_leibniz_row`) or sigma(t^e) sigma(t^rest) (`_multiply`).
-
-        Leibniz (t^one -> 0): every row over D, the lcm of the generator
-        images' denominators, since each step sums shifted rows with
-        coefficient 1.  The generator rows are rows of the table, so for each
-        prime p of D some numerator is prime to p and the form needs no gcd.
-        Multiplicative (t^one -> t^one): each row is the product of two rows
-        over its own denominator, divided by one gcd (`_lowest`), and
-        `_over_lcm` puts every row over one lcm."""
-        bound = space[-1]
-        forms = {e: g._form or _integral(g) for e, g in gens.items()}
-        if leibniz:
-            den = lcm(*[d for d, _ in forms.values()])
-            rows: dict = {}
-            for m, rest, e in walk:
-                if m == e:
-                    d, nums = forms[e]
-                    row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}
-                else:
-                    row = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul)
-                if row:
-                    rows[m] = row
-            return cls._held(space, (den, rows))
-        parts = {one: (1, {one: 1})}
-        for m, rest, e in walk:
-            if m == e:
-                parts[m] = forms[e]
-            else:
-                (den_e, row_e), (den_r, row_r) = parts[e], parts[rest]
-                parts[m] = _lowest(den_e * den_r, _multiply(row_e, row_r, grade, bound, key_mul))
-        return cls._held(space, _over_lcm(parts.items()))
+        """The table in `space`, unchecked, that is the Leibniz or multiplicative
+        extension (`_extension`) of the generator images gens[e] along `walk`."""
+        return cls._held(space, _extension({e: g._form for e, g in gens.items()}, one, walk,
+                                           grade, space[-1], key_mul, leibniz))
 
     def _walk_check(self, one, walk, grade: Callable, key_mul: Callable, leibniz: bool):
-        """Whether the table is the extension `_extended` of its own generator
-        images along `walk`, decided on its rows over its denominator D: None
-        when it is, () when the row of t^one fails (none for a derivation,
-        {one: D} for an endomorphism), and otherwise (rest, e) of the first
-        item of `walk` whose step differs from the row of t^m.  A derivation's
-        step is over D, as the rows are; an endomorphism's product of two rows
-        is over D^2, and is compared with the row of t^m times D entry by
-        entry, with no scaled copy built.  A generator's row is its own step
-        once the row of t^one holds, so it is not compared."""
-        den, rows = self._form or _table_form(self)
-        bound = self._space()[-1]
+        """Whether the table is the `_extension` of its own generator rows along
+        `walk`: None when it is, () when the row of t^one fails (none for a
+        derivation, {one: D} for an endomorphism), and otherwise (rest, e) of
+        the first item of `walk` whose row differs from the extension's.
+
+        Each generator row enters the extension in lowest terms, as an image's
+        form would, so the extension is canonical, as the table is, and the
+        table is its extension exactly when the two forms are equal.  Else
+        the rows are compared as rationals, each side's numerators times the
+        other side's denominator, since the denominators may differ.  Up to
+        the first row that differs the table equals its extension, so there
+        the extension's row is the step over the table's own rows, and that
+        row is the first failing step; a generator's row never differs."""
+        den, rows = self._form
         if (one in rows) if leibniz else rows.get(one) != {one: den}:
             return ()
+        walk = list(walk)
+        gens = {e: _lowest(den, rows.get(e, {})) for m, _, e in walk if m == e}
+        ext_den, ext = _extension(gens, one, walk, grade, self._space()[-1], key_mul, leibniz)
+        if ext_den == den and ext == rows:
+            return None
         for m, rest, e in walk:
-            if m == e:
-                continue
-            row = rows.get(m, {})
-            if leibniz:
-                same = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound,
-                                    key_mul) == row
-            else:
-                prod = _multiply(rows.get(e, {}), rows.get(rest, {}), grade, bound, key_mul)
-                same = len(prod) == len(row) and all(
-                    prod.get(key) == den * n for key, n in row.items())
-            if not same:
+            row, want = rows.get(m, {}), ext.get(m, {})
+            if len(row) != len(want) or any(
+                    want.get(key, 0) * den != n * ext_den for key, n in row.items()):
                 return rest, e
-        return None
 
     def _combine(self, parts):
         """The sum of c*t over the (c, t) parts, in the space of `self`,
-        unchecked: c a Fraction and t a table of that space.
-
-        Every row sums in one dict, as integers over the lcm of c.denominator
-        * D across the parts, D the denominator of the form of t.  Within a row
-        a key that cancels leaves the dict at once, as in the series
-        `_combine`, so each image keeps the term order of the sum of its
-        images; a row that cancels entirely is dropped."""
-        forms = [(c, t._form or _table_form(t)) for c, t in parts]
+        unchecked: c a Fraction and t a table of that space.  Every row sums in
+        one dict, as integers over the lcm of c.denominator * D across the
+        parts, D the denominator of the form of t: a row's first part is
+        copied and each later one added (`_add_into`), so each image keeps the
+        term order of the sum of its images; a row that cancels entirely is
+        dropped."""
+        forms = [(c, t._form) for c, t in parts]
         common = lcm(*[c.denominator * d for c, (d, _) in forms])
         out: dict = {}
         for c, (d, rows) in forms:
@@ -529,21 +504,15 @@ class SparseTable(Linear):
                 acc = out.get(m)
                 if acc is None:
                     out[m] = {key: p * n for key, n in row.items()} if p else {}
-                    continue
-                for key, n in row.items():
-                    total = acc.get(key, 0) + p * n
-                    if total:
-                        acc[key] = total
-                    else:
-                        acc.pop(key, None)
+                else:
+                    _add_into(acc, p, row)
         return self._reduced(common, {m: acc for m, acc in out.items() if acc})
 
     def _compose(self, other):
         """self o other, unchecked: each row of `other` through the rows of
         `self` (`_through`), over D_self * D_other, so each image is `self`
         applied to the image of `other`."""
-        (den_f, rows_f), (den_g, rows_g) = (
-            self._form or _table_form(self), other._form or _table_form(other))
+        (den_f, rows_f), (den_g, rows_g) = self._form, other._form
         rows = {}
         for m, row in rows_g.items():
             out = _through(row, rows_f)
@@ -554,8 +523,7 @@ class SparseTable(Linear):
     def _apply(self, series):
         """`self` at `series`, unchecked: the terms of `series` through the rows
         of `self` (`_through`), over the product of the two denominators."""
-        den, rows = self._form or _table_form(self)
-        den_a, nums = series._form or _integral(series)
+        (den, rows), (den_a, nums) = self._form, series._form
         return series._reduced(den_a * den, _through(nums, rows))
 
     def _reduced(self, common: int, rows: dict):

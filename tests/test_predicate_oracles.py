@@ -5,6 +5,7 @@ extensions and both predicates, which walk the integer rows of one table,
 against the image-by-image walk, in term order and witness."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,14 @@ PROD2 = MonoidCtx.product(2)
 # step at (1, 1) cancel, so D(t^(1,1)) = 0.
 CANCELLING = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
                          1: HahnPoly.monomial(PROD2, 2, (0, 1), -1)})
+# A derivation with D(t^(1,1)) = 3 t^(1,1) and the identity substitution: in
+# both integer tables the row of t^(1, 1) is odd, so halving it puts the table
+# over D = 2 while the extension of its generator rows stays over 1.  Seed 5
+# picks m = (1, 1) in the predicate property.
+SCALED = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
+                     1: HahnPoly.monomial(PROD2, 2, (0, 1), 2)})
+UNIT = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
+                   1: HahnPoly.monomial(PROD2, 2, (0, 1))})
 
 
 @st.composite
@@ -217,12 +226,15 @@ def test_row_extensions_equal_the_image_by_image_walk(case, leibniz):
 
 
 @PROPERTY
-@given(walk_images(), st.booleans(), st.integers(0, 2**32))
-@example(CANCELLING, True, 0)
-def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed):
-    """On the extension itself and with one entry moved: a nonzero multiple of
-    a random basis monomial added to the image of a random t^m, t^0 included,
-    as a kernel sum, so the table holds its rows and no images."""
+@given(walk_images(), st.booleans(), st.integers(0, 2**32), st.booleans())
+@example(CANCELLING, True, 0, False)
+@example(SCALED, True, 5, True)
+@example(UNIT, False, 5, True)
+def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed, halve):
+    """On the extension itself and with the image of a random t^m, t^0
+    included, changed in one place: a nonzero multiple of a random basis
+    monomial added, or with `halve` the image rescaled by 1/2.  The change is
+    a kernel sum, so the table holds its rows and no images."""
     ctx, bound, _ = case
     extend = derivation_from_generator_images if leibniz else substitution_endomorphism
     check = op_is_derivation if leibniz else op_is_unital_endomorphism
@@ -230,9 +242,10 @@ def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed):
     rng = random.Random(seed)
     basis = table.basis()
     m, q = rng.choice(basis), rng.choice(basis)
+    change = (HahnPoly(ctx, bound, table.row(m)).scale(Fraction(-1, 2)) if halve
+              else HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng)))
     moved = OpTable.from_function(
-        ctx, bound, lambda k: HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng))
-        if k == m else HahnPoly.zero(ctx, bound))
+        ctx, bound, lambda k: change if k == m else HahnPoly.zero(ctx, bound))
     for t in (table, table + moved):
         verdict = check(t)
         assert "images" not in vars(t)

@@ -1,12 +1,14 @@
 """The sparse kernel shared by FreeSeries and HahnPoly: operands must share a
 space, and `lin_comb`, behind every sum of series and of tables, agrees with
 the reference fold over raw term dicts, term order included.  The product
-agrees with the reference product, every kernel result equals the same terms
-rebuilt through the checked constructor and holds the integer form of its
-terms.  That form is a kernel result's representation: its `terms` is built
-on the first read and then matches the reference fold, term order included,
-while `==` and `is_zero` read the form alone; equality is type, space and
-term map, series are unhashable and their repr is unchanged.  A table is one
+agrees with the reference product, and every kernel result equals the same
+terms rebuilt through the checked constructor.  Every value holds the integer
+form of its terms from construction on, whether a public constructor, a draw
+or a kernel loop built it.  That form is a kernel result's representation:
+its `terms` is built on the first read and then matches the reference fold,
+term order included, while `==` and `is_zero` read the form alone; equality
+is type, space and term map, series are unhashable and their repr is
+unchanged.  A table is one
 integer matrix in the same way: `==` and `is_zero` leave its `images` unbuilt
 and agree with the image maps of public-constructor tables, mixed
 denominators and cancelled rows included, and a late read of `images`
@@ -50,7 +52,6 @@ from nseries.samples import (
     random_free_series,
     random_hahn,
 )
-from nseries.sparse import _integral
 from nseries.support_order import vec_add
 from nseries.vaut_factors import (
     ExponentAut,
@@ -263,22 +264,48 @@ def form_operands(draw):
 
 
 def _form_of_terms(x):
-    """(D, {key: n}) recomputed from the terms: D the lcm of the denominators."""
+    """(D, {key: n}) recomputed from the terms of a series, or (D, {m: {key:
+    n}}) from the nonzero images of a table: D the lcm of every denominator."""
+    if isinstance(x, OpTable):
+        den = lcm(*[v.denominator for img in x.images.values() for v in img.terms.values()])
+        return den, {m: {key: v.numerator * den // v.denominator for key, v in img.terms.items()}
+                     for m, img in x.images.items() if img.terms}
     den = lcm(*[v.denominator for v in x.terms.values()])
     return den, {key: v.numerator * den // v.denominator for key, v in x.terms.items()}
 
 
+def _public_values():
+    """Public-constructor values with zero and string coefficients, which the
+    constructor drops or reads before it computes the form."""
+    return [FreeSeries(2, 3, {(): 0, (0,): Fraction(1, 2), (1, 0): 3}),
+            HahnPoly(PROD2, 3, {(0, 0): Fraction(0), (1, 0): "-2/3", (0, 1): 4}),
+            OpTable(LEX1, 2, {(0,): HahnPoly(LEX1, 2, {(1,): "1/2", (2,): 0}),
+                              (1,): HahnPoly(LEX1, 2, {(2,): Fraction(-3, 4)}),
+                              (2,): HahnPoly.zero(LEX1, 2)})]
+
+
 @PROPERTY
-@given(form_operands())
-@example((FreeSeries(1, 2, {(): Fraction(1, 2)}), FreeSeries(1, 2, {(0,): 2}), Fraction(2, 3)))
-def test_every_kernel_result_keeps_the_form_of_its_terms(case):
+@given(form_operands(), st.integers(0, 2**32))
+@example((FreeSeries(1, 2, {(): Fraction(1, 2)}), FreeSeries(1, 2, {(0,): 2}), Fraction(2, 3)), 0)
+def test_every_kernel_result_keeps_the_form_of_its_terms(case, seed):
+    """Public-constructor values, draws, relabeled series and kernel results
+    each hold the form of their terms or images, in term order."""
     a, b, c = case
-    assert "_form" not in vars(a) and _integral(a) == _form_of_terms(a)
-    assert _integral(a) is _integral(a)
+    rng = random.Random(seed)
     inv = 1 / Fraction(c)
-    for x in _series_results(a, b, c) + [a.scale(c) * b.scale(inv), a.scale(inv) * a]:
+    table = random_contracting_table(rng, W12, 3)
+    swap = ExponentAut(PROD2, ((0, 1), (1, 0)))
+    drawn = [random_hahn(rng, PROD2, 3), random_free_series(rng, 2, 3), table,
+             apply_oaut(swap, random_hahn(rng, PROD2, 3))]
+    kernel = _series_results(a, b, c) + [a.scale(c) * b.scale(inv), a.scale(inv) * a,
+                                         table.scale(c) + table, op_compose(table, table)]
+    for x in [*_public_values(), a, b, *drawn, *kernel]:
         form = vars(x)["_form"]
-        assert form == _form_of_terms(x) and list(form[1]) == list(x.terms)
+        assert form == _form_of_terms(x)
+        if isinstance(x, OpTable):
+            assert all(list(form[1].get(m, ())) == list(img.terms) for m, img in x.images.items())
+        else:
+            assert list(form[1]) == list(x.terms)
 
 
 @settings(max_examples=40)

@@ -84,8 +84,8 @@ MUTANTS = (
            ("tests/test_sparse.py::test_the_product_visits_only_fitting_pairs",)),
     # -- SparseTable.row_keys, the rows of the contracting test ---------------
     Mutant("row keys skip the row of t^0", "sparse.py",
-           "rows = (self._form or _table_form(self))[1]\n        for m in self.basis():",
-           "rows = (self._form or _table_form(self))[1]\n        for m in self.basis()[1:]:",
+           "rows = self._form[1]\n        for m in self.basis():",
+           "rows = self._form[1]\n        for m in self.basis()[1:]:",
            (f"{ORACLES}::test_row_reads_build_no_images",)),
     # -- samples: the cone table ----------------------------------------------
     Mutant("cone table leaves out the generators", "samples.py",
@@ -115,25 +115,27 @@ MUTANTS = (
            "out = {key_mul(k, rest): n for k, n in row_e.items() if grade(k) < room}",
            (EXTENSIONS,)),
     Mutant("Leibniz row's second room test drops the bound", "sparse.py",
-           "            if grade(k) <= room:\n                key = key_mul(e, k)",
-           "            if grade(k) < room:\n                key = key_mul(e, k)",
+           "for k, n in row_rest.items() if grade(k) <= room})",
+           "for k, n in row_rest.items() if grade(k) < room})",
            (EXTENSIONS,)),
     Mutant("a cancelled Leibniz key is kept at 0", "sparse.py",
-           "                    del out[key]",
-           "                    out[key] = 0",
+           "_add_into(out, 1, {key_mul(e, k): n for k, n in row_rest.items() if grade(k) <= room})",
+           "half = {key_mul(e, k): n for k, n in row_rest.items() if grade(k) <= room}\n"
+           "        _add_into(out, 1, half)\n"
+           "        out.update({key: 0 for key in half if key not in out})",
            (EXTENSIONS,)),
     Mutant("Leibniz generator rows keep their own denominator", "sparse.py",
            "row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}",
            "row = nums",
            (EXTENSIONS,)),
     Mutant("multiplicative extension without the lcm rescale", "sparse.py",
-           "return cls._held(space, _over_lcm(parts.items()))",
-           "return cls._held(space, (lcm(*[d for d, _ in parts.values()]),"
-           " {m: nums for m, (d, nums) in parts.items() if nums}))",
+           "    return _over_lcm(parts.items())",
+           "    return lcm(*[d for d, _ in parts.values()]),"
+           " {m: nums for m, (d, nums) in parts.items() if nums}",
            (EXTENSIONS,)),
-    Mutant("endomorphism check without the D scale", "sparse.py",
-           "prod.get(key) == den * n for key, n in row.items())",
-           "prod.get(key) == n for key, n in row.items())",
+    Mutant("row comparison without the cross-multiplication", "sparse.py",
+           "want.get(key, 0) * den != n * ext_den for key, n in row.items()",
+           "want.get(key, 0) != n for key, n in row.items()",
            (PREDICATES,)),
     Mutant("unit-row check skipped", "sparse.py",
            "if (one in rows) if leibniz else rows.get(one) != {one: den}:",
@@ -162,9 +164,18 @@ MUTANTS = (
            "return {m: image._held(space, (1, {})) if (row := rows.get(m)) is None",
            ("tests/test_sparse.py::test_a_late_read_of_images_matches_the_per_image_fold",)),
     Mutant("equality ignores the space", "sparse.py",
-           "return self._space() == other._space() and (",
-           "return (",
+           "return self._space() == other._space() and self._form == other._form",
+           "return self._form == other._form",
            ("tests/test_sparse.py",)),
+    # -- one state: the add helper and the form of a public constructor -----
+    Mutant("the add helper keeps a cancelled key at 0", "sparse.py",
+           "            out.pop(key, None)",
+           "            out[key] = 0",
+           ("tests/test_sparse.py", EXTENSIONS)),
+    Mutant("a public constructor holds the form of its input", "sparse.py",
+           'object.__setattr__(self, "terms", canon)\n        self._hold_form()',
+           'self._hold_form()\n        object.__setattr__(self, "terms", canon)',
+           ("tests/test_sparse.py::test_every_kernel_result_keeps_the_form_of_its_terms",)),
     Mutant("product order is not strict", "support_order.py",
            "return a != b and all(map(operator.le, a, b))",
            "return all(map(operator.le, a, b))",
