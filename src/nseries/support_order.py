@@ -3,12 +3,15 @@
 Exponents are integer tuples.  A context fixes the dimension, one of three
 translation-invariant partial orders (lexicographic, componentwise product,
 weight-then-lex) and an additive weight used for truncation bookkeeping.
-`MonoidCtx.cmp` is the checked comparison of the public API: it validates
-both exponents and names the relation.  `MonoidCtx.less(a, b)` is the strict
-order alone, for exponents already validated (series keys, table bases): the
-test is chosen once per context when it is built, `a < b` for lex,
-`(w(a), a) < (w(b), b)` for weighted and `a != b and all(map(le, a, b))` for
-the product order, so a loop over keys pays for no check and no dispatch.
+`MonoidCtx.less(a, b)` is the strict order, for exponents already validated
+(series keys, table bases): the test is chosen once per context when it is
+built, `a < b` for lex, `(w(a), a) < (w(b), b)` for weighted and
+`a != b and all(map(le, a, b))` for the product order, so a loop over keys
+pays for no check and no dispatch.  It is the one place where the three
+orders differ.  `MonoidCtx.cmp`, the comparison of the public API, is the
+checked form of `less`: it validates both exponents and names the relation
+by asking `less` both ways.  A lex or product context has unit weights, the
+only weights its descriptor (`lex:d`, `prod:d`) can write.
 `MonoidCtx.generators` gives the unit vectors e_i to every module, and
 `operator.index` rejects a non-integral exponent, weight or dimension with
 TypeError.  `MonoidCtx.in_truncation` is the one membership test of the
@@ -67,7 +70,8 @@ class MonoidCtx:
     """Exponent monoid Z^dim with a fixed order and additive weight.
 
     `less(a, b)`, the unchecked strict order, is set when the context is
-    built; it is no dataclass field, so equality and hashing ignore it."""
+    built; it is no dataclass field, so equality and hashing ignore it.
+    `cmp` reads it and decides nothing of its own."""
 
     dim: int
     kind: str
@@ -84,6 +88,8 @@ class MonoidCtx:
             raise DimensionMismatchError("weight vector length must match dimension")
         if any(w < 1 for w in self.weights):
             raise NSeriesError("weights must be positive integers")
+        if self.kind != WEIGHTED and any(w != 1 for w in self.weights):
+            raise NSeriesError(f"a {self.kind} context takes unit weights, not {self.weights}")
         less = {LEX: operator.lt, PRODUCT: _product_less,
                 WEIGHTED: functools.partial(_weighted_less, self.weights)}[self.kind]
         object.__setattr__(self, "less", less)
@@ -120,22 +126,15 @@ class MonoidCtx:
         return min(m) >= 0 and self.weight(m) <= bound
 
     def cmp(self, a: ExpVec, b: ExpVec) -> Cmp:
-        """The relation of a to b, both checked by `check_vec`."""
+        """The checked form of `less`: the relation of a to b, both checked
+        by `check_vec`, INCOMPARABLE when `less` holds neither way."""
         a = self.check_vec(a)
         b = self.check_vec(b)
         if a == b:
             return Cmp.EQUAL
-        if self.kind == LEX:
-            return Cmp.LESS if a < b else Cmp.GREATER
-        if self.kind == WEIGHTED:
-            ka = (self.weight(a), a)
-            kb = (self.weight(b), b)
-            return Cmp.LESS if ka < kb else Cmp.GREATER
-        le = all(x <= y for x, y in zip(a, b))
-        ge = all(x >= y for x, y in zip(a, b))
-        if le:
+        if self.less(a, b):
             return Cmp.LESS
-        if ge:
+        if self.less(b, a):
             return Cmp.GREATER
         return Cmp.INCOMPARABLE
 

@@ -39,10 +39,13 @@ alone.  The left-normed bracket loop expands
 mirrors the right-nested expansion.  The per-tuple Dynkin sum expands the
 right-nested bracket of every block tuple's word, where `dynkin_bch` sums the
 tuples' coefficients into their words and expands each distinct word once.
-The cone test decides `in_contracting_cone` through the checked `cmp`, where
-`nseries.operators` reads the context's compiled strict order `less`.  The `Fraction` Gauss-Jordan elimination
-on [mat | I] checks `mat_det` and `mat_inverse`, which eliminate fraction-free
-over the integers.  The exp-log iterate evaluates two series, exp(c log s),
+The per-kind comparison decides each order in its own branch, lex and
+weight-then-lex by tuple comparison and the product order by two
+componentwise scans, where `MonoidCtx.cmp` asks the context's compiled strict
+order `less` both ways; the cone test decides `in_contracting_cone` through
+it, where `nseries.operators` reads `less`.  The `Fraction` Gauss-Jordan
+elimination on [mat | I] checks `mat_det` and `mat_inverse`, which
+eliminate fraction-free over the integers.  The exp-log iterate evaluates two series, exp(c log s),
 where `fractional_iterate` evaluates the binomial series (1 + X0)^c once.
 """
 
@@ -78,7 +81,7 @@ from nseries import (
 )
 from nseries.operators import generator_walk
 from nseries.series_calculus import _block_tuples, _dynkin_denominator, _right_nested_bracket
-from nseries.support_order import vec_add, vec_sub
+from nseries.support_order import LEX, WEIGHTED, vec_add, vec_sub
 from nseries.vaut_factors import mat_vec
 
 
@@ -472,6 +475,28 @@ def per_tuple_dynkin_bch(order):
     return FreeSeries(2, order, {w: Fraction(v, common) for w, v in acc.items()})
 
 
+def per_kind_cmp(ctx, a, b) -> Cmp:
+    """The relation of a to b, both checked by `check_vec`, one branch per
+    order kind."""
+    a = ctx.check_vec(a)
+    b = ctx.check_vec(b)
+    if a == b:
+        return Cmp.EQUAL
+    if ctx.kind == LEX:
+        return Cmp.LESS if a < b else Cmp.GREATER
+    if ctx.kind == WEIGHTED:
+        ka = (ctx.weight(a), a)
+        kb = (ctx.weight(b), b)
+        return Cmp.LESS if ka < kb else Cmp.GREATER
+    le = all(x <= y for x, y in zip(a, b))
+    ge = all(x >= y for x, y in zip(a, b))
+    if le:
+        return Cmp.LESS
+    if ge:
+        return Cmp.GREATER
+    return Cmp.INCOMPARABLE
+
+
 def cmp_contracting_cone(ctx, m, q) -> bool:
-    """q strictly above m by the checked `cmp`, and weight(q) >= weight(m) + 1."""
-    return ctx.weight(q) > ctx.weight(m) and ctx.cmp(m, q) is Cmp.LESS
+    """q strictly above m by the per-kind comparison, and weight(q) >= weight(m) + 1."""
+    return ctx.weight(q) > ctx.weight(m) and per_kind_cmp(ctx, m, q) is Cmp.LESS

@@ -80,6 +80,10 @@ CASES = {
                        "unknown order kind 'cyclic'"),
     "MonoidCtx-weights": (lambda: MonoidCtx.weighted(1, 0), NSeriesError,
                           "weights must be positive integers"),
+    "MonoidCtx-lex-weights": (lambda: MonoidCtx(2, "lex", (1, 3)), NSeriesError,
+                              "a lex context takes unit weights, not (1, 3)"),
+    "MonoidCtx-product-weights": (lambda: MonoidCtx(2, "product", (2, 1)), NSeriesError,
+                                  "a product context takes unit weights, not (2, 1)"),
     "choice_closure": (lambda: choice_closure(LEX1, [(0,)], lambda p: [], -1), NSeriesError,
                        "depth must be >= 0"),
     "weight_universe": (lambda: weight_universe(LEX1, -1), NSeriesError, "bound must be >= 0"),
@@ -121,6 +125,10 @@ CASES = {
         lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1, "weights": [1]}, "bound": 1,
                                 "terms": [{"exps": [0], "coeff": ARABIC_HALF}]}),
         NSeriesError, NOT_RATIONAL + repr(ARABIC_HALF)),
+    "hahn_from_json-lex-weights": (
+        lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 2, "weights": [1, 3]}, "bound": 1,
+                                "terms": []}),
+        NSeriesError, "a lex context takes unit weights, not (1, 3)"),
     "CharacterX-separator": (lambda: CharacterX(LEX1, ("1_0",)), NSeriesError,
                              NOT_RATIONAL + "'1_0'"),
     "series_binomial-non-ascii": (lambda: series_binomial(ARABIC_HALF, 2), NSeriesError,

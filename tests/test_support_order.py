@@ -18,10 +18,11 @@ from nseries import (
     minimal_elements,
     weight_universe,
 )
-from nseries.errors import DimensionMismatchError
+from nseries.errors import DimensionMismatchError, NSeriesError
 from nseries.operators import in_contracting_cone
 from nseries.support_order import closure_cmp, last_letter, vec_add
-from pairwise_oracles import cmp_contracting_cone
+from nseries.textio import format_ctx, parse_ctx
+from pairwise_oracles import cmp_contracting_cone, per_kind_cmp
 
 
 LEX1 = MonoidCtx.lex(1)
@@ -90,14 +91,53 @@ def exponent_pairs(draw):
     return ctx, a, draw(st.one_of(st.just(a), vec))
 
 
+MIRROR = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS,
+          Cmp.EQUAL: Cmp.EQUAL, Cmp.INCOMPARABLE: Cmp.INCOMPARABLE}
+
+
 @settings(max_examples=400)
 @given(exponent_pairs())
 @example((W12, (2, 0), (0, 1)))
 @example((PROD2, (-3, 6), (6, -3)))
 def test_less_is_the_strict_part_of_cmp(case):
     ctx, a, b = case
-    assert ctx.less(a, b) == (ctx.cmp(a, b) is Cmp.LESS)
+    expected = per_kind_cmp(ctx, a, b)
+    assert ctx.cmp(a, b) is expected
+    assert ctx.less(a, b) == (expected is Cmp.LESS)
+    assert ctx.cmp(b, a) is MIRROR[expected]
     assert in_contracting_cone(ctx, a, b) == cmp_contracting_cone(ctx, a, b)
+
+
+@settings(max_examples=300)
+@given(contexts().flatmap(lambda ctx: st.tuples(
+    st.just(ctx), *[st.tuples(*[ENTRIES] * ctx.dim)] * 4)))
+@example((W12, (1, 0), (1, 0), (0, 1), (-3, 2)))
+@example((PROD2, (0, 0), (1, 0), (1, 1), (-3, -3)))
+def test_less_is_a_translation_invariant_strict_order(case):
+    """The ordered-group axioms of G: irreflexive, transitive, invariant under
+    every shift h, negative entries included, and total on lex and weighted."""
+    ctx, a, b, c, h = case
+    less = ctx.less
+    assert not less(a, a)
+    if less(a, b) and less(b, c):
+        assert less(a, c)
+    assert less(a, b) == less(vec_add(a, h), vec_add(b, h))
+    if ctx.kind != "product":
+        assert [a == b, less(a, b), less(b, a)].count(True) == 1
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(("lex", "product", "weighted")),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_every_context_round_trips_through_its_descriptor(kind, weights):
+    """A context that can be built is written by `format_ctx` in full; one
+    whose weights its descriptor cannot hold is rejected when it is built."""
+    try:
+        ctx = MonoidCtx(len(weights), kind, weights)
+    except NSeriesError:
+        assert kind != "weighted" and set(weights) != {1}
+        return
+    assert parse_ctx(format_ctx(ctx)) == ctx
 
 
 @settings(max_examples=150)
@@ -108,7 +148,7 @@ def test_minimal_elements_match_the_cmp_scan(case):
     frag = FinitePosetFragment.of(ctx, elements)
     assert minimal_elements(frag) == {
         e for e in frag.elements
-        if not any(ctx.cmp(other, e) is Cmp.LESS for other in frag.elements)
+        if not any(per_kind_cmp(ctx, other, e) is Cmp.LESS for other in frag.elements)
     }
 
 

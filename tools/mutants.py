@@ -36,6 +36,7 @@ ORACLES = "tests/test_table_oracles.py"
 WALK = "tests/test_predicate_oracles.py"
 EXTENSIONS = f"{WALK}::test_row_extensions_equal_the_image_by_image_walk"
 PREDICATES = f"{WALK}::test_row_predicates_equal_the_image_by_image_walk"
+ORDER = "tests/test_support_order.py"
 
 
 class Mutant(NamedTuple):
@@ -176,10 +177,24 @@ MUTANTS = (
            'object.__setattr__(self, "terms", canon)\n        self._hold_form()',
            'self._hold_form()\n        object.__setattr__(self, "terms", canon)',
            ("tests/test_sparse.py::test_every_kernel_result_keeps_the_form_of_its_terms",)),
+    # -- MonoidCtx: the compiled orders and `cmp`, their checked form ---------
     Mutant("product order is not strict", "support_order.py",
            "return a != b and all(map(operator.le, a, b))",
            "return all(map(operator.le, a, b))",
-           ("tests/test_support_order.py",)),
+           (ORDER,)),
+    Mutant("weighted order ignores the weights", "support_order.py",
+           "return (sum(map(operator.mul, weights, a)), a) < "
+           "(sum(map(operator.mul, weights, b)), b)",
+           "return a < b",
+           (f"{ORDER}::test_less_is_the_strict_part_of_cmp",)),
+    Mutant("cmp tests one direction only", "support_order.py",
+           "        if self.less(b, a):\n            return Cmp.GREATER",
+           "        if not self.less(a, b):\n            return Cmp.GREATER",
+           (f"{ORDER}::test_less_is_the_strict_part_of_cmp",)),
+    Mutant("cmp drops the equality test", "support_order.py",
+           "        if a == b:\n            return Cmp.EQUAL\n",
+           "",
+           (f"{ORDER}::test_less_is_the_strict_part_of_cmp",)),
     Mutant("truncation admits negative entries", "support_order.py",
            "return min(m) >= 0 and self.weight(m) <= bound",
            "return self.weight(m) <= bound",
