@@ -27,7 +27,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from .errors import NotDecomposableError, NSeriesError, ParseError
+from .errors import NotDecomposableError, NSeriesError, ParseError, json_fields
 from .correspondence import fractional_iterate, op_exp, op_log, star
 from .free_algebra import free_to_json
 from .operators import (
@@ -85,24 +85,21 @@ def _read_factors(text: str) -> FactorAut:
         raise ParseError(f"factor JSON is malformed: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("factor JSON must be an object with fields mu, chi and residual")
-    for name in ("mu", "chi", "residual"):
-        if name not in data:
-            raise ParseError(f"factor JSON has no field {name!r}")
-    mu, chi = data["mu"], data["chi"]
+    mu, chi, residual = json_fields(data, "factor JSON", "mu", "chi", "residual")
     if not isinstance(mu, list) or not all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in mu
     ):
         raise ParseError("factor field 'mu' must be an array of integer rows")
     if not isinstance(chi, list) or not all(type(v) in (str, int) for v in chi):
         raise ParseError("factor field 'chi' must be an array of exact rationals")
-    if not isinstance(data["residual"], str):
+    if not isinstance(residual, str):
         raise ParseError("factor field 'residual' must be a table text string")
     try:
         chi = tuple(parse_rational(str(v)) for v in chi)
     except ParseError as exc:
         raise ParseError(f"factor field 'chi': {exc}") from None
     try:
-        residual = parse_op_table(data["residual"])
+        residual = parse_op_table(residual)
     except ParseError as exc:
         raise ParseError(f"factor field 'residual': {exc}") from None
     one_aut_check(residual).require(

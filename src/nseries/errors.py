@@ -6,6 +6,10 @@ boundary (the command line, the table and context parsers, `decompose_vaut`)
 catches this one class.  A value of the wrong type (a float coefficient, a
 non-integral exponent, an operand of the wrong class) is a `TypeError`
 instead, never an `NSeriesError`.
+
+`json_fields` and `json_terms` are the two rejection rules of JSON input,
+shared by the series readers and the factor reader of the command line: a
+missing field and a repeated term key are each a `ParseError` that names it.
 """
 
 from __future__ import annotations
@@ -85,3 +89,27 @@ class ParseError(NSeriesError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+def json_fields(data, what: str, *names) -> list:
+    """data[name] for each of `names`, in order; a name that the JSON object
+    `data` lacks is a ParseError "<what> has no field <name>"."""
+    for name in names:
+        if name not in data:
+            raise ParseError(f"{what} has no field {name!r}")
+    return [data[name] for name in names]
+
+
+def json_terms(terms, key: str) -> dict:
+    """{tuple(term[key]): term["coeff"]} over the JSON `terms` of a series, in
+    their order.  A term without either field, or a key that an earlier term
+    has, is a ParseError: a series' JSON names each key once, as a table file
+    names each basis line once."""
+    out: dict = {}
+    for term in terms:
+        k, coeff = json_fields(term, "series JSON term", key, "coeff")
+        k = tuple(k)
+        if k in out:
+            raise ParseError(f"series JSON repeats the {key} {list(k)}")
+        out[k] = coeff
+    return out

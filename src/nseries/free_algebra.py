@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NotAUnitError, NSeriesError, WeightBoundError
+from .errors import (
+    DimensionMismatchError,
+    NotAUnitError,
+    NSeriesError,
+    WeightBoundError,
+    json_fields,
+    json_terms,
+)
 from .sparse import SparseSeries
 
 Word = tuple[int, ...]
@@ -228,5 +235,7 @@ def free_to_json(P: FreeSeries) -> dict:
 
 
 def free_from_json(data: Mapping) -> FreeSeries:
-    terms = {tuple(t["word"]): t["coeff"] for t in data["terms"]}
-    return FreeSeries(data["alphabet"], data["grade"], terms)
+    """The series `free_to_json` writes; a missing field or a repeated word is
+    a ParseError (`json_fields`, `json_terms`)."""
+    alphabet, grade, terms = json_fields(data, "series JSON", "alphabet", "grade", "terms")
+    return FreeSeries(alphabet, grade, json_terms(terms, "word"))

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import NSeriesError, WeightBoundError
+from .errors import NSeriesError, WeightBoundError, json_fields, json_terms
 from .sparse import SparseSeries
 from .support_order import ExpVec, MonoidCtx, vec_add
 
@@ -117,7 +117,9 @@ def hahn_to_json(a: HahnPoly) -> dict:
 
 
 def hahn_from_json(data: Mapping) -> HahnPoly:
-    c = data["ctx"]
-    ctx = MonoidCtx(c["dim"], c["kind"], tuple(c["weights"]))
-    terms = {tuple(t["exps"]): t["coeff"] for t in data["terms"]}
-    return HahnPoly(ctx, data["bound"], terms)
+    """The series `hahn_to_json` writes; a missing field, in the series or in
+    its context, or a repeated exponent is a ParseError (`json_fields`,
+    `json_terms`)."""
+    c, bound, terms = json_fields(data, "series JSON", "ctx", "bound", "terms")
+    dim, kind, weights = json_fields(c, "context JSON", "dim", "kind", "weights")
+    return HahnPoly(MonoidCtx(dim, kind, tuple(weights)), bound, json_terms(terms, "exps"))

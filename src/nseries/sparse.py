@@ -31,15 +31,20 @@ take a lock on its first read on Python 3.11).  So an intermediate result
 that is only summed, multiplied, composed, compared or tested for zero
 builds no Fraction and no image.
 
-`Linear.lin_comb` is the one checked sum: it checks each operand's space and
-each coefficient, then `_combine` adds every part into one dict through
-`_add_into`, the one cancel-aware add loop.  `+`, `-`, negation and scaling
-are one `lin_comb` call each.  `_multiply` is the one truncated product
-loop, behind `_product` and the generator walk.  `SparseTable._compose` and
-`SparseTable._apply` are the one linear extension, a table's rows through
-another table or at a series (`_through`).  `SparseTable._read` is the one
-row read behind the factor tables of `nseries.vaut_factors`, and `row_keys`
-and `row` read rows for the contracting test and for a scalar or a lead.
+Each kernel operation is one loop, with no second copy for a one-term
+operand or a first part.  Two fast paths stay, each with the cost of its
+removal in its docstring: `SparseTable._reduced`'s gcd that stops at 1 and
+`SparseTable._walk_check`'s form comparison.  `Linear.lin_comb` is the one
+checked sum: it checks each operand's space and each coefficient, then
+`_combine` adds every part into one dict through `_add_into`, the one
+cancel-aware add loop, which also serves `_through` and the Leibniz step.
+`+`, `-`, negation and scaling are one `lin_comb` call each.  `_multiply`
+is the one truncated product loop, behind `_product` and the generator
+walk.  `SparseTable._compose` and `SparseTable._apply` are the one linear
+extension, a table's rows through another table or at a series
+(`_through`).  `SparseTable._read` is the one row read behind the factor
+tables of `nseries.vaut_factors`, and `row_keys` and `row` read rows for
+the contracting test and for a scalar or a lead.
 `_extension` is the generator walk of `nseries.operators`: the Leibniz or
 multiplicative extension of generator rows, which `SparseTable._extended`
 builds and `SparseTable._walk_check` compares with the table it extends.
@@ -125,19 +130,13 @@ def _add_into(out: dict, p: int, nums: dict) -> None:
 
 def _through(nums: dict, rows: dict) -> dict:
     """The sum of n * rows[key] over the items key -> n of `nums`, skipping the
-    keys with no row, as one dict of nonzero integers.  Every n and every row
-    entry is nonzero, so a sum that reaches zero leaves the dict at once, and
-    a later term re-enters its key last, as a fold of `+` would place it."""
+    keys with no row, as one dict of nonzero integers: each row added in turn
+    (`_add_into`), so each key has the term order of a fold of `+`."""
     out: dict = {}
     for key, n in nums.items():
         row = rows.get(key)
         if row is not None:
-            for r, k in row.items():
-                total = out.get(r, 0) + n * k
-                if total:
-                    out[r] = total
-                else:
-                    del out[r]
+            _add_into(out, n, row)
     return out
 
 
@@ -145,16 +144,10 @@ def _multiply(left: dict, right: dict, grade: Callable, bound: int, key_mul: Cal
     """The truncated product of the numerator dicts `left` and `right`, as one
     dict of nonzero integers: n_a n_b lands on key_mul(a, b) for every pair of
     keys whose grades sum to at most `bound`, and no other pair is visited.
-    When either operand is one term, the product is one shift loop: each left
-    term meets the right terms that fit its room (the bound minus its grade),
-    and since the key product is injective in each argument, no two pairs
-    meet and none cancels.  Otherwise the right terms that fit a left term's
-    room are listed once per distinct room, in term order, and a key whose
-    sum is zero is dropped."""
+    The right terms that fit a left term's room (the bound minus its grade)
+    are listed once per distinct room, in term order, and a key whose sum is
+    zero is dropped."""
     graded = [(grade(term[0]), term) for term in right.items()]
-    if len(left) == 1 or len(graded) == 1:
-        return {key_mul(ka, kb): na * nb for ka, na in left.items()
-                for room in (bound - grade(ka),) for gb, (kb, nb) in graded if gb <= room}
     fitting: dict = {}
     out: dict = {}
     for ka, na in left.items():
@@ -472,7 +465,11 @@ class SparseTable(Linear):
         other side's denominator, since the denominators may differ.  Up to
         the first row that differs the table equals its extension, so there
         the extension's row is the step over the table's own rows, and that
-        row is the first failing step; a generator's row never differs."""
+        row is the first failing step; a generator's row never differs.  The
+        form comparison decides a passing table in one dict compare: with it
+        gone, the row loop alone read verify's vaut suite 1.013 in both runs
+        that split it out, and corr 1.000 to 1.010 (`tools/ab_time.py --jobs
+        0`, A/A 0.995 to 1.004 on the same seeds)."""
         den, rows = self._form
         if (one in rows) if leibniz else rows.get(one) != {one: den}:
             return ()
@@ -491,21 +488,16 @@ class SparseTable(Linear):
         """The sum of c*t over the (c, t) parts, in the space of `self`,
         unchecked: c a Fraction and t a table of that space.  Every row sums in
         one dict, as integers over the lcm of c.denominator * D across the
-        parts, D the denominator of the form of t: a row's first part is
-        copied and each later one added (`_add_into`), so each image keeps the
-        term order of the sum of its images; a row that cancels entirely is
-        dropped."""
+        parts, D the denominator of the form of t: each part of a row is added
+        (`_add_into`), so each image keeps the term order of the sum of its
+        images; a row that cancels entirely is dropped."""
         forms = [(c, t._form) for c, t in parts]
         common = lcm(*[c.denominator * d for c, (d, _) in forms])
         out: dict = {}
         for c, (d, rows) in forms:
             p = c.numerator * (common // (c.denominator * d))
             for m, row in rows.items():
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = {key: p * n for key, n in row.items()} if p else {}
-                else:
-                    _add_into(acc, p, row)
+                _add_into(out.setdefault(m, {}), p, row)
         return self._reduced(common, {m: acc for m, acc in out.items() if acc})
 
     def _compose(self, other):
@@ -529,7 +521,11 @@ class SparseTable(Linear):
     def _reduced(self, common: int, rows: dict):
         """The table with rows n/common over the items m -> {key: n} of `rows`,
         every row and every n nonzero, in the space of `self`, held as its form
-        with one gcd dividing common and every n."""
+        with one gcd dividing common and every n.  The gcd is taken row by row
+        and stops at 1, which is most often reached in the first row: one
+        `gcd(common, *numerators)` over every n read corr 1.001, 1.010 and
+        1.011 and verify 1.003 to 1.006, beside A/A runs of 0.995 to 0.998
+        on the same seeds (`tools/ab_time.py --jobs 0`)."""
         g = common
         for row in rows.values():
             if g == 1:

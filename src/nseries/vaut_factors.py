@@ -395,15 +395,14 @@ def middle_correspond(alpha: AdditiveChar, e_values: Mapping) -> CharacterX:
 
     No exact exponential exists on the rationals, so the finitely many values
     e(v) that alpha needs are declared, and the homomorphism law
-    e(u) e(v) = e(u + v) is checked on every sum of declared points.
+    e(u) e(v) = e(u + v) is checked on every sum of declared points, with
+    e(0) = 1 among them whether it is declared or not.
     """
     table = {exact(k): exact(v) for k, v in e_values.items()}
     if any(v == 0 for v in table.values()):
         raise InconsistentExponentialError("exponential values must be nonzero")
-    if Fraction(0) in table and table[Fraction(0)] != 1:
-        raise InconsistentExponentialError(
-            f"declared value at 0 must be 1, got {table[Fraction(0)]}"
-        )
+    if (at_zero := table.setdefault(Fraction(0), Fraction(1))) != 1:
+        raise InconsistentExponentialError(f"declared value at 0 must be 1, got {at_zero}")
     keys = sorted(table)
     for u in keys:
         for v in keys:

@@ -4,7 +4,9 @@ wrong type is a `TypeError`: each site keeps its class and its message.
 The cases cover the rejections of out-of-range sizes, bounds and degrees, of
 matrices that are no order automorphism, of unknown names and of zero
 character values; the strings `exact` cannot read, also where a JSON file, a
-character or the binomial series passes them in; and each rejection
+character or the binomial series passes them in; a missing field or a
+repeated term key of a series' JSON; declared exponential values that break
+the law with the implicit e(0) = 1; and each rejection
 that no other test reaches (`tools/line_trace.py` lists the statements the
 suite never runs)."""
 
@@ -33,6 +35,7 @@ from nseries.errors import (
     IncompleteTableError,
     InconsistentExponentialError,
     NSeriesError,
+    ParseError,
     WeightBoundError,
 )
 from nseries.operators import (
@@ -125,6 +128,24 @@ CASES = {
         lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1, "weights": [1]}, "bound": 1,
                                 "terms": [{"exps": [0], "coeff": ARABIC_HALF}]}),
         NSeriesError, NOT_RATIONAL + repr(ARABIC_HALF)),
+    # A missing field and a repeated key: the text formats name both.
+    "free_from_json-missing": (lambda: free_from_json({}), ParseError,
+                               "series JSON has no field 'alphabet'"),
+    "free_from_json-term-field": (
+        lambda: free_from_json({"alphabet": 1, "grade": 1, "terms": [{"word": [0]}]}),
+        ParseError, "series JSON term has no field 'coeff'"),
+    "free_from_json-repeat": (
+        lambda: free_from_json({"alphabet": 1, "grade": 1, "terms": [
+            {"word": [0], "coeff": "1"}, {"word": [0], "coeff": "2"}]}),
+        ParseError, "series JSON repeats the word [0]"),
+    "hahn_from_json-missing-weights": (
+        lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1}, "bound": 1, "terms": []}),
+        ParseError, "context JSON has no field 'weights'"),
+    "hahn_from_json-repeat": (
+        lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 1, "weights": [1]}, "bound": 1,
+                                "terms": [{"exps": [1], "coeff": "1"},
+                                          {"exps": [1], "coeff": "-1"}]}),
+        ParseError, "series JSON repeats the exps [1]"),
     "hahn_from_json-lex-weights": (
         lambda: hahn_from_json({"ctx": {"kind": "lex", "dim": 2, "weights": [1, 3]}, "bound": 1,
                                 "terms": []}),
@@ -165,6 +186,13 @@ CASES = {
                           DimensionMismatchError, "character and series contexts differ"),
     "middle_correspond-zero": (lambda: middle_correspond(AdditiveChar(LEX1, (1,)), {1: 0}),
                                InconsistentExponentialError, "exponential values must be nonzero"),
+    # e(0) = 1 holds for every exponential, declared or not.
+    "middle_correspond-implicit-zero": (
+        lambda: middle_correspond(AdditiveChar(LEX1, (1,)), {1: 2, -1: 3}),
+        InconsistentExponentialError, "hom law fails: e(-1)*e(1) = 6 != 1 = e(-1+1)"),
+    "middle_correspond-value-at-zero": (
+        lambda: middle_correspond(AdditiveChar(LEX1, (1,)), {1: 2, 0: 2}),
+        InconsistentExponentialError, "declared value at 0 must be 1, got 2"),
     "compose_factors-contexts": (
         lambda: compose_factors(FactorAut(ExponentAut.identity(PROD1), CharacterX.trivial(LEX1),
                                           OpTable.identity(LEX1, 2))),

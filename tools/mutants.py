@@ -70,19 +70,12 @@ MUTANTS = (
            "_UNIT, _STEP = Fraction(0), operator.add",
            "_UNIT, _STEP = Fraction(0), operator.mul",
            (f"{ORACLES}::test_row_reads_match_the_chains_and_the_per_image_scale",)),
-    # -- SparseSeries._product: the shift loop and the room lists ------------
-    Mutant("shift loop drops the bound", "sparse.py",
-           "for gb, (kb, nb) in graded if gb <= room}",
-           "for gb, (kb, nb) in graded if gb < room}",
-           ("tests/test_sparse.py::test_a_one_term_operand_shifts_the_other",)),
-    Mutant("shift loop takes every product", "sparse.py",
-           "if len(left) == 1 or len(graded) == 1:",
-           "if True:",
-           ("tests/test_sparse.py",)),
+    # -- _multiply, the one truncated product loop: the room lists ------------
     Mutant("room lists drop the bound", "sparse.py",
            "[term for gb, term in graded if gb <= room]",
            "[term for gb, term in graded if gb < room]",
-           ("tests/test_sparse.py::test_the_product_visits_only_fitting_pairs",)),
+           ("tests/test_sparse.py::test_the_product_visits_only_fitting_pairs",
+            "tests/test_sparse.py::test_a_one_term_operand_shifts_the_other")),
     # -- SparseTable.row_keys, the rows of the contracting test ---------------
     Mutant("row keys skip the row of t^0", "sparse.py",
            "rows = self._form[1]\n        for m in self.basis():",
@@ -156,9 +149,13 @@ MUTANTS = (
            "        if g > 1:\n            common //= g",
            "        if False:\n            common //= g",
            ("tests/test_sparse.py",)),
-    Mutant("a cancelled key keeps its place in _through", "sparse.py",
-           "                    del out[r]",
-           "                    out[r] = 0",
+    Mutant("_through ignores the row coefficient", "sparse.py",
+           "            _add_into(out, n, row)",
+           "            _add_into(out, 1, row)",
+           ("tests/test_sparse.py",)),
+    Mutant("table sum adds every part unscaled", "sparse.py",
+           "_add_into(out.setdefault(m, {}), p, row)",
+           "_add_into(out.setdefault(m, {}), 1, row)",
            ("tests/test_sparse.py",)),
     Mutant("no shared zero image", "sparse.py",
            "return {m: zero if (row := rows.get(m)) is None",
@@ -215,6 +212,10 @@ MUTANTS = (
            "e = gens[next(j for j, x in enumerate(m) if x)]",
            "e = gens[max(j for j, x in enumerate(m) if x)]",
            ("tests/test_operators.py::test_a_failed_predicate_splits_off_the_first_generator",)),
+    Mutant("hom law skips the implicit e(0)", "vaut_factors.py",
+           "table.setdefault(Fraction(0), Fraction(1))",
+           "table.get(Fraction(0), Fraction(1))",
+           ("tests/test_rejections.py::test_each_rejection_keeps_its_class_and_message",)),
     Mutant("nilpotent sum stops one power early", "free_algebra.py",
            "    for n in range(1, P.grade + 1):\n        pw = x * pw",
            "    for n in range(1, P.grade):\n        pw = x * pw",
