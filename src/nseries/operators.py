@@ -27,9 +27,10 @@ One generator walk over the weight-sorted basis splits each exponent m into
 also walks for the values of a character).  It builds the Leibniz and
 multiplicative extensions of generator images (the kernel's
 `SparseTable._extended`), and decides the derivation and endomorphism
-predicates by building the same extension of the table's own generator
-rows and comparing it with the table (`_walk_check`), each on the integer
-rows of the table, so neither builds an image.
+predicates in one pass (`_walk_check`): each row of the table is compared,
+as it is reached, with the Leibniz or multiplicative step over the table's
+own rows, and the first row that fails is the witness.  Both run on the
+integer rows of the table, so neither builds an image.
 An extension first checks its generator images, once: every key is a
 generator index, and each generator in the basis has an image of the right
 type and space.  `op_geometric_inverse` reads its scalar off one row

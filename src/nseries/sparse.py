@@ -32,22 +32,22 @@ that is only summed, multiplied, composed, compared or tested for zero
 builds no Fraction and no image.
 
 Each kernel operation is one loop, with no second copy for a one-term
-operand or a first part.  Two fast paths stay, each with the cost of its
-removal in its docstring: `SparseTable._reduced`'s gcd that stops at 1 and
-`SparseTable._walk_check`'s form comparison.  `Linear.lin_comb` is the one
-checked sum: it checks each operand's space and each coefficient, then
-`_combine` adds every part into one dict through `_add_into`, the one
-cancel-aware add loop, which also serves `_through` and the Leibniz step.
-`+`, `-`, negation and scaling are one `lin_comb` call each.  `_multiply`
-is the one truncated product loop, behind `_product` and the generator
-walk.  `SparseTable._compose` and `SparseTable._apply` are the one linear
-extension, a table's rows through another table or at a series
+operand or a first part.  One fast path stays, with the cost of its removal
+in its docstring: `SparseTable._reduced`'s gcd that stops at 1.
+`Linear.lin_comb` is the one checked sum: it checks each operand's space and
+each coefficient, then `_combine` adds every part into one dict through
+`_add_into`, the one cancel-aware add loop, which also serves `_through` and
+the Leibniz step.  `+`, `-`, negation and scaling are one `lin_comb` call
+each.  `_multiply` is the one truncated product loop, behind `_product` and
+the generator walk.  `SparseTable._compose` and `SparseTable._apply` are the
+one linear extension, a table's rows through another table or at a series
 (`_through`).  `SparseTable._read` is the one row read behind the factor
 tables of `nseries.vaut_factors`, and `row_keys` and `row` read rows for
-the contracting test and for a scalar or a lead.
-`_extension` is the generator walk of `nseries.operators`: the Leibniz or
-multiplicative extension of generator rows, which `SparseTable._extended`
-builds and `SparseTable._walk_check` compares with the table it extends.
+the contracting test and for a scalar or a lead.  The generator walk of
+`nseries.operators` runs here on rows: `SparseTable._extended` builds the
+Leibniz or multiplicative extension of generator rows, and
+`SparseTable._walk_check` checks, in one pass that stops at the first
+failing row, that each row of a table is the step over its own earlier rows.
 
 A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
 is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
@@ -176,44 +176,6 @@ def _leibniz_row(row_e, row_rest, rest, e, grade: Callable, bound: int, key_mul:
         room = bound - grade(e)
         _add_into(out, 1, {key_mul(e, k): n for k, n in row_rest.items() if grade(k) <= room})
     return out
-
-
-def _extension(gens: dict, one, walk, grade: Callable, bound: int, key_mul: Callable,
-               leibniz: bool) -> tuple[int, dict]:
-    """The table form whose row of t^e is gens[e], a form (d, numerators) in
-    lowest terms, for each generator e, and whose other rows follow the
-    generator walk: for each item (m, rest, e) of `walk`, m = rest + e, rest
-    before m and rest = one when m = e is a generator, the row of t^m is the
-    Leibniz step (`_leibniz_row`) or the product of the rows of t^e and
-    t^rest (`_multiply`).
-
-    Leibniz (t^one -> 0): every row over D, the lcm of the generators' d,
-    since each step sums shifted rows with coefficient 1.  Each generator
-    row is in lowest terms and a row of the table, so for each prime p of D
-    some numerator is prime to p and the form needs no gcd.  Multiplicative
-    (t^one -> t^one): each row is the product of two rows over its own
-    denominator, divided by one gcd (`_lowest`), and `_over_lcm` puts every
-    row over one lcm."""
-    if leibniz:
-        den = lcm(*[d for d, _ in gens.values()])
-        rows: dict = {}
-        for m, rest, e in walk:
-            if m == e:
-                d, nums = gens[e]
-                row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}
-            else:
-                row = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul)
-            if row:
-                rows[m] = row
-        return den, rows
-    parts = {one: (1, {one: 1})}
-    for m, rest, e in walk:
-        if m == e:
-            parts[m] = gens[e]
-        else:
-            (den_e, row_e), (den_r, row_r) = parts[e], parts[rest]
-            parts[m] = _lowest(den_e * den_r, _multiply(row_e, row_r, grade, bound, key_mul))
-    return _over_lcm(parts.items())
 
 
 class Linear:
@@ -447,42 +409,69 @@ class SparseTable(Linear):
     @classmethod
     def _extended(cls, space, one, gens: dict, walk, grade: Callable, key_mul: Callable,
                   leibniz: bool):
-        """The table in `space`, unchecked, that is the Leibniz or multiplicative
-        extension (`_extension`) of the generator images gens[e] along `walk`."""
-        return cls._held(space, _extension({e: g._form for e, g in gens.items()}, one, walk,
-                                           grade, space[-1], key_mul, leibniz))
+        """The table in `space`, unchecked, whose row of t^e is the form of the
+        generator image gens[e] for each generator e, and whose other rows
+        follow the generator walk: for each item (m, rest, e) of `walk`, m =
+        rest + e, rest before m and rest = one when m = e is a generator, the
+        row of t^m is the Leibniz step (`_leibniz_row`) or the product of the
+        rows of t^e and t^rest (`_multiply`).
+
+        Leibniz (t^one -> 0): every row over D, the lcm of the generators'
+        denominators, since each step sums shifted rows with coefficient 1.
+        Each generator row is in lowest terms and a row of the table, so for
+        each prime p of D some numerator is prime to p and the form needs no
+        gcd.  Multiplicative (t^one -> t^one): each row is the product of two
+        rows over its own denominator, divided by one gcd (`_lowest`), and
+        `_over_lcm` puts every row over one lcm."""
+        bound = space[-1]
+        gens = {e: g._form for e, g in gens.items()}
+        if leibniz:
+            den = lcm(*[d for d, _ in gens.values()])
+            rows: dict = {}
+            for m, rest, e in walk:
+                if m == e:
+                    d, nums = gens[e]
+                    row = nums if d == den else {key: n * (den // d) for key, n in nums.items()}
+                else:
+                    row = _leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul)
+                if row:
+                    rows[m] = row
+            return cls._held(space, (den, rows))
+        parts = {one: (1, {one: 1})}
+        for m, rest, e in walk:
+            if m == e:
+                parts[m] = gens[e]
+            else:
+                (den_e, row_e), (den_r, row_r) = parts[e], parts[rest]
+                parts[m] = _lowest(den_e * den_r, _multiply(row_e, row_r, grade, bound, key_mul))
+        return cls._held(space, _over_lcm(parts.items()))
 
     def _walk_check(self, one, walk, grade: Callable, key_mul: Callable, leibniz: bool):
-        """Whether the table is the `_extension` of its own generator rows along
-        `walk`: None when it is, () when the row of t^one fails (none for a
-        derivation, {one: D} for an endomorphism), and otherwise (rest, e) of
-        the first item of `walk` whose row differs from the extension's.
+        """Whether the table is the extension (`_extended`) of its own generator
+        rows along `walk`: None when it is, () when the row of t^one fails
+        (none for a derivation, {one: D} for an endomorphism), and otherwise
+        (rest, e) of the first item of `walk` whose row is not the step over
+        the table's own rows of t^e and t^rest.
 
-        Each generator row enters the extension in lowest terms, as an image's
-        form would, so the extension is canonical, as the table is, and the
-        table is its extension exactly when the two forms are equal.  Else
-        the rows are compared as rationals, each side's numerators times the
-        other side's denominator, since the denominators may differ.  Up to
-        the first row that differs the table equals its extension, so there
-        the extension's row is the step over the table's own rows, and that
-        row is the first failing step; a generator's row never differs.  The
-        form comparison decides a passing table in one dict compare: with it
-        gone, the row loop alone read verify's vaut suite 1.013 in both runs
-        that split it out, and corr 1.000 to 1.010 (`tools/ab_time.py --jobs
-        0`, A/A 0.995 to 1.004 on the same seeds)."""
+        One pass, on the rows over the table's D: a derivation's row of t^m
+        must equal the Leibniz step (`_leibniz_row`), and an endomorphism's
+        row, times D, the product of the two rows (`_multiply`), which lies
+        over D^2.  Up to the first failing row the table equals its
+        extension, so that row is the first at which the two differ, and no
+        row after it is computed.  A generator's row always passes, since
+        its rest is the unit."""
         den, rows = self._form
         if (one in rows) if leibniz else rows.get(one) != {one: den}:
             return ()
-        walk = list(walk)
-        gens = {e: _lowest(den, rows.get(e, {})) for m, _, e in walk if m == e}
-        ext_den, ext = _extension(gens, one, walk, grade, self._space()[-1], key_mul, leibniz)
-        if ext_den == den and ext == rows:
-            return None
+        bound = self._space()[-1]
         for m, rest, e in walk:
-            row, want = rows.get(m, {}), ext.get(m, {})
-            if len(row) != len(want) or any(
-                    want.get(key, 0) * den != n * ext_den for key, n in row.items()):
+            row = rows.get(m, {})
+            if (_leibniz_row(rows.get(e), rows.get(rest), rest, e, grade, bound, key_mul) != row
+                    if leibniz else
+                    _multiply(rows.get(e, {}), rows.get(rest, {}), grade, bound, key_mul)
+                    != {key: n * den for key, n in row.items()}):
                 return rest, e
+        return None
 
     def _combine(self, parts):
         """The sum of c*t over the (c, t) parts, in the space of `self`,

@@ -12,6 +12,9 @@ orders differ.  `MonoidCtx.cmp`, the comparison of the public API, is the
 checked form of `less`: it validates both exponents and names the relation
 by asking `less` both ways.  A lex or product context has unit weights, the
 only weights its descriptor (`lex:d`, `prod:d`) can write.
+The order utilities below (`minimal_elements`, `max_antichain`,
+`find_good_pair`, `choice_closure`) check each exponent once, as it enters,
+and their loops then decide with `less`; `closure_cmp` answers with `cmp`.
 `MonoidCtx.generators` gives the unit vectors e_i to every module, and
 `operator.index` rejects a non-integral exponent, weight or dimension with
 TypeError.  `MonoidCtx.in_truncation` is the one membership test of the
@@ -173,7 +176,7 @@ def max_antichain(frag: FinitePosetFragment) -> set[ExpVec]:
         raise ResourceLimitError(
             f"fragment has {len(elems)} elements, exceeding the cap of {ANTICHAIN_CAP}"
         )
-    ctx = frag.ctx
+    less = frag.ctx.less
     best: list[ExpVec] = []
 
     def extend(idx: int, chosen: list[ExpVec]):
@@ -185,7 +188,7 @@ def max_antichain(frag: FinitePosetFragment) -> set[ExpVec]:
                 best = list(chosen)
             return
         cand = elems[idx]
-        if all(ctx.cmp(cand, c) is Cmp.INCOMPARABLE for c in chosen):
+        if not any(less(cand, c) or less(c, cand) for c in chosen):
             chosen.append(cand)
             extend(idx + 1, chosen)
             chosen.pop()
@@ -214,7 +217,7 @@ def find_good_pair(ctx: MonoidCtx, seq: Sequence[Sequence[int]]) -> tuple[int, i
     vecs = [ctx.check_vec(v) for v in seq]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if ctx.cmp(vecs[i], vecs[j]) in (Cmp.LESS, Cmp.EQUAL):
+            if vecs[i] == vecs[j] or ctx.less(vecs[i], vecs[j]):
                 return (i, j)
     return None
 
@@ -243,7 +246,7 @@ def choice_closure(
         for word in frontier:
             p = word[-1]
             for q in sorted(ctx.check_vec(s) for s in successors(p)):
-                if ctx.cmp(p, q) is not Cmp.LESS:
+                if not ctx.less(p, q):
                     raise ExtensivityError(
                         f"successor {q} of {p} is not strictly greater", witness=(p, q)
                     )

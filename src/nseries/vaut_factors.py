@@ -369,20 +369,18 @@ def pullback_morphism(mu: ExponentAut, bound: int) -> Callable[[OpTable], OpTabl
     Otherwise mu, being injective, maps the finite basis onto itself: the map
     m -> mu m and its inverse are built once as dicts, and each conjugation is
     one row read of d (`SparseTable._read`) through the inverse, relabeling
-    every image key along the map.  The relabeling table itself is never
-    built."""
+    every image key along the map, after the type and space check of a
+    table operand against the identity on the same basis, built once.  The
+    relabeling table itself is never built."""
     ctx, matrix = mu.ctx, mu.matrix
     basis = weight_universe(ctx, bound)
     forward = {m: _relabeled(ctx, bound, matrix, m) for m in basis}
     back = {q: m for m, q in forward.items()}
     source = {m: back[m] for m in basis}
-    space = (ctx, operator.index(bound))
+    unit = OpTable.identity(ctx, bound)
 
     def conjugate(d: OpTable) -> OpTable:
-        if not isinstance(d, OpTable):
-            raise TypeError(f"expected OpTable, got {type(d).__name__}")
-        if d._space() != space:
-            raise DimensionMismatchError(OpTable._MISMATCH)
+        unit._require_same(d)
         return d._read(source, relabel=forward)
 
     return conjugate

@@ -136,29 +136,27 @@ def suite_free(order: int, trials: int, rng: random.Random) -> Iterator[StepResu
 
 def suite_bch(order: int, trials: int, rng: random.Random) -> Iterator[StepResult]:
     del trials, rng
-    n_inversion = min(order, 10)
 
     def trial(_):
-        for n in range(1, n_inversion + 1):
+        for n in range(1, order + 1):
             E, L = series_E0(n), series_L0(n)
             one, x = FreeSeries.one(1, n), FreeSeries.variable(0, 1, n)
             yield fs_substitute(E, {0: L}) == one + x, "substitution identity failed"
             yield fs_substitute(L, {0: E - one}) == x, "substitution identity failed"
-    yield _check("bch.exp-log-inversion", n_inversion, 1, trial)
+    yield _check("bch.exp-log-inversion", order, 1, trial)
 
-    n_ident = min(order, 8)
-    law = bch_product(n_ident)  # every order below is a truncation of this one
+    law = bch_product(order)  # every order below is a truncation of this one
     laws = [FreeSeries(2, n, {w: c for w, c in law.terms.items() if len(w) <= n})
-            for n in range(n_ident + 1)]
+            for n in range(order + 1)]
 
     def trial(_):
-        for n in range(1, n_ident + 1):
+        for n in range(1, order + 1):
             lhs = fs_substitute(series_E0(n), {0: laws[n]})
             x0 = FreeSeries.variable(0, 2, n)
             x1 = FreeSeries.variable(1, 2, n)
             rhs = fs_substitute(series_E0(n), {0: x0}) * fs_substitute(series_E0(n), {0: x1})
             yield lhs == rhs, "exp of the group law != product of exps"
-    yield _check("bch.exponential-identity", n_ident, 1, trial)
+    yield _check("bch.exponential-identity", order, 1, trial)
 
     n_oracle = min(order, 6)
 
@@ -174,43 +172,42 @@ def suite_bch(order: int, trials: int, rng: random.Random) -> Iterator[StepResul
 
 
 def suite_hahn(order: int, trials: int, rng: random.Random) -> Iterator[StepResult]:
-    bound = min(order, 8)
     ctxs = [MonoidCtx.lex(1), MonoidCtx.product(2), MonoidCtx.weighted(1, 2)]
 
     def trial(i):
         ctx = ctxs[i // trials]
-        a = samples.random_hahn(rng, ctx, bound)
-        b = samples.random_hahn(rng, ctx, bound)
-        c = samples.random_hahn(rng, ctx, bound)
-        laws = (a * b) * c == a * (b * c) and a * b == b * a and a * HahnPoly.one(ctx, bound) == a
+        a = samples.random_hahn(rng, ctx, order)
+        b = samples.random_hahn(rng, ctx, order)
+        c = samples.random_hahn(rng, ctx, order)
+        laws = (a * b) * c == a * (b * c) and a * b == b * a and a * HahnPoly.one(ctx, order) == a
         yield laws, f"algebra law failed over {ctx.kind}"
         sums = {vec_add(p, q) for p in a.keys() for q in b.keys()}
         yield set((a * b).keys()) <= sums, "support containment failed"
-    yield _check("hahn.mul-laws", bound, len(ctxs) * trials, trial)
+    yield _check("hahn.mul-laws", order, len(ctxs) * trials, trial)
 
     def trial(i):
         ctx = ctxs[i // trials]
-        u = samples.random_hahn(rng, ctx, bound)
-        v = samples.random_hahn(rng, ctx, bound)
-        w = samples.random_hahn(rng, ctx, bound)
+        u = samples.random_hahn(rng, ctx, order)
+        v = samples.random_hahn(rng, ctx, order)
+        w = samples.random_hahn(rng, ctx, order)
         yield u.is_zero() or hp_prec(u, u) is None, "dominance is not irreflexive"
         transitive = hp_prec(u, v) is None or hp_prec(v, w) is None or hp_prec(u, w) is not None
         yield transitive, "dominance is not transitive"
         additive = hp_prec(u, w) is None or hp_prec(v, w) is None or hp_prec(u + v, w) is not None
         yield additive, "dominance not additive under a common bound"
-    yield _check("hahn.dominance-order", bound, len(ctxs) * trials, trial)
+    yield _check("hahn.dominance-order", order, len(ctxs) * trials, trial)
 
     def trial(_):
         ctx = MonoidCtx.lex(1)
-        fam = [samples.random_hahn(rng, ctx, bound) for _ in range(4)]
-        total = HahnPoly.zero(ctx, bound)
+        fam = [samples.random_hahn(rng, ctx, order) for _ in range(4)]
+        total = HahnPoly.zero(ctx, order)
         for a in fam:
             total = total + a
         perm = list(fam)
         rng.shuffle(perm)
         regrouped = (perm[0] + perm[1]) + (perm[2] + perm[3])
         yield regrouped == total, "finite sums depend on order or grouping"
-    yield _check("hahn.finite-sum-reindexing", bound, trials, trial)
+    yield _check("hahn.finite-sum-reindexing", order, trials, trial)
 
 
 def suite_order(order: int, trials: int, rng: random.Random) -> Iterator[StepResult]:

@@ -188,7 +188,8 @@ CANCELLING = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
 # A derivation with D(t^(1,1)) = 3 t^(1,1) and the identity substitution: in
 # both integer tables the row of t^(1, 1) is odd, so halving it puts the table
 # over D = 2 while the extension of its generator rows stays over 1.  Seed 5
-# picks m = (1, 1) in the predicate property.
+# picks m = (1, 1) in the predicate property, whose row is then halved or
+# erased.
 SCALED = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
                      1: HahnPoly.monomial(PROD2, 2, (0, 1), 2)})
 UNIT = (PROD2, 2, {0: HahnPoly.monomial(PROD2, 2, (1, 0)),
@@ -226,15 +227,18 @@ def test_row_extensions_equal_the_image_by_image_walk(case, leibniz):
 
 
 @PROPERTY
-@given(walk_images(), st.booleans(), st.integers(0, 2**32), st.booleans())
-@example(CANCELLING, True, 0, False)
-@example(SCALED, True, 5, True)
-@example(UNIT, False, 5, True)
-def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed, halve):
+@given(walk_images(), st.booleans(), st.integers(0, 2**32),
+       st.sampled_from((None, Fraction(-1, 2), Fraction(-1))))
+@example(CANCELLING, True, 0, None)
+@example(SCALED, True, 5, Fraction(-1, 2))
+@example(UNIT, False, 5, Fraction(-1, 2))
+@example(SCALED, True, 5, Fraction(-1))
+def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed, rescale):
     """On the extension itself and with the image of a random t^m, t^0
     included, changed in one place: a nonzero multiple of a random basis
-    monomial added, or with `halve` the image rescaled by 1/2.  The change is
-    a kernel sum, so the table holds its rows and no images."""
+    monomial added, or the image plus `rescale` times itself, so halved or
+    erased.  The change is a kernel sum, so the table holds its rows and no
+    images."""
     ctx, bound, _ = case
     extend = derivation_from_generator_images if leibniz else substitution_endomorphism
     check = op_is_derivation if leibniz else op_is_unital_endomorphism
@@ -242,8 +246,8 @@ def test_row_predicates_equal_the_image_by_image_walk(case, leibniz, seed, halve
     rng = random.Random(seed)
     basis = table.basis()
     m, q = rng.choice(basis), rng.choice(basis)
-    change = (HahnPoly(ctx, bound, table.row(m)).scale(Fraction(-1, 2)) if halve
-              else HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng)))
+    change = (HahnPoly.monomial(ctx, bound, q, nonzero_fraction(rng)) if rescale is None
+              else HahnPoly(ctx, bound, table.row(m)).scale(rescale))
     moved = OpTable.from_function(
         ctx, bound, lambda k: change if k == m else HahnPoly.zero(ctx, bound))
     for t in (table, table + moved):

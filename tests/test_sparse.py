@@ -13,8 +13,9 @@ integer matrix in the same way: `==` and `is_zero` leave its `images` unbuilt
 and agree with the image maps of public-constructor tables, mixed
 denominators and cancelled rows included, and a late read of `images`
 matches the per-image fold, term order included, with one shared zero per
-table; tables stay unhashable.  A coefficient that is not an exact rational
-is a TypeError.  No
+table; tables stay unhashable.  The generator-walk check computes no row
+past its witness.  A coefficient that is not an exact rational is a
+TypeError.  No
 module of the package imports a private name of another, so the integer form
 stays inside the kernel."""
 
@@ -41,8 +42,11 @@ from nseries import (
     multiplication_table,
     op_apply,
     op_compose,
+    op_is_derivation,
+    op_is_unital_endomorphism,
     weight_universe,
 )
+from nseries import sparse
 from nseries.errors import DimensionMismatchError, IncompleteTableError, WeightBoundError
 from nseries.free_algebra import free_from_json
 from nseries.hahn_series import hahn_from_json
@@ -557,6 +561,34 @@ def test_each_key_is_reduced_once_over_the_least_common_denominator(monkeypatch)
     monkeypatch.undo()
     assert total.terms == {(): Fraction(23, 90), (0,): Fraction(1, 12), (0, 0): Fraction(2, 5)}
     assert product.terms == {(): Fraction(1, 60), (0,): Fraction(1, 40), (0, 0): Fraction(1, 30)}
+
+
+@pytest.mark.parametrize("leibniz", [True, False])
+def test_the_walk_check_stops_at_its_witness(monkeypatch, leibniz):
+    # prod:2, N = 4 walks (0, 1), (1, 0), then (0, 2) = (0, 1) + (0, 1), the
+    # first of its 12 composite items; the table breaks at that one.
+    ctx, bound = PROD2, 4
+    if leibniz:  # the Euler derivation t^m -> |m| t^m, with t^(0, 2) -> 0
+        table = OpTable.from_function(
+            ctx, bound, lambda m: HahnPoly.monomial(ctx, bound, m, sum(m)))
+        wrong = HahnPoly.zero(ctx, bound)
+        check, step = op_is_derivation, "_leibniz_row"
+    else:  # the identity, with t^(0, 2) -> 2 t^(0, 2)
+        table = OpTable.identity(ctx, bound)
+        wrong = HahnPoly.monomial(ctx, bound, (0, 2), 2)
+        check, step = op_is_unital_endomorphism, "_multiply"
+    broken = OpTable(ctx, bound, {**table.images, (0, 2): wrong})
+    assert check(table)
+    rows = []
+    kernel_step = getattr(sparse, step)
+
+    def counted(*args):
+        rows.append(args)
+        return kernel_step(*args)
+
+    monkeypatch.setattr(sparse, step, counted)
+    assert check(broken).witness == ((0, 1), (0, 1))
+    assert len(rows) == 3  # the two generators and the witness
 
 
 def test_kernel_builders_run_no_post_init(monkeypatch):

@@ -258,6 +258,15 @@ def test_choice_closure_extensivity_error():
     assert info.value.witness == ((2,), (1,))
 
 
+def test_choice_closure_rejects_equal_and_incomparable_successors():
+    with pytest.raises(ExtensivityError) as info:
+        choice_closure(LEX1, [(2,)], lambda p: [p], 2)
+    assert info.value.witness == ((2,), (2,))
+    with pytest.raises(ExtensivityError) as info:
+        choice_closure(PROD2, [(1, 0)], lambda p: [(0, 1)], 2)
+    assert info.value.witness == ((1, 0), (0, 1))
+
+
 def test_weight_universe():
     assert weight_universe(LEX1, 3) == ((0,), (1,), (2,), (3,))
     u = weight_universe(W12, 4)

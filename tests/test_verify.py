@@ -66,8 +66,8 @@ def test_a_verify_pass_builds_no_table_view(capsys, monkeypatch):
     "suite, bounds",
     [
         ("free", [6] * 4),
-        ("hahn", [8] * 3),
-        ("bch", [9, 8, 6, 6]),
+        ("hahn", [9] * 3),
+        ("bch", [9, 9, 6, 6]),
         ("order", [None] * 4),
     ],
 )

@@ -16,7 +16,9 @@ Separate benchmark runs on a loaded two-core machine swing by about 30%;
 the ratios printed here come from interleaved minima and move far less.
 
 Stdout gets one line per job kind and a total: jobs, summed minimum
-milliseconds of A and of B, and B/A.  The exit code is 1 if any run of a
+milliseconds of A and of B, B/A, and the lowest and highest per-round B/A,
+a round's B/A being its summed B time over its summed A time.  A B/A inside
+that range is as likely noise as change.  The exit code is 1 if any run of a
 job gives another (exit code, stdout) than its first run, on either tree,
 else 0.
 """
@@ -99,13 +101,13 @@ def main(argv=None) -> int:
         jobs = setups["A"].jobs
         limit = setups["A"].trace_jobs if args.jobs is None else args.jobs or len(jobs)
         jobs = jobs[:limit]
-        best = {side: [float("inf")] * len(jobs) for side in trees}
+        times = {side: [[] for _ in jobs] for side in trees}
         first = [None] * len(jobs)
         for rnd in range(args.repeat):
             for i, job in enumerate(jobs):
                 for side in ("AB" if rnd % 2 == 0 else "BA"):
                     elapsed, result = run_job(trees[side][0], job.argv)
-                    best[side][i] = min(best[side][i], elapsed)
+                    times[side][i].append(elapsed)
                     if first[i] is None:
                         first[i] = result
                     elif result != first[i]:
@@ -118,9 +120,12 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed={args.seed}: {len(jobs)} jobs, min of {args.repeat}, "
           f"A={args.tree_a} B={args.tree_b}")
     for kind, idx in [*kinds.items(), ("total", range(len(jobs)))]:
-        a = sum(best["A"][i] for i in idx) * 1000
-        b = sum(best["B"][i] for i in idx) * 1000
-        print(f"{kind:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}")
+        a = sum(min(times["A"][i]) for i in idx) * 1000
+        b = sum(min(times["B"][i]) for i in idx) * 1000
+        rounds = [sum(times["B"][i][r] for i in idx) / sum(times["A"][i][r] for i in idx)
+                  for r in range(args.repeat)]
+        print(f"{kind:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}"
+              f"  rounds {min(rounds):.3f}..{max(rounds):.3f}")
     return 0
 
 

@@ -123,13 +123,17 @@ MUTANTS = (
            "row = nums",
            (EXTENSIONS,)),
     Mutant("multiplicative extension without the lcm rescale", "sparse.py",
-           "    return _over_lcm(parts.items())",
-           "    return lcm(*[d for d, _ in parts.values()]),"
-           " {m: nums for m, (d, nums) in parts.items() if nums}",
+           "return cls._held(space, _over_lcm(parts.items()))",
+           "return cls._held(space, (lcm(*[d for d, _ in parts.values()]),"
+           " {m: nums for m, (d, nums) in parts.items() if nums}))",
            (EXTENSIONS,)),
-    Mutant("row comparison without the cross-multiplication", "sparse.py",
-           "want.get(key, 0) * den != n * ext_den for key, n in row.items()",
-           "want.get(key, 0) != n for key, n in row.items()",
+    Mutant("endomorphism check without the D scale", "sparse.py",
+           "!= {key: n * den for key, n in row.items()}):",
+           "!= row):",
+           (PREDICATES,)),
+    Mutant("derivation check passes every zero row", "sparse.py",
+           "grade, bound, key_mul) != row\n",
+           "grade, bound, key_mul) != row and row\n",
            (PREDICATES,)),
     Mutant("unit-row check skipped", "sparse.py",
            "if (one in rows) if leibniz else rows.get(one) != {one: den}:",
@@ -192,6 +196,23 @@ MUTANTS = (
            "        if a == b:\n            return Cmp.EQUAL\n",
            "",
            (f"{ORDER}::test_less_is_the_strict_part_of_cmp",)),
+    # -- the order utilities decide with `less` on checked vectors ----------
+    Mutant("good pair misses equal vectors", "support_order.py",
+           "if vecs[i] == vecs[j] or ctx.less(vecs[i], vecs[j]):",
+           "if ctx.less(vecs[i], vecs[j]):",
+           (f"{ORDER}::test_find_good_pair",)),
+    Mutant("antichain tests one direction only", "support_order.py",
+           "if not any(less(cand, c) or less(c, cand) for c in chosen):",
+           "if not any(less(cand, c) for c in chosen):",
+           (f"{ORDER}::test_max_antichain",)),
+    Mutant("closure accepts a successor that is not greater", "support_order.py",
+           "if not ctx.less(p, q):",
+           "if ctx.less(q, p):",
+           (f"{ORDER}::test_choice_closure_rejects_equal_and_incomparable_successors",)),
+    Mutant("pullback skips the operand check", "vaut_factors.py",
+           "        unit._require_same(d)\n",
+           "",
+           (f"{ORACLES}::test_pullback_matches_the_conjugation_chain",)),
     Mutant("truncation admits negative entries", "support_order.py",
            "return min(m) >= 0 and self.weight(m) <= bound",
            "return self.weight(m) <= bound",

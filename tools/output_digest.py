@@ -43,6 +43,8 @@ The one line on stdout is the digest over every command.  Stderr gets one
 `<group> <digest>` line per command group (corr, iterate, vaut, verify, op eval,
 bch/series, order, op check, failures, spellings, truncation, factors, kernel),
 so two checkouts whose digests differ can be told apart by group.
+`digests()` returns the same digests; `tests/test_output_digest.py` pins
+them, so a change that alters an output on purpose updates that pin.
 
     python3 tools/output_digest.py
 """
@@ -153,7 +155,8 @@ def feed_table(hashes, call) -> None:
         h.update(text.encode() + b"\0")
 
 
-def main() -> None:
+def digests() -> tuple[str, dict[str, str]]:
+    """The digest over every command, and {group: digest} in group order."""
     h = hashlib.sha256()
     groups = {name: hashlib.sha256() for name in ("corr", "iterate", "vaut", "verify", "op eval",
                                                    "bch/series", "order", "op check", "failures",
@@ -299,9 +302,14 @@ def main() -> None:
             feed_table(hashes, lambda: x.lin_comb([(1, x), (2, one_zero), (-1, x), (-2, one_zero),
                                                    (Fraction(1, 3), t)]))
             feed_table(hashes, lambda: op_apply(x, a))
-    for name, group in groups.items():
-        print(f"{name} {group.hexdigest()}", file=sys.stderr)
-    print(h.hexdigest())
+    return h.hexdigest(), {name: group.hexdigest() for name, group in groups.items()}
+
+
+def main() -> None:
+    total, groups = digests()
+    for name, digest in groups.items():
+        print(f"{name} {digest}", file=sys.stderr)
+    print(total)
 
 
 if __name__ == "__main__":
