@@ -128,14 +128,10 @@ class FreeSeries(SparseSeries):
         return {w for w in self.keys() if len(w) == n}
 
     def grade_slice(self, n: int) -> "FreeSeries":
-        """The homogeneous degree-n part, as a series."""
+        """The homogeneous degree-n part, as a series in the same space."""
         if n > self.grade:
             raise NSeriesError(f"slice degree {n} exceeds grade bound {self.grade}")
-        return FreeSeries(
-            self.alphabet_size,
-            self.grade,
-            {w: c for w, c in self.terms.items() if len(w) == n},
-        )
+        return self._graded(self._space(), lambda g: g == n)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -24,25 +24,32 @@ from .free_algebra import FreeSeries, Word, evaluate_words, nilpotent_sum
 from .sparse import exact
 
 
+def _named(alphabet_size: int, order: int, terms: dict) -> FreeSeries:
+    """The series with `terms`, canonical by construction, built unchecked in a
+    space checked once, as `operators._extend` checks its own."""
+    return FreeSeries._trusted(FreeSeries.zero(alphabet_size, order)._space(), terms)
+
+
 def series_E0(order: int) -> FreeSeries:
     """The exponential series sum_{n<=order} X0^n / n! in one variable."""
-    terms = {(0,) * n: Fraction(1, factorial(n)) for n in range(order + 1)}
-    return FreeSeries(1, order, terms)
+    return _named(1, order, {(0,) * n: Fraction(1, factorial(n)) for n in range(order + 1)})
 
 
 def series_L0(order: int) -> FreeSeries:
     """The logarithm series sum_{1<=n<=order} (-1)^(n+1) X0^n / n."""
-    terms = {(0,) * n: Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)}
-    return FreeSeries(1, order, terms)
+    return _named(1, order, {(0,) * n: Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)})
 
 
 def series_binomial(c, order: int) -> FreeSeries:
     """The binomial series sum_{n<=order} binom(c, n) X0^n, which is (1 + X0)^c
-    and E0(c L0) in Q[[X0]]; c must be an exact rational (`exact`)."""
+    and E0(c L0) in Q[[X0]]; c must be an exact rational (`exact`).  For an
+    integer c with 0 <= c < n, binom(c, n) is zero and left out."""
     c, coeff, terms = exact(c), Fraction(1), {}
     for n in range(order + 1):
-        terms[(0,) * n], coeff = coeff, coeff * (c - n) / (n + 1)
-    return FreeSeries(1, order, terms)
+        if coeff:
+            terms[(0,) * n] = coeff
+        coeff = coeff * (c - n) / (n + 1)
+    return _named(1, order, terms)
 
 
 def fs_substitute(P: FreeSeries, args: Mapping[int, FreeSeries]) -> FreeSeries:
@@ -72,14 +79,8 @@ def fs_substitute(P: FreeSeries, args: Mapping[int, FreeSeries]) -> FreeSeries:
 
 def _block_sum(order: int) -> FreeSeries:
     """sum over single blocks X0^m X1^p / (m! p!) with 1 <= m+p <= order."""
-    terms: dict[Word, Fraction] = {}
-    for m in range(order + 1):
-        for p in range(order + 1 - m):
-            if m + p == 0:
-                continue
-            word = (0,) * m + (1,) * p
-            terms[word] = Fraction(1, factorial(m) * factorial(p))
-    return FreeSeries(2, order, terms)
+    return _named(2, order, {(0,) * m + (1,) * p: Fraction(1, factorial(m) * factorial(p))
+                             for m in range(order + 1) for p in range(order + 1 - m) if m + p})
 
 
 def bch_term(n: int, order: int) -> FreeSeries:
@@ -122,23 +123,6 @@ def _left_normed_bracket(word: Word) -> dict[Word, int]:
     return {w: sign * c for w, c in _right_nested_bracket(word[::-1]).items()}
 
 
-def _block_tuples(order: int):
-    """Every tuple of blocks ((r_1,s_1),..,(r_n,s_n)), each r+s >= 1, of total
-    degree at most `order`, each tuple before its extensions."""
-
-    def expand(blocks: list[tuple[int, int]], used: int):
-        if blocks:
-            yield tuple(blocks)
-        for r in range(order - used + 1):
-            for s in range(order - used - r + 1):
-                if r + s:
-                    blocks.append((r, s))
-                    yield from expand(blocks, used + r + s)
-                    blocks.pop()
-
-    return expand([], 0)
-
-
 def _dynkin_denominator(order: int) -> int:
     """lcm(1..order)^2 * order!, a common denominator of every `dynkin_bch` term.
 
@@ -155,43 +139,42 @@ def dynkin_bch(order: int) -> FreeSeries:
     Sums, over block tuples ((r_1,s_1),..,(r_n,s_n)) with each r+s >= 1 and
     total degree T <= order, the right-nested bracket of the block word
     X0^r_1 X1^s_1 .. X0^r_n X1^s_n with coefficient (-1)^(n-1) / (n T prod
-    r_i! s_i!).  Many tuples spell one word (at order 8, 15,759 tuples spell
-    510 words), so each tuple's coefficient is first summed into its word, and
-    each distinct word's bracket is expanded once.  The sums are integers over
-    `_dynkin_denominator(order)`, divided once at the end.
+    r_i! s_i!).  An explicit stack of (word, n, prod r_i! s_i!) visits each
+    tuple before its extensions, at one concatenation and one division per
+    tuple: the blocks that fit each room (the order minus the word's length)
+    are listed once, so no block is tested per tuple.  Many tuples spell one
+    word (at order 8, 15,759 tuples spell 510 words), so each tuple's
+    coefficient is first summed into its word, as an integer over
+    `_dynkin_denominator(order)`, and the by-word sums run once through the
+    right-nested bracket rows, one per distinct word, divided by one gcd.
     """
     common = _dynkin_denominator(order)
+    fitting = [[((0,) * r + (1,) * s, factorial(r) * factorial(s))
+                for r in range(room, -1, -1) for s in range(room - r, -1, -1) if r + s]
+               for room in range(order + 1)]
     by_word: dict[Word, int] = {}
-    for blocks in _block_tuples(order):
-        n = len(blocks)
-        total = sum(r + s for r, s in blocks)
-        word: Word = ()
-        denom = n * total
-        for r, s in blocks:
-            word = word + (0,) * r + (1,) * s
-            denom *= factorial(r) * factorial(s)
-        by_word[word] = by_word.get(word, 0) + (-1) ** (n - 1) * (common // denom)
-    acc: dict[Word, int] = {}
-    for word, coeff in by_word.items():
-        for w, c in _right_nested_bracket(word).items():
-            acc[w] = acc.get(w, 0) + coeff * c
-    return FreeSeries(2, order, {w: Fraction(v, common) for w, v in acc.items()})
+    stack = [((), 0, 1)]
+    while stack:
+        word, n, prod = stack.pop()
+        if n:
+            coeff = (-1) ** (n - 1) * (common // (n * len(word) * prod))
+            by_word[word] = by_word.get(word, 0) + coeff
+        stack += [(word + b, n + 1, prod * f) for b, f in fitting[order - len(word)]]
+    rows = {word: _right_nested_bracket(word) for word in by_word}
+    return FreeSeries._linear((2, order), common, by_word, rows)
 
 
 def dynkin_project(P: FreeSeries, n: int) -> FreeSeries:
-    """Left-normed bracketing applied to the degree-n slice of P.
+    """Left-normed bracketing applied to the degree-n slice of P: the slice's
+    integer form through the left-normed bracket rows, one gcd at the end.
 
     A homogeneous degree-n element Q is a Lie element exactly when the
     projection returns n*Q.
     """
     if n < 1:
         raise NSeriesError("projection degree must be >= 1")
-    slice_terms = P.grade_slice(n).terms
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in slice_terms.items():
-        for w, c in _left_normed_bracket(word).items():
-            acc[w] = acc.get(w, Fraction(0)) + coeff * c
-    return FreeSeries(P.alphabet_size, P.grade, acc)
+    S = P.grade_slice(n)
+    return S._mapped({word: _left_normed_bracket(word) for word in S.keys()})
 
 
 def is_lie_slice(P: FreeSeries, n: int) -> bool:

@@ -41,7 +41,11 @@ the Leibniz step.  `+`, `-`, negation and scaling are one `lin_comb` call
 each.  `_multiply` is the one truncated product loop, behind `_product` and
 the generator walk.  `SparseTable._compose` and `SparseTable._apply` are the
 one linear extension, a table's rows through another table or at a series
-(`_through`).  `SparseTable._read` is the one row read behind the factor
+(`_through`), and `SparseSeries._linear` runs numerators through integer
+rows the same way, behind Dynkin's projection and sum in
+`nseries.series_calculus`.  `SparseSeries._graded` is the one filter of a
+form by grade, behind `restrict` and `FreeSeries.grade_slice`.
+`SparseTable._read` is the one row read behind the factor
 tables of `nseries.vaut_factors`, and `row_keys` and `row` read rows for
 the contracting test and for a scalar or a lead.  The generator walk of
 `nseries.operators` runs here on rows: `SparseTable._extended` builds the
@@ -65,6 +69,7 @@ is an `NSeriesError`.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -289,6 +294,33 @@ class SparseSeries(Linear):
     @classmethod
     def zero(cls, *space):
         return cls(*space, {})
+
+    @classmethod
+    def _linear(cls, space, common: int, nums: dict, rows: dict):
+        """The series in `space`, unchecked, summing n/common times the row
+        rows[key], a dict of nonzero integers, over the items key -> n of
+        `nums` (`_through`), divided by one gcd (`_lowest`)."""
+        return cls._held(space, _lowest(common, _through(nums, rows)))
+
+    def _mapped(self, rows: dict):
+        """`_linear` of the form of `self`, in the space of `self`."""
+        den, nums = self._form
+        return self._linear(self._space(), den, nums, rows)
+
+    def _graded(self, space, keep: Callable):
+        """The terms of `self` whose grade passes `keep`, in `space`: one filter
+        of the form and one gcd (`_lowest`)."""
+        (den, nums), grade = self._form, self._grade
+        return self._held(space, _lowest(den, {key: n for key, n in nums.items()
+                                               if keep(grade(key))}))
+
+    def restrict(self, n: int):
+        """The series cut at bound n, the terms of grade at most n, in the space
+        whose bound is n, for n in 0..bound."""
+        n, (*rest, bound) = operator.index(n), self._space()
+        if not 0 <= n <= bound:
+            raise NSeriesError(f"restriction bound {n} lies outside 0..{bound}")
+        return self._graded((*rest, n), lambda g: g <= n)
 
     # -- structure ----------------------------------------------------
 

@@ -148,12 +148,18 @@ def cmp(ctx: MonoidCtx, a: ExpVec, b: ExpVec) -> Cmp:
 
 @dataclass(frozen=True)
 class FinitePosetFragment:
+    """A finite set of exponent vectors of `ctx`, each checked by `check_vec`
+    whichever constructor built it."""
+
     ctx: MonoidCtx
     elements: frozenset
 
+    def __post_init__(self):
+        object.__setattr__(self, "elements", frozenset(map(self.ctx.check_vec, self.elements)))
+
     @classmethod
     def of(cls, ctx: MonoidCtx, elements: Iterable[Sequence[int]]) -> "FinitePosetFragment":
-        return cls(ctx, frozenset(ctx.check_vec(e) for e in elements))
+        return cls(ctx, elements)
 
     def sorted_elements(self) -> list[ExpVec]:
         return sorted(self.elements, key=lambda e: (self.ctx.weight(e), e))

@@ -146,8 +146,7 @@ def suite_bch(order: int, trials: int, rng: random.Random) -> Iterator[StepResul
     yield _check("bch.exp-log-inversion", order, 1, trial)
 
     law = bch_product(order)  # every order below is a truncation of this one
-    laws = [FreeSeries(2, n, {w: c for w, c in law.terms.items() if len(w) <= n})
-            for n in range(order + 1)]
+    laws = [law.restrict(n) for n in range(order + 1)]
 
     def trial(_):
         for n in range(1, order + 1):

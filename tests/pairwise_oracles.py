@@ -36,9 +36,13 @@ rechecked decomposition scans the lead of every basis image, inverts mu by
 the factors, where `decompose_vaut` reads the split off the generator images
 alone.  The left-normed bracket loop expands
 [[..[w1, w2]..], w_T] letter by letter, where `nseries.series_calculus`
-mirrors the right-nested expansion.  The per-tuple Dynkin sum expands the
-right-nested bracket of every block tuple's word, where `dynkin_bch` sums the
-tuples' coefficients into their words and expands each distinct word once.
+mirrors the right-nested expansion, and the `Fraction` projection sums the
+left-normed brackets of a series' degree-n words in `Fraction` arithmetic,
+where `dynkin_project` runs the slice's integer form through the bracket
+rows.  The per-tuple Dynkin sum enumerates the block tuples by recursion and
+expands the right-nested bracket of every tuple's word, where `dynkin_bch`
+walks the tuples on an explicit stack, sums their coefficients into their
+words and expands each distinct word once.
 The per-kind comparison decides each order in its own branch, lex and
 weight-then-lex by tuple comparison and the product order by two
 componentwise scans, where `MonoidCtx.cmp` asks the context's compiled strict
@@ -80,7 +84,7 @@ from nseries import (
     word_concat,
 )
 from nseries.operators import generator_walk
-from nseries.series_calculus import _block_tuples, _dynkin_denominator, _right_nested_bracket
+from nseries.series_calculus import _dynkin_denominator, _right_nested_bracket
 from nseries.support_order import LEX, WEIGHTED, vec_add, vec_sub
 from nseries.vaut_factors import mat_vec
 
@@ -458,12 +462,41 @@ def left_normed_bracket_loop(word):
     return acc
 
 
+def fraction_dynkin_project(P, n):
+    """Left-normed bracketing of the degree-n terms of P, one word at a time,
+    summed in `Fraction` arithmetic and built through the checked
+    constructor."""
+    acc = {}
+    for word, coeff in P.terms.items():
+        if len(word) == n:
+            for w, c in left_normed_bracket_loop(word).items():
+                acc[w] = acc.get(w, Fraction(0)) + coeff * c
+    return FreeSeries(P.alphabet_size, P.grade, acc)
+
+
+def block_tuples(order):
+    """Every tuple of blocks ((r_1,s_1),..,(r_n,s_n)), each r+s >= 1, of total
+    degree at most `order`, each tuple before its extensions, by recursion."""
+
+    def expand(blocks, used):
+        if blocks:
+            yield tuple(blocks)
+        for r in range(order - used + 1):
+            for s in range(order - used - r + 1):
+                if r + s:
+                    blocks.append((r, s))
+                    yield from expand(blocks, used + r + s)
+                    blocks.pop()
+
+    return expand([], 0)
+
+
 def per_tuple_dynkin_bch(order):
     """The commutator formula of `dynkin_bch`, one right-nested bracket
     expansion per block tuple: integers over `_dynkin_denominator(order)`."""
     common = _dynkin_denominator(order)
     acc = {}
-    for blocks in _block_tuples(order):
+    for blocks in block_tuples(order):
         n = len(blocks)
         word, denom = (), n * sum(r + s for r, s in blocks)
         for r, s in blocks:

@@ -74,6 +74,10 @@ CASES = {
                       "slice degree 3 exceeds grade bound 2"),
     "grade_slice": (lambda: FreeSeries.one(1, 2).grade_slice(3), NSeriesError,
                     "slice degree 3 exceeds grade bound 2"),
+    "restrict-negative": (lambda: FreeSeries.one(1, 2).restrict(-1), NSeriesError,
+                          "restriction bound -1 lies outside 0..2"),
+    "restrict-above": (lambda: HahnPoly.one(LEX1, 2).restrict(3), NSeriesError,
+                       "restriction bound 3 lies outside 0..2"),
     "power": (lambda: FreeSeries.one(1, 2).power(-1), NSeriesError,
               "negative powers are not defined here"),
     "HahnPoly-bound": (lambda: HahnPoly(LEX1, -1), NSeriesError, "weight bound must be >= 0"),

@@ -20,8 +20,14 @@ from nseries import (
     series_L0,
 )
 from nseries.samples import random_free_series
-from nseries.series_calculus import _block_tuples, _dynkin_denominator, _left_normed_bracket
-from pairwise_oracles import left_normed_bracket_loop, per_tuple_dynkin_bch
+from nseries.series_calculus import _block_sum, _dynkin_denominator, _left_normed_bracket
+from nseries.sparse import SparseSeries
+from pairwise_oracles import (
+    block_tuples,
+    fraction_dynkin_project,
+    left_normed_bracket_loop,
+    per_tuple_dynkin_bch,
+)
 
 
 def x(i, grade):
@@ -68,6 +74,21 @@ def test_series_binomial_at_an_integer_is_a_power(k):
     for order in range(1, 7):
         one_plus_x = FreeSeries.one(1, order) + FreeSeries.variable(0, 1, order)
         assert series_binomial(k, order) == one_plus_x.power(k)
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, -1, F(1, 2)])
+def test_series_binomial_equals_its_checked_build(c):
+    # binom(c, n) = c (c - 1) .. (c - n + 1) / n!, zero past n = c for c = 0, 1, 2.
+    terms = {}
+    for n in range(9):
+        falling = 1
+        for k in range(n):
+            falling *= c - k
+        terms[(0,) * n] = F(falling, factorial(n))
+    checked = FreeSeries(1, 8, terms)
+    got = series_binomial(c, 8)
+    assert got == checked and list(got.terms.items()) == list(checked.terms.items())
+    assert len(got.terms) == (c + 1 if c in (0, 1, 2) else 9)
 
 
 def test_series_binomial_takes_only_an_exact_exponent():
@@ -187,7 +208,7 @@ def test_every_dynkin_term_divides_the_common_denominator():
     denominators = [_dynkin_denominator(order) for order in range(11)]
     assert all(denominators[k + 1] % denominators[k] == 0 for k in range(10))
     count = 0
-    for blocks in _block_tuples(10):
+    for blocks in block_tuples(10):
         total = sum(r + s for r, s in blocks)
         term = len(blocks) * total
         for r, s in blocks:
@@ -209,6 +230,38 @@ def test_dynkin_project_examples():
     assert dynkin_project(prod, 2) == bracket
     assert dynkin_project(prod, 2) != prod.scale(2)
     assert not is_lie_slice(prod, 2)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 4))
+def test_dynkin_project_matches_the_fraction_projection(seed, alphabet, n):
+    P = random_free_series(random.Random(seed), alphabet, 4, terms=12)
+    assert dynkin_project(P, n) == fraction_dynkin_project(P, n)
+
+
+def test_the_free_builders_canonicalise_nothing(monkeypatch):
+    rng = random.Random(7)
+    P = random_free_series(rng, 2, 4, terms=12)
+    law = bch_product(6)
+    sizes = []
+    original = SparseSeries._canonicalise
+
+    def recording(self):
+        sizes.append(len(self.terms))
+        original(self)
+
+    monkeypatch.setattr(SparseSeries, "_canonicalise", recording)
+    built = [P.restrict(2), law.restrict(4), P.grade_slice(3), dynkin_project(P, 3),
+             dynkin_project(law, 5), dynkin_bch(6)]
+    assert sizes == []
+    # A named series checks its space once, on the empty zero series, and
+    # builds its terms unchecked.
+    for make in (series_E0, series_L0, lambda order: series_binomial(F(1, 2), order), _block_sum):
+        built.append(make(8))
+        assert sizes == [0]
+        sizes.clear()
+    monkeypatch.undo()
+    assert all(x == type(x)(*x._space(), dict(x.terms)) for x in built)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -234,4 +287,4 @@ def test_left_normed_bracket_matches_the_letter_loop(word):
 def test_bch_product_is_the_truncation_of_order_eight(n):
     full = bch_product(8)
     low = FreeSeries(2, n, {w: c for w, c in full.terms.items() if len(w) <= n})
-    assert bch_product(n) == low
+    assert bch_product(n) == low == full.restrict(n)

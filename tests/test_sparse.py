@@ -2,7 +2,8 @@
 space, and `lin_comb`, behind every sum of series and of tables, agrees with
 the reference fold over raw term dicts, term order included.  The product
 agrees with the reference product, and every kernel result equals the same
-terms rebuilt through the checked constructor.  Every value holds the integer
+terms rebuilt through the checked constructor; `restrict` commutes with sums,
+products and scaling and keeps the low terms.  Every value holds the integer
 form of its terms from construction on, whether a public constructor, a draw
 or a kernel loop built it.  That form is a kernel result's representation:
 its `terms` is built on the first read and then matches the reference fold,
@@ -246,6 +247,22 @@ def test_every_kernel_result_equals_its_checked_rebuild(case):
     for x in _series_results(*case):
         assert _with_order(x) == _with_order(_rebuilt(x))
         assert all(type(v) is Fraction and v != 0 for v in x.terms.values())
+
+
+@PROPERTY
+@given(operands(), st.integers(0, 4))
+@example(PRODUCT_CASES[0], 1)
+@example(PRODUCT_CASES[1], 0)
+def test_restrict_commutes_with_the_kernel_and_keeps_the_low_terms(case, n):
+    a, b, c = case
+    *rest, bound = a._space()
+    n = min(n, bound)
+    assert a.restrict(bound) == a and b.restrict(bound) == b
+    assert (a + b).restrict(n) == a.restrict(n) + b.restrict(n)
+    assert (a * b).restrict(n) == a.restrict(n) * b.restrict(n)
+    assert a.scale(c).restrict(n) == a.restrict(n).scale(c)
+    low = type(a)(*rest, n, {k: v for k, v in a.terms.items() if a._grade(k) <= n})
+    assert _with_order(a.restrict(n)) == _with_order(low)
 
 
 INTEGER_COEFFS = (-6, -2, -1, 1, 2, 3, 4)

@@ -182,6 +182,16 @@ def test_max_antichain():
     assert max_antichain(FinitePosetFragment.of(PROD2, [(1, 1)])) == {(1, 1)}
 
 
+def test_a_fragment_checks_its_elements_whichever_constructor_built_it():
+    message = "exponent \\(1, 2\\) has dimension 2, context expects 1"
+    for build in (FinitePosetFragment, FinitePosetFragment.of):
+        with pytest.raises(DimensionMismatchError, match=message):
+            build(LEX1, frozenset({(1,), (1, 2)}))
+    raw = FinitePosetFragment(PROD2, frozenset({(1, 0), (0, 1)}))
+    assert raw == FinitePosetFragment.of(PROD2, [[1, 0], (0, 1)])
+    assert max_antichain(raw) == {(1, 0), (0, 1)}
+
+
 def test_max_antichain_cap():
     big = FinitePosetFragment.of(LEX1, [(i,) for i in range(70)])
     with pytest.raises(ResourceLimitError):

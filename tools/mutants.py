@@ -37,6 +37,8 @@ WALK = "tests/test_predicate_oracles.py"
 EXTENSIONS = f"{WALK}::test_row_extensions_equal_the_image_by_image_walk"
 PREDICATES = f"{WALK}::test_row_predicates_equal_the_image_by_image_walk"
 ORDER = "tests/test_support_order.py"
+SPARSE = "tests/test_sparse.py"
+CALCULUS = "tests/test_series_calculus.py"
 
 
 class Mutant(NamedTuple):
@@ -237,6 +239,27 @@ MUTANTS = (
            "table.setdefault(Fraction(0), Fraction(1))",
            "table.get(Fraction(0), Fraction(1))",
            ("tests/test_rejections.py::test_each_rejection_keeps_its_class_and_message",)),
+    # -- free series built on the integer form: cuts, Dynkin, named series ---
+    Mutant("restrict keeps only the grades below n", "sparse.py",
+           "return self._graded((*rest, n), lambda g: g <= n)",
+           "return self._graded((*rest, n), lambda g: g < n)",
+           (f"{SPARSE}::test_restrict_commutes_with_the_kernel_and_keeps_the_low_terms",)),
+    Mutant("grade slice keeps every grade up to n", "free_algebra.py",
+           "return self._graded(self._space(), lambda g: g == n)",
+           "return self._graded(self._space(), lambda g: g <= n)",
+           (f"{CALCULUS}::test_bch_slices_are_lie",)),
+    Mutant("Dynkin sign parity flipped", "series_calculus.py",
+           "coeff = (-1) ** (n - 1) * (common // (n * len(word) * prod))",
+           "coeff = (-1) ** n * (common // (n * len(word) * prod))",
+           (f"{CALCULUS}::test_dynkin_bch_matches_the_per_tuple_expansion",)),
+    Mutant("projection brackets right-nested", "series_calculus.py",
+           "return S._mapped({word: _left_normed_bracket(word) for word in S.keys()})",
+           "return S._mapped({word: _right_nested_bracket(word) for word in S.keys()})",
+           (f"{CALCULUS}::test_dynkin_project_matches_the_fraction_projection",)),
+    Mutant("binomial keeps its zero coefficients", "series_calculus.py",
+           "        if coeff:\n            terms[(0,) * n] = coeff",
+           "        if True:\n            terms[(0,) * n] = coeff",
+           (f"{CALCULUS}::test_series_binomial_equals_its_checked_build",)),
     Mutant("nilpotent sum stops one power early", "free_algebra.py",
            "    for n in range(1, P.grade + 1):\n        pw = x * pw",
            "    for n in range(1, P.grade):\n        pw = x * pw",
