@@ -39,8 +39,6 @@ from .sparse import SparseSeries
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 
-_ZERO = Fraction(0)
-
 
 def word_concat(a: Word, b: Word) -> Word:
     """Concatenation; the empty word is the two-sided identity."""
@@ -116,7 +114,7 @@ class FreeSeries(SparseSeries):
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get(EMPTY_WORD, _ZERO)
+        return self.coefficient(EMPTY_WORD)
 
     def in_augmentation_ideal(self) -> bool:
         return self.constant_term == 0

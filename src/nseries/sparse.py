@@ -325,7 +325,10 @@ class SparseSeries(Linear):
     # -- structure ----------------------------------------------------
 
     def coefficient(self, key: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(key), _ZERO)
+        """The coefficient at `key`, read off the form: no `terms` view is built."""
+        den, nums = self._form
+        n = nums.get(tuple(key))
+        return _ZERO if n is None else Fraction(n, den)
 
     def keys(self):
         """The keys of the terms, in term order, read off the form."""

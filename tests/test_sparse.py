@@ -7,18 +7,16 @@ products and scaling and keeps the low terms.  Every value holds the integer
 form of its terms from construction on, whether a public constructor, a draw
 or a kernel loop built it.  That form is a kernel result's representation:
 its `terms` is built on the first read and then matches the reference fold,
-term order included, while `==` and `is_zero` read the form alone; equality
-is type, space and term map, series are unhashable and their repr is
-unchanged.  A table is one
-integer matrix in the same way: `==` and `is_zero` leave its `images` unbuilt
-and agree with the image maps of public-constructor tables, mixed
-denominators and cancelled rows included, and a late read of `images`
-matches the per-image fold, term order included, with one shared zero per
-table; tables stay unhashable.  The generator-walk check computes no row
-past its witness.  A coefficient that is not an exact rational is a
-TypeError.  No
-module of the package imports a private name of another, so the integer form
-stays inside the kernel."""
+term order included, while `==`, `is_zero` and `coefficient` read the form
+alone; equality is type, space and term map, series are unhashable and their
+repr is unchanged.  A table is one integer matrix in the same way: `==` and
+`is_zero` leave its `images` unbuilt and agree with the image maps of
+public-constructor tables, mixed denominators and cancelled rows included,
+and a late read of `images` matches the per-image fold, term order included,
+with one shared zero per table; tables stay unhashable.  The generator-walk
+check computes no row past its witness.  A coefficient that is not an exact
+rational is a TypeError.  No module of the package imports a private name of
+another, so the integer form stays inside the kernel."""
 
 import ast
 import operator
@@ -362,6 +360,24 @@ def test_a_late_read_of_terms_matches_the_reference_fold(case):
         assert "terms" not in vars(x) or not x.terms  # only the shared zero holds its terms
         assert list(x.terms.items()) == list(folded_apply(table, a).terms.items())
 
+
+@PROPERTY
+@given(operands())
+@example(PRODUCT_CASES[1])
+@example(PRODUCT_CASES[2])
+def test_coefficient_is_read_off_the_form(case):
+    """`coefficient`, and a free series' `constant_term`, agree with the
+    reference fold at every key of the space and build no `terms` view."""
+    a, b, c = case
+    keys = next(k for cls, space, k in SPACES if cls is type(a) and space == a._space())
+    pairs = [(c, a), (1, b)]
+    for x, ref in ((a * b, reference_product(a, b)), (a.lin_comb(pairs), reference_sum(a, pairs))):
+        got = [x.coefficient(key) for key in keys]
+        assert all(type(v) is Fraction for v in got)
+        assert got == [ref.terms.get(key, 0) for key in keys]
+        if isinstance(x, FreeSeries):
+            assert x.constant_term == ref.terms.get((), 0)
+        assert "terms" not in vars(x)
 
 def _equality_operands(a, b, c):
     """Kernel results with unread terms, public-constructor series of the same

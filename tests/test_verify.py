@@ -1,4 +1,5 @@
-"""The step runner behind `nseries verify` and the bounds each suite reports."""
+"""The step table behind `nseries verify`: its runner, the bounds each suite
+reports, the values its steps share once per run, and the views a pass builds."""
 
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from nseries import CharacterX, InconsistentExponentialError, MonoidCtx, OpTable, verify
 from nseries.cli import main
-from nseries.sparse import SparseTable
+from nseries.sparse import SparseSeries, SparseTable
 from nseries.verify import SUITES, StepResult, _check, run_suite
 
 
@@ -62,6 +63,19 @@ def test_a_verify_pass_builds_no_table_view(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_a_free_and_a_bch_pass_build_no_series_view(capsys, monkeypatch):
+    """Coefficients, the constant term behind `fs_substitute`'s ideal check
+    included, are read off the form: neither suite builds a `terms` view."""
+    built = []
+    view = SparseSeries._view
+    monkeypatch.setattr(SparseSeries, "_view", lambda self: built.append(self) or view(self))
+    for suite in ("free", "bch"):
+        code, _, _ = run(capsys, "verify", suite, "--order", "8", "--trials", "5",
+                         "--seed", "7", "--json")
+        assert code == 0
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "suite, bounds",
     [
@@ -69,12 +83,47 @@ def test_a_verify_pass_builds_no_table_view(capsys, monkeypatch):
         ("hahn", [9] * 3),
         ("bch", [9, 9, 6, 6]),
         ("order", [None] * 4),
+        ("operator", [6] * 6),
+        ("correspondence", [6] * 5),
+        ("vaut", [6] * 4),
     ],
 )
 def test_json_reports_the_bound_each_step_ran_at(capsys, suite, bounds):
     code, out, _ = run(capsys, "verify", suite, "--order", "9", "--trials", "1", "--json")
     assert code == 0
     assert [r["bound"] for r in json.loads(out)["results"]] == bounds
+
+
+def test_the_runner_reads_each_row_context_by_context(monkeypatch):
+    """Bound min(order, cap), max(1, trials // per) runs per context, or one
+    when `per` is None, and run i reads contexts[i // runs]."""
+    seen = []
+
+    def trial(run, ctx, bound, i):
+        seen.append((ctx, bound, i))
+        yield True, ""
+
+    rows = (("hahn.capped", 3, ("a", "b"), 2, trial), ("hahn.once", 9, ("c",), None, trial),
+            ("order.unbounded", None, ("d",), 1, trial))
+    monkeypatch.setattr(verify, "STEPS", rows)
+    assert [(r.name, r.bound) for r in run_suite("all", 4, 5, 0)] == [
+        ("hahn.capped", 3), ("hahn.once", 4), ("order.unbounded", None)]
+    assert seen == [("a", 3, 0), ("a", 3, 1), ("b", 3, 2), ("b", 3, 3), ("c", 4, 0),
+                    ("d", None, 0), ("d", None, 1), ("d", None, 2), ("d", None, 3),
+                    ("d", None, 4)]
+
+
+@pytest.mark.parametrize("suite", ["bch", "correspondence"])
+def test_each_run_builds_the_bch_law_once(monkeypatch, suite):
+    """The steps that read `bch_product` share one build per `run_suite` call,
+    and a second call builds it again: no value outlives its run."""
+    calls = []
+    law = verify.bch_product
+    monkeypatch.setattr(verify, "bch_product", lambda n: calls.append(n) or law(n))
+    run_suite(suite, 8, 5, 0)
+    assert calls == [8 if suite == "bch" else 6]
+    run_suite(suite, 8, 5, 0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

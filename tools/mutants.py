@@ -39,6 +39,7 @@ PREDICATES = f"{WALK}::test_row_predicates_equal_the_image_by_image_walk"
 ORDER = "tests/test_support_order.py"
 SPARSE = "tests/test_sparse.py"
 CALCULUS = "tests/test_series_calculus.py"
+VERIFY = "tests/test_verify.py"
 
 
 class Mutant(NamedTuple):
@@ -264,6 +265,19 @@ MUTANTS = (
            "    for n in range(1, P.grade + 1):\n        pw = x * pw",
            "    for n in range(1, P.grade):\n        pw = x * pw",
            ("tests/test_evaluation_oracles.py",)),
+    # -- the verify step table and the coefficient read ------------------------
+    Mutant("runner ignores the cap", "verify.py",
+           "bound = None if cap is None else min(order, cap)",
+           "bound = None if cap is None else order",
+           (f"{VERIFY}::test_json_reports_the_bound_each_step_ran_at",)),
+    Mutant("contexts advance per run, not per block", "verify.py",
+           "lambda i: trial(run, ctxs[i // runs], bound, i)",
+           "lambda i: trial(run, ctxs[i % len(ctxs)], bound, i)",
+           (f"{VERIFY}::test_the_runner_reads_each_row_context_by_context",)),
+    Mutant("coefficient drops the denominator", "sparse.py",
+           "return _ZERO if n is None else Fraction(n, den)",
+           "return _ZERO if n is None else Fraction(n)",
+           (f"{SPARSE}::test_coefficient_is_read_off_the_form",)),
 )
 
 
