@@ -29,7 +29,8 @@ and the round trip) is re-checked only by the oracles: `rechecked_decompose` in
 Both character kinds share one base, which holds the values, the dimension
 check and the context check of the group law.  `_order_violation` is the one
 order-preservation scan, over `ExponentAut` probes and raw relabeling supports;
-`ExponentAut.identity` is built without it, as it has nothing to find there.
+it passes the identity matrix without a comparison, as the identity moves no
+pair out of order, so the identity runs no scan however it is built.
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ def _probe_vectors(dim: int) -> list[ExpVec]:
 
 def _order_violation(ctx: MonoidCtx, mat: Matrix, vecs: Sequence[ExpVec]):
     """The first pair a < b of `vecs`, a in the outer loop, with mat a < mat b
-    false; None if there is none.  Each image is computed once."""
+    false; None if there is none.  The identity moves no vector, so it moves
+    no pair out of order: it returns None with no comparison.  Otherwise each
+    image is computed once."""
+    if mat == ctx.generators():
+        return None
     images = [mat_vec(mat, v) for v in vecs]
     for a, ma in zip(vecs, images):
         for b, mb in zip(vecs, images):
@@ -233,13 +238,9 @@ class ExponentAut:
 
     @classmethod
     def identity(cls, ctx: MonoidCtx) -> "ExponentAut":
-        """The identity matrix, built without `__post_init__`: it is unimodular
-        and keeps every weight and the order of every context, so the checks
-        and the probe scan have nothing to find."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "matrix", ctx.generators())
-        return obj
+        """The identity matrix, by the checked constructor; the probe scan
+        passes it without a comparison."""
+        return cls(ctx, ctx.generators())
 
     def apply(self, g: Sequence[int]) -> ExpVec:
         return mat_vec(self.matrix, self.ctx.check_vec(g))

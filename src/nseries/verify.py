@@ -16,9 +16,10 @@ A step either passes or carries the description of its first counterexample,
 and records the bound it ran at.  `run` is the `_Run` of one `run_suite`
 call.  All randomness flows through its single seeded generator, so a (seed,
 order, trials) triple pins the output.  Values that several steps read, the
-BCH laws, the identity table, the geometric series and the swap
-`ExponentAut`, go through its memo `run.shared`: each is built on its first
-use in the call and dropped when the call returns.
+BCH law (which `correspondence.group-law` reads whole and the bch steps read
+cut), the identity table, the geometric series and the swap `ExponentAut`,
+go through its memo `run.shared`: each is built on its first use in the call
+and dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ def _free_ideal(run, ctx, grade, i):
     yield closed, "augmentation ideal not closed"
 
 
-def _bch_laws(order):
+def _bch_laws(run, order):
     """`bch_product(order)` cut at each bound 0..order: every order below is a
-    truncation of this one."""
-    law = bch_product(order)
+    truncation of this one.  The law itself is the run's shared
+    `bch_product(order)`, which `correspondence.group-law` also reads."""
+    law = run.shared(bch_product, order)
     return [law.restrict(n) for n in range(order + 1)]
 
 
@@ -182,7 +184,7 @@ def _bch_inversion(run, ctx, order, i):
 
 
 def _bch_exp_identity(run, ctx, order, i):
-    laws = run.shared(_bch_laws, order)
+    laws = run.shared(_bch_laws, run, order)
     for n in range(1, order + 1):
         lhs = fs_substitute(series_E0(n), {0: laws[n]})
         x0 = FreeSeries.variable(0, 2, n)
@@ -192,12 +194,12 @@ def _bch_exp_identity(run, ctx, order, i):
 
 
 def _bch_oracle(run, ctx, n_oracle, i):
-    laws = run.shared(_bch_laws, run.order)
+    laws = run.shared(_bch_laws, run, run.order)
     yield laws[n_oracle] == dynkin_bch(n_oracle), f"mismatch at order {n_oracle}"
 
 
 def _bch_lie_slices(run, ctx, n_oracle, i):
-    S = run.shared(_bch_laws, run.order)[n_oracle]
+    S = run.shared(_bch_laws, run, run.order)[n_oracle]
     for n in range(2, n_oracle + 1):
         yield is_lie_slice(S, n), "a degree slice fails the bracketing test"
 

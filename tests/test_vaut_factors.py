@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from nseries import (
     AdditiveChar,
     CharacterX,
+    Cmp,
     ExponentAut,
     FactorAut,
     HahnPoly,
@@ -141,16 +143,56 @@ def test_exponent_aut_keeps_the_weight_on_weighted_contexts():
     assert shear.apply((-8, 3)) == (-5, 2)
 
 
-@pytest.mark.parametrize("ctx", [
+IDENTITY_CONTEXTS = [
     *(MonoidCtx.lex(d) for d in (1, 2, 3)),
     *(MonoidCtx.product(d) for d in (1, 2, 3)),
     MonoidCtx.weighted(2), MonoidCtx.weighted(1, 3), MonoidCtx.weighted(2, 1, 3),
-], ids=repr)
+]
+
+
+def counting_cmp(monkeypatch):
+    """Count every `MonoidCtx.cmp` call from now on: a list that grows by one per call."""
+    calls, cmp = [], MonoidCtx.cmp
+    monkeypatch.setattr(MonoidCtx, "cmp", lambda ctx, a, b: calls.append(1) or cmp(ctx, a, b))
+    return calls
+
+
+@pytest.mark.parametrize("ctx", IDENTITY_CONTEXTS, ids=repr)
 def test_the_identity_equals_its_checked_build(ctx):
-    # `identity` skips the checks and the probe scan, which the checked build runs.
+    # `identity` is the checked build, whose probe scan passes the identity matrix.
     ident, checked = ExponentAut.identity(ctx), ExponentAut(ctx, ctx.generators())
     assert ident == checked and hash(ident) == hash(checked) and repr(ident) == repr(checked)
     assert ident.is_identity() and ident.compose(checked) == checked
+
+
+@pytest.mark.parametrize("ctx", IDENTITY_CONTEXTS, ids=repr)
+def test_the_identity_runs_no_order_comparison(monkeypatch, ctx):
+    a = HahnPoly(ctx, 2, {m: 1 for m in ctx.generators() if ctx.weight(m) <= 2})
+    calls = counting_cmp(monkeypatch)
+    ident = ExponentAut(ctx, ctx.generators())
+    assert ident == ExponentAut.identity(ctx) and ident.inverse() == ident
+    assert apply_oaut(ctx.generators(), a) == a and apply_oaut(ident, a) == a
+    assert calls == []
+
+
+@pytest.mark.parametrize("ctx, matrix", [
+    (PROD2, ((0, 1), (1, 0))),
+    (MonoidCtx.lex(2), ((1, 0), (1, 1))),
+], ids=["prod:2 swap", "lex:2 lower unitriangular"])
+def test_every_other_matrix_runs_both_scans(monkeypatch, ctx, matrix):
+    # Each scan compares every ordered probe pair, and the images of each pair a < b.
+    probes = list(itertools.product(range(-2, 3), repeat=2))
+    scan = sum(1 + (ctx.cmp(a, b) is Cmp.LESS) for a in probes for b in probes)
+    calls = counting_cmp(monkeypatch)
+    ExponentAut(ctx, matrix)
+    assert len(calls) == 2 * scan
+
+
+@pytest.mark.parametrize("matrix", [((1, 1), (0, 1)), ((0, 1), (1, 0))], ids=["shear", "swap"])
+def test_lex_order_breakers_still_raise_on_their_probe_pair(matrix):
+    message = r"^matrix does not preserve the order on probe pair \(-2, -1\) < \(-1, -2\)$"
+    with pytest.raises(ValueError, match=message):
+        ExponentAut(MonoidCtx.lex(2), matrix)
 
 
 def test_apply_gder_examples():

@@ -126,6 +126,16 @@ def test_each_run_builds_the_bch_law_once(monkeypatch, suite):
     assert len(calls) == 2
 
 
+def test_verify_all_at_a_low_order_builds_one_bch_law(monkeypatch):
+    """At --order 6 or less the bch steps and correspondence.group-law read the
+    same `bch_product(order)`, so the run builds it once."""
+    calls = []
+    law = verify.bch_product
+    monkeypatch.setattr(verify, "bch_product", lambda n: calls.append(n) or law(n))
+    assert all(result.passed for result in run_suite("all", 6, 1, 0))
+    assert calls == [6]
+
+
 @pytest.mark.parametrize(
     "flags", [["--trials", "0"], ["--trials", "-3"], ["--order", "0"]]
 )

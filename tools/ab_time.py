@@ -18,9 +18,12 @@ the ratios printed here come from interleaved minima and move far less.
 Stdout gets one line per job kind and a total: jobs, summed minimum
 milliseconds of A and of B, B/A, and the lowest and highest per-round B/A,
 a round's B/A being its summed B time over its summed A time.  A B/A inside
-that range is as likely noise as change.  The exit code is 1 if any run of a
-job gives another (exit code, stdout) than its first run, on either tree,
-else 0.
+that range is as likely noise as change.  Under each kind, an indented line
+of the same form for each input context shows where a change lands: the
+context is the first input file's name up to its first `-` (`w12`, `p2`,
+`lex1`), and a kind whose jobs name no file (verify's) gets no such line.
+The exit code is 1 if any run of a job gives another (exit code, stdout)
+than its first run, on either tree, else 0.
 """
 
 from __future__ import annotations
@@ -80,6 +83,12 @@ def run_job(cli, argv: list[str]) -> tuple[float, tuple[int, str]]:
     return elapsed, (rc, out.getvalue())
 
 
+def context(argv: list[str]) -> str | None:
+    """The name of the job's first input file up to its first `-`; None when
+    the job names no file.  Input files are the absolute paths of the argv."""
+    return next((Path(a).name.partition("-")[0] for a in argv if Path(a).is_absolute()), None)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("tree_a", type=Path)
@@ -114,18 +123,26 @@ def main(argv=None) -> int:
                         print(f"error: tree {side} gives another (exit code, stdout) on {job.argv}",
                               file=sys.stderr)
                         return 1
-    kinds: dict[str, list[int]] = {}
+    kinds: dict[str, dict[str | None, list[int]]] = {}
     for i, job in enumerate(jobs):
-        kinds.setdefault(job.kind, []).append(i)
+        kinds.setdefault(job.kind, {}).setdefault(context(job.argv), []).append(i)
     print(f"{args.workload} seed={args.seed}: {len(jobs)} jobs, min of {args.repeat}, "
           f"A={args.tree_a} B={args.tree_b}")
-    for kind, idx in [*kinds.items(), ("total", range(len(jobs)))]:
+
+    def report(label: str, idx) -> None:
         a = sum(min(times["A"][i]) for i in idx) * 1000
         b = sum(min(times["B"][i]) for i in idx) * 1000
         rounds = [sum(times["B"][i][r] for i in idx) / sum(times["A"][i][r] for i in idx)
                   for r in range(args.repeat)]
-        print(f"{kind:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}"
+        print(f"{label:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}"
               f"  rounds {min(rounds):.3f}..{max(rounds):.3f}")
+
+    for kind, contexts in kinds.items():
+        report(kind, [i for idx in contexts.values() for i in idx])
+        for ctx, idx in contexts.items():
+            if ctx is not None:
+                report(f"  {ctx}", idx)
+    report("total", range(len(jobs)))
     return 0
 
 

@@ -40,6 +40,7 @@ ORDER = "tests/test_support_order.py"
 SPARSE = "tests/test_sparse.py"
 CALCULUS = "tests/test_series_calculus.py"
 VERIFY = "tests/test_verify.py"
+VAUT = "tests/test_vaut_factors.py"
 
 
 class Mutant(NamedTuple):
@@ -142,11 +143,21 @@ MUTANTS = (
            "if (one in rows) if leibniz else rows.get(one) != {one: den}:",
            "if False:",
            (PREDICATES,)),
-    # -- ExponentAut.identity, built without the probe scan -------------------
-    Mutant("unchecked identity is another matrix", "vaut_factors.py",
-           'object.__setattr__(obj, "matrix", ctx.generators())',
-           'object.__setattr__(obj, "matrix", ctx.generators()[::-1])',
-           ("tests/test_vaut_factors.py::test_the_identity_equals_its_checked_build",)),
+    # -- _order_violation, which passes the identity matrix unscanned ---------
+    Mutant("identity test admits a unit diagonal", "vaut_factors.py",
+           "    if mat == ctx.generators():",
+           "    if all(row[i] == 1 for i, row in enumerate(mat)):",
+           (f"{VAUT}::test_every_other_matrix_runs_both_scans",
+            f"{VAUT}::test_lex_order_breakers_still_raise_on_their_probe_pair")),
+    Mutant("identity test admits every permutation", "vaut_factors.py",
+           "    if mat == ctx.generators():",
+           "    if sorted(mat) == sorted(ctx.generators()):",
+           (f"{VAUT}::test_order_violations_name_their_pair",
+            f"{VAUT}::test_every_other_matrix_runs_both_scans")),
+    Mutant("identity test never fires", "vaut_factors.py",
+           "    if mat == ctx.generators():",
+           "    if False:",
+           (f"{VAUT}::test_the_identity_runs_no_order_comparison",)),
     # -- earlier fast paths: the kernel loops, the order and the factor reads -
     Mutant("table form keeps unscaled rows", "sparse.py",
            "{m: nums if d == den else {key: n * (den // d) for key, n in nums.items()}",
