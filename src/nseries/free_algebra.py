@@ -12,11 +12,16 @@ is the production route: a one-variable series at a nilpotent element, as in
 exp, log, fractional iteration and `unit_inverse`, the geometric inverse of
 series and tables alike.  `evaluate_words` evaluates any series word by word;
 `fs_substitute` and `op_evaluate` run it, and through them it is the oracle of
-the production route.  Both collect (coefficient, product) pairs and sum them
-with one `lin_comb`.  Neither takes a unit, a product or a bound: the
-algebra's elements carry them, as free series, Hahn series and operator
-tables all do, with the unit `x.one(*x._space())`, the product `*` and the
-bound `x._space()[-1]`.
+the production route.  Both run on the integer forms of `nseries.sparse`
+from one entry check to one result: `nilpotent_sum` reads x in its own
+space, and `evaluate_words` checks once that its arguments share one space.
+P's words and coefficients are read off its form, each power or word-prefix
+product is the kernel's unchecked `_times` of two forms, a zero product ends
+its power chain or word and adds nothing, and the unit's `_combine` sums the
+nonzero (coefficient, form) parts once.  Neither takes a unit, a product or
+a bound: the algebra's elements carry them, as free series, Hahn series and
+operator tables all do, with the unit `x.one(*x._space())`, the product
+`x._times` and the bound `x._space()[-1]`.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ class FreeSeries(SparseSeries):
         "grade {0.grade}/{1.grade}"
     )
     _grade = staticmethod(len)
+    _key_mul = staticmethod(operator.add)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet_size", operator.index(self.alphabet_size))
@@ -135,7 +141,7 @@ class FreeSeries(SparseSeries):
 
     def __mul__(self, other: "FreeSeries") -> "FreeSeries":
         """Cauchy product: (P.Q)(theta) sums P(beta) Q(gamma) over theta = beta gamma."""
-        return self._product(other, operator.add)
+        return self._product(other)
 
     def geometric_inverse(self) -> "FreeSeries":
         """Two-sided inverse modulo the grade bound, `unit_inverse` of c + (P - c)
@@ -149,17 +155,24 @@ class FreeSeries(SparseSeries):
 def nilpotent_sum(P: FreeSeries, x):
     """The one-variable series P at a nilpotent x: sum of P(X0^n) x^n, n <= P.grade.
 
-    Powers run forward, x^n = x * x^(n-1) from x^0 = x.one(*x._space()), and
-    stop at the first zero power; the unit's `lin_comb` sums the (P(X0^n),
-    x^n) pairs once.  `x` needs `one`, `_space`, `*`, `lin_comb` and `is_zero`."""
+    Powers run forward on the integer form, x^n = x * x^(n-1) from x^1 = x,
+    with x^0 the form of x.one(*x._space()), and stop at the first zero
+    power, which adds nothing; the unit's `_combine` sums the (P(X0^n), form
+    of x^n) parts once.  x is read in its own space, so nothing is checked.
+    `x` needs `one`, `_space`, `_form` and `_times`, the kernel's unchecked
+    product of two forms, and its unit `_combine`, the unchecked sum of
+    forms."""
     one = x.one(*x._space())
-    pairs, pw = [(P.constant_term, one)], one
+    (den, nums), form = P._form, x._form
+    parts, power = [(Fraction(nums.get(EMPTY_WORD, 0), den), one._form)], form
     for n in range(1, P.grade + 1):
-        pw = x * pw
-        if pw.is_zero():
+        if n > 1:
+            power = x._times(form, power)
+        if not power[1]:
             break
-        pairs.append((P.coefficient((0,) * n), pw))
-    return one.lin_comb(pairs)
+        if (c := nums.get((0,) * n)) is not None:
+            parts.append((Fraction(c, den), power))
+    return one._combine(parts)
 
 
 def unit_inverse(c, eps):
@@ -172,28 +185,39 @@ def unit_inverse(c, eps):
 
 def evaluate_words(P: FreeSeries, args: Sequence):
     """The sum of P(w) args[w1]...args[wn] over the words w of P of length at
-    most the bound of the nonempty `args`, which share one space.
+    most the bound of the nonempty `args`, which must share one space: the
+    first argument checks the others once (`_require_same`).
 
-    Each word's product is its prefix's product times args[wn], computed once
-    per prefix, and a zero prefix ends the word; the unit's `lin_comb` sums the
-    (P(w), product) pairs once.  Its word walk shares no code with
+    P's words and coefficients are read off its form, by grade and then by
+    word.  Each word's product is the form of its prefix's product times
+    args[wn] (`_times`), computed once per prefix, and a zero prefix ends the
+    word, which then adds nothing; the unit's `_combine` sums the (P(w), form
+    of the product) parts once.  Its word walk shares no code with
     `nilpotent_sum`, which it checks.  The arguments need `one`, `_space`,
-    `*`, `lin_comb` and `is_zero`."""
-    space = args[0]._space()
-    one, bound = args[0].one(*space), space[-1]
-    products = {(i,): a for i, a in enumerate(args)}
-    pairs = [(P.constant_term, one)]
-    for word, coeff in P.sorted_terms():
-        if not 0 < len(word) <= bound:
-            continue
+    `_require_same`, `_form` and `_times`, and their unit `_combine`."""
+    first = args[0]
+    for a in args[1:]:
+        first._require_same(a)
+    space = first._space()
+    one, bound = first.one(*space), space[-1]
+    den, nums = P._form
+    letters = [a._form for a in args]
+    products = {EMPTY_WORD: one._form, **{(i,): f for i, f in enumerate(letters)}}
+    parts = []
+    for word in sorted(nums, key=lambda w: (len(w), w)):
+        if len(word) > bound:
+            break
         known = len(word)
         while word[:known] not in products:
             known -= 1
+        product = products[word[:known]]
         for n in range(known, len(word)):
-            prefix = products[word[:n]]
-            products[word[:n + 1]] = prefix if prefix.is_zero() else prefix * args[word[n]]
-        pairs.append((coeff, products[word]))
-    return one.lin_comb(pairs)
+            if not product[1]:
+                break
+            product = products[word[:n + 1]] = first._times(product, letters[word[n]])
+        if product[1]:
+            parts.append((Fraction(nums[word], den), product))
+    return one._combine(parts)
 
 
 # Named operation surface mirroring the contract above.

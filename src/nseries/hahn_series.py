@@ -27,6 +27,7 @@ class HahnPoly(SparseSeries):
     terms: dict = field(default_factory=dict)
 
     _MISMATCH = "series live over different contexts or bounds"
+    _key_mul = staticmethod(vec_add)
 
     def __post_init__(self):
         object.__setattr__(self, "bound", operator.index(self.bound))
@@ -70,7 +71,7 @@ class HahnPoly(SparseSeries):
 
     def __mul__(self, other: "HahnPoly") -> "HahnPoly":
         """Convolution product; terms of weight above the bound are discarded."""
-        return self._product(other, vec_add)
+        return self._product(other)
 
 
 def hp_add(a: HahnPoly, b: HahnPoly) -> HahnPoly:

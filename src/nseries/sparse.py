@@ -7,8 +7,9 @@ product never visits the pairs whose grades sum past the bound, and stays
 exact modulo the ideal of keys above the bound.  A table maps each basis key
 to an image series, and is an element of the same linear space protocol.
 
-Every value holds one state, its integer form, from construction on, and
-only this module reads or writes it.  A series' form is (D, numerators): D
+Every value holds one state, its integer form, from construction on.  Only
+this module writes it, and only this module and the two series evaluators
+of `nseries.free_algebra` read it.  A series' form is (D, numerators): D
 the least common denominator of its coefficients, and numerators the dict
 key -> coefficient * D, in term order.  A table's form is (D, rows): D the
 least common denominator of every coefficient of every image, and rows the
@@ -33,21 +34,27 @@ builds no Fraction and no image.
 
 Each kernel operation is one loop, with no second copy for a one-term
 operand or a first part.  One fast path stays, with the cost of its removal
-in its docstring: `SparseTable._reduced`'s gcd that stops at 1.
+in its docstring: the table gcd that stops at 1 (`_rows_lowest`).
 `Linear.lin_comb` is the one checked sum: it checks each operand's space and
 each coefficient, then `_combine` adds every part into one dict through
 `_add_into`, the one cancel-aware add loop, which also serves `_through` and
 the Leibniz step.  `+`, `-`, negation and scaling are one `lin_comb` call
-each.  `_multiply` is the one truncated product loop, behind `_product` and
-the generator walk.  `SparseTable._compose` and `SparseTable._apply` are the
-one linear extension, a table's rows through another table or at a series
+each.  `_times(a, b)` is each class's unchecked product of two forms, the
+truncated product of series (`_multiply`, the one truncated product loop,
+also behind the generator walk) or the composition of tables, and
+`SparseSeries._product` and `SparseTable._compose` are one `_times` each.
+The series evaluators in `nseries.free_algebra` multiply forms with
+`_times` and sum them with one `_combine`, which takes (Fraction, form)
+parts, so between their entry check and their result they build no value
+but their unit.  `SparseTable._times` and `SparseTable._apply` are the one
+linear extension, a table's rows through another table or at a series
 (`_through`), and `SparseSeries._linear` runs numerators through integer
 rows the same way, behind Dynkin's projection and sum in
 `nseries.series_calculus`.  `SparseSeries._graded` is the one filter of a
 form by grade, behind `restrict` and `FreeSeries.grade_slice`.
-`SparseTable._read` is the one row read behind the factor
-tables of `nseries.vaut_factors`, and `row_keys` and `row` read rows for
-the contracting test and for a scalar or a lead.  The generator walk of
+`SparseTable._read` is the one row read behind the factor tables of
+`nseries.vaut_factors`, and `row_keys` and `row` read rows for the
+contracting test and for a scalar or a lead.  The generator walk of
 `nseries.operators` runs here on rows: `SparseTable._extended` builds the
 Leibniz or multiplicative extension of generator rows, and
 `SparseTable._walk_check` checks, in one pass that stops at the first
@@ -56,15 +63,15 @@ failing row, that each row of a table is the step over its own earlier rows.
 A subclass of `Linear` is a frozen dataclass with `eq=False` whose last field
 is its view, named by `_VIEW`.  It supplies `_space()` (the fields before the
 view, the bound last) and `_MISMATCH`, the mismatch message.  A subclass of
-`SparseSeries` also supplies `_check_key`, `_grade`, `one(*space)` and a
-`__mul__` that passes its key product to `_product`; its `__post_init__`
-checks the space and calls `_canonicalise`.  A subclass of `SparseTable`
-supplies `basis()`, the basis keys in order, `_IMAGE`, the series class of
-its images, and a `__post_init__` that checks the images and calls
-`_hold_form`.  `hash()` is a TypeError, as for any mutable map.  `exact` is
-the one exact-coefficient check: a float or any other non-rational number
-is a `TypeError`, never a binary fraction, and a string that is no rational
-is an `NSeriesError`.
+`SparseSeries` also supplies `_check_key`, `_grade`, `one(*space)`,
+`_key_mul`, its key product, as a static method, and a `__mul__` that calls
+`_product`; its `__post_init__` checks the space and calls `_canonicalise`.
+A subclass of `SparseTable` supplies `basis()`, the basis keys in order,
+`_IMAGE`, the series class of its images, and a `__post_init__` that checks
+the images and calls `_hold_form`.  `hash()` is a TypeError, as for any
+mutable map.  `exact` is the one exact-coefficient check: a float or any
+other non-rational number is a `TypeError`, never a binary fraction, and a
+string that is no rational is an `NSeriesError`.
 """
 
 from __future__ import annotations
@@ -118,6 +125,24 @@ def _lowest(common: int, nums: dict) -> tuple[int, dict]:
     if g > 1:
         return common // g, {key: n // g for key, n in nums.items()}
     return common, nums
+
+
+def _rows_lowest(common: int, rows: dict) -> tuple[int, dict]:
+    """The table form (common, rows), rows {m: {key: n}} of nonzero rows of
+    nonzero n, divided by the one gcd of common and every n.  The gcd is taken
+    row by row and stops at 1, which is most often reached in the first row:
+    one `gcd(common, *numerators)` over every n read corr 1.001, 1.010 and
+    1.011 and verify 1.003 to 1.006, beside A/A runs of 0.995 to 0.998 on
+    the same seeds (`tools/ab_time.py --jobs 0`)."""
+    g = common
+    for row in rows.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g > 1:
+        common //= g
+        rows = {m: {key: n // g for key, n in row.items()} for m, row in rows.items()}
+    return common, rows
 
 
 def _add_into(out: dict, p: int, nums: dict) -> None:
@@ -187,7 +212,8 @@ class Linear:
     """`lin_comb`, the one checked sum, and `+`, `-`, negation and scaling, each
     one `lin_comb` call.  Every instance holds its integer form `_form`, which
     `==` and `is_zero` read.  A subclass supplies `_combine(parts)`, the
-    unchecked sum of c*x over (c, x) parts, `_space()`, `_MISMATCH`, `_VIEW`,
+    unchecked sum of c*x over (c, form of x) parts, `_times(a, b)`, the
+    unchecked product of two forms, `_space()`, `_MISMATCH`, `_VIEW`,
     `_view()`, the view built from the form, and `_hold_form()`, which
     computes the form from the view and holds it."""
 
@@ -239,11 +265,12 @@ class Linear:
 
     def lin_comb(self, pairs):
         """The sum of c*x over the (c, x) pairs, in the space of `self`: each x is
-        checked against that space and each c by `exact`, then `_combine` sums."""
+        checked against that space and each c by `exact`, then `_combine` sums
+        the (c, form of x) parts."""
         parts = []
         for c, x in pairs:
             self._require_same(x)
-            parts.append((exact(c), x))
+            parts.append((exact(c), x._form))
         return self._combine(parts)
 
     def __add__(self, other):
@@ -342,27 +369,32 @@ class SparseSeries(Linear):
     # -- arithmetic ---------------------------------------------------
 
     def _combine(self, parts):
-        """The sum of c*s over the (c, s) parts, in the space of `self`,
+        """The sum of c*s over the (c, form of s) parts, in the space of `self`,
         unchecked: c a Fraction and s a series of that space.  Every part is
         added into one dict (`_add_into`), as integers over the lcm of
-        c.denominator * D across the parts, D the denominator of the form of
-        s, and `_reduced` divides the sums and that denominator by one gcd, so
+        c.denominator * D across the parts, D the denominator of the form,
+        and `_reduced` divides the sums and that denominator by one gcd, so
         the result holds its form over the least common denominator."""
-        common = lcm(*[c.denominator * s._form[0] for c, s in parts])
+        common = lcm(*[c.denominator * d for c, (d, _) in parts])
         out: dict = {}
-        for c, s in parts:
-            d, nums = s._form
+        for c, (d, nums) in parts:
             _add_into(out, c.numerator * (common // (c.denominator * d)), nums)
         return self._reduced(common, out)
 
-    def _product(self, other, key_mul: Callable):
-        """Truncated product: the numerators of both forms through `_multiply`,
-        over D_a * D_b, and `_reduced` divides them and D_a * D_b by one gcd,
-        so the result keeps its form over the least common denominator."""
+    def _times(self, a, b):
+        """The form of the truncated product of the forms `a` and `b` in the space
+        of `self`, unchecked: their numerators through `_multiply` with the
+        class's key product `_key_mul`, over D_a * D_b, divided by one gcd
+        (`_lowest`), so the form lies over the least common denominator."""
+        (den_a, left), (den_b, right) = a, b
+        return _lowest(den_a * den_b,
+                       _multiply(left, right, self._grade, self._space()[-1], self._key_mul))
+
+    def _product(self, other):
+        """The truncated product (`_times`) of `self` and `other`, checked to
+        share the space of `self`."""
         self._require_same(other)
-        (den_a, left), (den_b, right) = self._form, other._form
-        return self._reduced(den_a * den_b,
-                             _multiply(left, right, self._grade, self._space()[-1], key_mul))
+        return self._held(self._space(), self._times(self._form, other._form))
 
     def _reduced(self, common: int, nums: dict):
         """The series sum of n/common t^key over the items key -> n of `nums`, n
@@ -509,32 +541,35 @@ class SparseTable(Linear):
         return None
 
     def _combine(self, parts):
-        """The sum of c*t over the (c, t) parts, in the space of `self`,
+        """The sum of c*t over the (c, form of t) parts, in the space of `self`,
         unchecked: c a Fraction and t a table of that space.  Every row sums in
         one dict, as integers over the lcm of c.denominator * D across the
-        parts, D the denominator of the form of t: each part of a row is added
+        parts, D the denominator of the form: each part of a row is added
         (`_add_into`), so each image keeps the term order of the sum of its
         images; a row that cancels entirely is dropped."""
-        forms = [(c, t._form) for c, t in parts]
-        common = lcm(*[c.denominator * d for c, (d, _) in forms])
+        common = lcm(*[c.denominator * d for c, (d, _) in parts])
         out: dict = {}
-        for c, (d, rows) in forms:
+        for c, (d, rows) in parts:
             p = c.numerator * (common // (c.denominator * d))
             for m, row in rows.items():
                 _add_into(out.setdefault(m, {}), p, row)
         return self._reduced(common, {m: acc for m, acc in out.items() if acc})
 
-    def _compose(self, other):
-        """self o other, unchecked: each row of `other` through the rows of
-        `self` (`_through`), over D_self * D_other, so each image is `self`
-        applied to the image of `other`."""
-        (den_f, rows_f), (den_g, rows_g) = self._form, other._form
+    def _times(self, a, b):
+        """The form of a o b for the table forms `a` and `b`, unchecked: each row
+        of b through the rows of a (`_through`), over D_a * D_b, so each image
+        is a applied to the image of b, divided by one gcd (`_rows_lowest`)."""
+        (den_f, rows_f), (den_g, rows_g) = a, b
         rows = {}
         for m, row in rows_g.items():
             out = _through(row, rows_f)
             if out:
                 rows[m] = out
-        return self._reduced(den_f * den_g, rows)
+        return _rows_lowest(den_f * den_g, rows)
+
+    def _compose(self, other):
+        """self o other, unchecked (`_times`)."""
+        return self._held(self._space(), self._times(self._form, other._form))
 
     def _apply(self, series):
         """`self` at `series`, unchecked: the terms of `series` through the rows
@@ -545,17 +580,5 @@ class SparseTable(Linear):
     def _reduced(self, common: int, rows: dict):
         """The table with rows n/common over the items m -> {key: n} of `rows`,
         every row and every n nonzero, in the space of `self`, held as its form
-        with one gcd dividing common and every n.  The gcd is taken row by row
-        and stops at 1, which is most often reached in the first row: one
-        `gcd(common, *numerators)` over every n read corr 1.001, 1.010 and
-        1.011 and verify 1.003 to 1.006, beside A/A runs of 0.995 to 0.998
-        on the same seeds (`tools/ab_time.py --jobs 0`)."""
-        g = common
-        for row in rows.values():
-            if g == 1:
-                break
-            g = gcd(g, *row.values())
-        if g > 1:
-            common //= g
-            rows = {m: {key: n // g for key, n in row.items()} for m, row in rows.items()}
-        return self._held(self._space(), (common, rows))
+        in lowest terms (`_rows_lowest`)."""
+        return self._held(self._space(), _rows_lowest(common, rows))

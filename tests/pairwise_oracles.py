@@ -419,9 +419,9 @@ def rechecked_decompose(sigma) -> FactorAut:
 def naive_word_sum(P, args, one, mul, bound):
     """P(empty) one plus P(w) args[w1]...args[wn] over the nonempty words of
     length <= bound, each product built from `one` with no cache or pruning,
-    summed by `reference_sum`."""
+    summed by `reference_sum` in the evaluator's order: by grade, then by word."""
     pairs = [(P.constant_term, one)]
-    for word, coeff in P.terms.items():
+    for word, coeff in P.sorted_terms():
         if 0 < len(word) <= bound:
             product = one
             for letter in word:

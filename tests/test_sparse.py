@@ -509,17 +509,18 @@ def test_tables_are_unhashable_and_keep_their_repr():
     ],
     ids=("free", "hahn"),
 )
-def test_the_product_visits_only_fitting_pairs(a, b, key_mul):
+def test_the_product_visits_only_fitting_pairs(monkeypatch, a, b, key_mul):
     visited = []
 
     def counting(ka, kb):
         visited.append((ka, kb))
         return key_mul(ka, kb)
 
+    monkeypatch.setattr(type(a), "_key_mul", staticmethod(counting))
     grade, bound = a._grade, a._space()[-1]
     for x, y in ((a, b), (b, a)):
         visited.clear()
-        product = x._product(y, counting)
+        product = x * y
         fitting = [(ka, kb) for ka in x.terms for kb in y.terms if grade(ka) + grade(kb) <= bound]
         assert 0 < len(fitting) < len(x.terms) * len(y.terms)
         assert visited == fitting
@@ -536,7 +537,7 @@ def test_the_product_visits_only_fitting_pairs(a, b, key_mul):
     ],
     ids=("free", "hahn"),
 )
-def test_a_one_term_operand_shifts_the_other(a, one, key_mul):
+def test_a_one_term_operand_shifts_the_other(monkeypatch, a, one, key_mul):
     """With one term on either side, the product visits the other operand's
     fitting terms in term order, once each; the grades of some pairs sum to the
     bound exactly, and of others past it."""
@@ -546,12 +547,13 @@ def test_a_one_term_operand_shifts_the_other(a, one, key_mul):
         visited.append((ka, kb))
         return key_mul(ka, kb)
 
+    monkeypatch.setattr(type(a), "_key_mul", staticmethod(counting))
     grade, bound = a._grade, a._space()[-1]
     (k,) = one.terms
     assert {grade(key) + grade(k) for key in a.terms} >= {bound, bound + 1}
     for x, y in ((a, one), (one, a)):
         visited.clear()
-        product = x._product(y, counting)
+        product = x * y
         assert visited == [(ka, kb) for ka in x.terms for kb in y.terms
                            if grade(ka) + grade(kb) <= bound]
         assert _with_order(product) == _with_order(reference_product(x, y))

@@ -13,15 +13,17 @@ A then B in the first round, B then A in the second and so on, and a job's
 time is its minimum over the rounds, so load that drifts during the run hits
 both trees alike.
 Separate benchmark runs on a loaded two-core machine swing by about 30%;
-the ratios printed here come from interleaved minima and move far less.
+the ratios printed here come from interleaved runs and move far less.
 
 Stdout gets one line per job kind and a total: jobs, summed minimum
-milliseconds of A and of B, B/A, and the lowest and highest per-round B/A,
-a round's B/A being its summed B time over its summed A time.  A B/A inside
-that range is as likely noise as change.  Under each kind, an indented line
-of the same form for each input context shows where a change lands: the
-context is the first input file's name up to its first `-` (`w12`, `p2`,
-`lex1`), and a kind whose jobs name no file (verify's) gets no such line.
+milliseconds of A and of B, then B/A and its range, both read off the
+per-round B/As, a round's B/A being its summed B time over its summed A
+time: B/A is their median and the range their lowest and highest, so B/A
+always lies in its own range.  A range that holds 1 is as likely noise as
+change.  Under each kind, an indented line of the same form for each input
+context shows where a change lands: the context is the first input file's
+name up to its first `-` (`w12`, `p2`, `lex1`), and a kind whose jobs name
+no file (verify's) gets no such line.
 The exit code is 1 if any run of a job gives another (exit code, stdout)
 than its first run, on either tree, else 0.
 """
@@ -36,6 +38,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from statistics import median
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -134,8 +137,8 @@ def main(argv=None) -> int:
         b = sum(min(times["B"][i]) for i in idx) * 1000
         rounds = [sum(times["B"][i][r] for i in idx) / sum(times["A"][i][r] for i in idx)
                   for r in range(args.repeat)]
-        print(f"{label:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms  B/A {b / a:.3f}"
-              f"  rounds {min(rounds):.3f}..{max(rounds):.3f}")
+        print(f"{label:20s} {len(idx):4d} jobs  A {a:9.1f} ms  B {b:9.1f} ms"
+              f"  B/A {median(rounds):.3f}  rounds {min(rounds):.3f}..{max(rounds):.3f}")
 
     for kind, contexts in kinds.items():
         report(kind, [i for idx in contexts.values() for i in idx])

@@ -41,6 +41,7 @@ SPARSE = "tests/test_sparse.py"
 CALCULUS = "tests/test_series_calculus.py"
 VERIFY = "tests/test_verify.py"
 VAUT = "tests/test_vaut_factors.py"
+EVALUATION = "tests/test_evaluation_oracles.py"
 
 
 class Mutant(NamedTuple):
@@ -164,8 +165,8 @@ MUTANTS = (
            "{m: nums if True else {key: n * (den // d) for key, n in nums.items()}",
            ("tests/test_sparse.py", EXTENSIONS)),
     Mutant("table sum keeps the gcd", "sparse.py",
-           "        if g > 1:\n            common //= g",
-           "        if False:\n            common //= g",
+           "    if g > 1:\n        common //= g",
+           "    if False:\n        common //= g",
            ("tests/test_sparse.py",)),
     Mutant("_through ignores the row coefficient", "sparse.py",
            "            _add_into(out, n, row)",
@@ -272,10 +273,6 @@ MUTANTS = (
            "        if coeff:\n            terms[(0,) * n] = coeff",
            "        if True:\n            terms[(0,) * n] = coeff",
            (f"{CALCULUS}::test_series_binomial_equals_its_checked_build",)),
-    Mutant("nilpotent sum stops one power early", "free_algebra.py",
-           "    for n in range(1, P.grade + 1):\n        pw = x * pw",
-           "    for n in range(1, P.grade):\n        pw = x * pw",
-           ("tests/test_evaluation_oracles.py",)),
     # -- the verify step table and the coefficient read ------------------------
     Mutant("runner ignores the cap", "verify.py",
            "bound = None if cap is None else min(order, cap)",
@@ -289,6 +286,44 @@ MUTANTS = (
            "return _ZERO if n is None else Fraction(n, den)",
            "return _ZERO if n is None else Fraction(n)",
            (f"{SPARSE}::test_coefficient_is_read_off_the_form",)),
+    # -- the evaluators on the integer form: `_times`, `_combine` of forms ----
+    Mutant("nilpotent sum stops one power early", "free_algebra.py",
+           "    for n in range(1, P.grade + 1):\n        if n > 1:",
+           "    for n in range(1, P.grade):\n        if n > 1:",
+           (EVALUATION,)),
+    Mutant("zero power does not end the power chain", "free_algebra.py",
+           "        if not power[1]:\n            break\n",
+           "",
+           (f"{EVALUATION}::test_zero_products_end_their_chains_and_leave_the_sum",)),
+    Mutant("zero word product kept in the sum with a wrong coefficient", "free_algebra.py",
+           "        if product[1]:\n            parts.append((Fraction(nums[word], den), product))",
+           "        parts.append((Fraction(nums[word], den) if product[1] else Fraction(1, 7),"
+           " product))",
+           (f"{EVALUATION}::test_zero_products_end_their_chains_and_leave_the_sum",)),
+    Mutant("zero prefix does not end the word", "free_algebra.py",
+           "            if not product[1]:\n                break\n",
+           "",
+           (f"{EVALUATION}::test_zero_products_end_their_chains_and_leave_the_sum",)),
+    Mutant("word products multiply in reverse", "free_algebra.py",
+           "first._times(product, letters[word[n]])",
+           "first._times(letters[word[n]], product)",
+           (EVALUATION,)),
+    Mutant("evaluator skips its entry check", "free_algebra.py",
+           "    for a in args[1:]:\n        first._require_same(a)\n",
+           "",
+           (f"{EVALUATION}::test_evaluate_words_checks_its_arguments_once_at_entry",)),
+    Mutant("series _times drops a denominator", "sparse.py",
+           "return _lowest(den_a * den_b,",
+           "return _lowest(den_a,",
+           (SPARSE,)),
+    Mutant("table _times drops a denominator", "sparse.py",
+           "return _rows_lowest(den_f * den_g, rows)",
+           "return _rows_lowest(den_f, rows)",
+           (SPARSE,)),
+    Mutant("series sum drops the form's denominator", "sparse.py",
+           "_add_into(out, c.numerator * (common // (c.denominator * d)), nums)",
+           "_add_into(out, c.numerator * (common // c.denominator), nums)",
+           (SPARSE,)),
 )
 
 
